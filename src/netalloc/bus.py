@@ -57,8 +57,6 @@ class MessageBus:
     def __init__(self) -> None:
         self.messages_total = 0
         self.bytes_total = 0
-        self.exchanges = 0
-        self.last: ExchangeRecord | None = None
 
     def exchange(self, scalars_per_cell: list[int]) -> ExchangeRecord:
         num_cells = len(scalars_per_cell)
@@ -74,6 +72,4 @@ class MessageBus:
                                 broadcast_bytes=broadcast)
         self.messages_total += record.messages
         self.bytes_total += record.total_bytes
-        self.exchanges += 1
-        self.last = record
         return record

@@ -47,7 +47,6 @@ class RunConfig:
     wsmr_tol: float = 1e-3
     power_method: str = "ocd"
     subcarrier_mode: str = "exact"
-    workers: int = 1
 
     def validated(self) -> "RunConfig":
         if not (self.psi > 0.0 and np.isfinite(self.psi)):
@@ -67,8 +66,6 @@ class RunConfig:
             raise ValueError(
                 f"subcarrier_mode must be one of {SUBCARRIER_MODES}, "
                 f"got {self.subcarrier_mode!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ValueError(f"workers must be a positive integer, got {self.workers!r}")
         return self
 
 
@@ -103,23 +100,6 @@ class RunResult:
     converged: bool = False
     messages: int = 0
     bytes: int = 0
-
-
-def message_bus(states: list, bus: MessageBus | None = None):
-    """One gather-plus-broadcast of the cells' reports through the agent.
-
-    Each report carries the cell's powers, auxiliary rate, and per-user
-    multipliers.  The agent forwards; it never alters states.  Returns the
-    states untouched plus the exchange accounting record.
-    """
-    if bus is None:
-        bus = MessageBus()
-    sizes = []
-    for m, state in enumerate(states):
-        if state is None:
-            raise ValueError(f"missing state for cell {m}")
-        sizes.append(state.power.shape[0] + 1 + state.lam.shape[0])
-    return states, bus.exchange(sizes)
 
 
 def initial_point(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -171,12 +151,10 @@ def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
         try:
             if config.power_method == "ocd":
                 result = ocd_solve(scenario, assignment, power, psi=config.psi,
-                                   max_iters=config.max_power_iters,
-                                   workers=config.workers, bus=bus)
+                                   max_iters=config.max_power_iters, bus=bus)
             else:
                 result = lr_solve(scenario, assignment, power, psi=config.psi,
-                                  max_iters=config.max_power_iters,
-                                  workers=config.workers, bus=bus)
+                                  max_iters=config.max_power_iters, bus=bus)
         except (OcdStepError, LrDivergenceError) as exc:
             partial = trace + [
                 TraceRow(round=round_index, phase="power", iteration=row.iteration,

@@ -18,9 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,16 +58,6 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
-
-
-def _worker_cap(requested: int) -> int:
-    cap = os.environ.get("NETALLOC_THREADS")
-    if cap is not None:
-        try:
-            requested = min(requested, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, requested)
 
 
 def _scenario_flags(parser: argparse.ArgumentParser) -> None:
@@ -118,14 +106,12 @@ def _solver_flags(parser: argparse.ArgumentParser) -> None:
                         help="relative objective change that ends the run")
     parser.add_argument("--subcarrier", choices=("exact", "greedy"),
                         default="exact")
-    parser.add_argument("--workers", type=int, default=1)
 
 
 def _config_from_flags(args: argparse.Namespace) -> RunConfig:
     return RunConfig(psi=args.psi, max_power_iters=args.max_iter,
                      max_rounds=args.rounds, wsmr_tol=args.wsmr_tol,
-                     power_method=args.method, subcarrier_mode=args.subcarrier,
-                     workers=_worker_cap(args.workers))
+                     power_method=args.method, subcarrier_mode=args.subcarrier)
 
 
 def write_trace_csv(rows: list[TraceRow], path: str) -> None:
@@ -210,36 +196,23 @@ def _realize(params: ScenarioParams, seed: int, config: RunConfig,
 
 def run_ensemble(params: ScenarioParams, *, realizations: int, base_seed: int,
                  config: RunConfig, pmax_values: tuple[float, ...] | None = None,
-                 collect: bool = False, workers: int = 1):
+                 collect: bool = False):
     """Run `realizations` seeded channels under every method.
 
     Realization i uses seed base_seed + i and depends on nothing else, so
     any subset is reproducible in isolation.  Returns (rows, details);
     details is empty unless `collect`.  Rows come back sorted by (seed,
-    method, pmax), which makes the output independent of worker scheduling.
+    method, pmax); details come back in seed order.
     """
     if realizations < 1:
         raise ValueError(f"realizations must be positive, got {realizations!r}")
-    tasks = []
-    for i in range(realizations):
-        for pmax in (pmax_values if pmax_values else (None,)):
-            tasks.append((base_seed + i, pmax))
-
-    def work(task):
-        seed, pmax = task
-        return _realize(params, seed, config, pmax, collect)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, tasks))
-    else:
-        outcomes = [work(task) for task in tasks]
-
+    outcomes = [_realize(params, base_seed + i, config, pmax, collect)
+                for i in range(realizations)
+                for pmax in (pmax_values if pmax_values else (None,))]
     rows = [row for chunk, _ in outcomes for row in chunk]
     rows.sort(key=lambda r: (r.seed, r.method,
                              r.pmax if r.pmax is not None else 0.0))
     details = [detail for _, detail in outcomes if detail is not None]
-    details.sort(key=lambda d: d.seed)
     return rows, details
 
 
@@ -300,12 +273,9 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         print(f"error: --realizations must be positive, got {args.realizations}",
               file=sys.stderr)
         return EXIT_USAGE
-    # Parallelism is over realizations here, so each run stays single-threaded.
-    config = replace(_config_from_flags(args), workers=1)
     rows, _ = run_ensemble(params, realizations=args.realizations,
-                           base_seed=args.seed, config=config,
-                           pmax_values=args.pmax_sweep,
-                           workers=_worker_cap(args.workers))
+                           base_seed=args.seed, config=_config_from_flags(args),
+                           pmax_values=args.pmax_sweep)
     write_ensemble_csv(rows, args.out)
     for method in METHODS:
         values = [r.wsmr for r in rows if r.method == method]

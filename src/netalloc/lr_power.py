@@ -5,10 +5,11 @@ on a scaled simplex: the multipliers of cell m stay nonnegative and sum to
 the cell weight, which is exactly the set over which the dual of the max-min
 objective is bounded.  Each outer iteration every cell best-responds to the
 frozen interference of the previous iterate by maximizing its dualized
-objective (a weighted sum of concave own-user rates) over its power budget
-with projected gradient ascent, then the multipliers take a projected
+objective over its power budget, then the multipliers take a projected
 subgradient step that shifts weight toward users below their cell's average
-rate.
+rate.  With interference frozen, the dualized objective is a weighted sum of
+ln(1 + c_n p_n) over the cell's subcarriers, so the best response is exact
+weighted water-filling (Palomar & Fonollosa, IEEE TSP 2005).
 
 Same Jacobi information pattern and stop test as the decomposed method, so
 iteration counts and message totals are comparable.
@@ -17,7 +18,6 @@ iteration counts and message totals are comparable.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +26,8 @@ from .bus import IterationRecord, MessageBus
 from .rate_model import cell_user_rates, validate_assignment, validate_power, wsmr
 from .scenario import Scenario
 
-INNER_TOL = 1e-6
-INNER_MAX_ITERS = 500
 ALPHA0 = 1.0
 BETA = 0.1
-_STEP_MIN = 1e-12
-_STEP_MAX = 1e12
 
 
 class LrDivergenceError(RuntimeError):
@@ -69,14 +65,6 @@ def project_simplex(v: np.ndarray, total: float) -> np.ndarray:
     return np.maximum(v - shift, 0.0)
 
 
-def _project_budget(p: np.ndarray, budget: float) -> np.ndarray:
-    """Euclidean projection onto {p >= 0, sum(p) <= budget}."""
-    clipped = np.maximum(p, 0.0)
-    if clipped.sum() <= budget:
-        return clipped
-    return project_simplex(p, budget)
-
-
 def dual_step_size(t: int, *, alpha0: float = ALPHA0, beta: float = BETA) -> float:
     """Diminishing multiplier step a0 / (1 + beta * t) for outer iteration t."""
     return alpha0 / (1.0 + beta * t)
@@ -97,51 +85,39 @@ def update_multipliers(lam: list[np.ndarray], residuals: list[np.ndarray],
             for lam_m, res_m, w_m in zip(lam, residuals, weights)]
 
 
-def best_response(coeff: np.ndarray, weight: np.ndarray, start: np.ndarray,
-                  budget: float, *, tol: float = INNER_TOL,
-                  max_iters: int = INNER_MAX_ITERS) -> np.ndarray:
+def best_response(coeff: np.ndarray, weight: np.ndarray,
+                  budget: float) -> np.ndarray:
     """Maximize sum_n weight[n] * ln(1 + coeff[n] * p[n]) over the budget set.
 
-    Projected gradient ascent with a Barzilai-Borwein step and monotone
-    halving backtracking.  The objective never decreases between accepted
-    iterates.  Stops when an accepted step moves p by at most `tol` in the
-    max norm (relative to a unit budget scale) or after `max_iters` steps.
+    Exact weighted water-filling: p_n = max(0, weight[n] / nu - 1 / coeff[n]),
+    with the level nu set so the budget is spent.  Subcarriers enter the
+    active set in decreasing order of weight[n] * coeff[n], and the level of
+    the first k of them is sum(weight) / (budget + sum(1 / coeff)); the active
+    set is the longest prefix whose last entry still lies above its level.
+    Entries with zero weight or zero coefficient get no power.
     """
-    p = _project_budget(np.asarray(start, dtype=float), budget)
-    value = float(weight @ np.log1p(coeff * p))
-    grad = weight * coeff / (1.0 + coeff * p)
-    curvature = float((weight * coeff * coeff).max())
-    step = 1.0 / curvature if curvature > 0.0 else 1.0
-    scale = max(1.0, budget)
-
-    for _ in range(max_iters):
-        trial = _project_budget(p + step * grad, budget)
-        trial_value = float(weight @ np.log1p(coeff * trial))
-        halvings = 0
-        while trial_value < value and halvings < 60:
-            step *= 0.5
-            trial = _project_budget(p + step * grad, budget)
-            trial_value = float(weight @ np.log1p(coeff * trial))
-            halvings += 1
-        if trial_value < value:
-            break            # step underflowed; keep the last good iterate
-        move = trial - p
-        if not np.isfinite(trial_value):
-            raise LrDivergenceError("best response produced a non-finite value")
-        new_grad = weight * coeff / (1.0 + coeff * trial)
-        gap = grad - new_grad
-        sy = float(move @ gap)
-        if sy > 0.0:
-            step = min(max(float(move @ move) / sy, _STEP_MIN), _STEP_MAX)
-        p, value, grad = trial, trial_value, new_grad
-        if float(np.abs(move).max()) <= tol * scale:
-            break
+    coeff = np.asarray(coeff, dtype=float)
+    weight = np.asarray(weight, dtype=float)
+    gain = weight * coeff
+    p = np.zeros_like(gain)
+    order = np.argsort(-gain, kind="stable")
+    order = order[gain[order] > 0.0]
+    if order.size == 0 or budget <= 0.0:
+        return p
+    inv = 1.0 / coeff[order]
+    levels = np.cumsum(weight[order]) / (budget + np.cumsum(inv))
+    above = np.nonzero(gain[order] > levels)[0]
+    k = int(above[-1]) + 1 if above.size else 1
+    active = order[:k]
+    p[active] = np.maximum(weight[active] / levels[k - 1] - inv[:k], 0.0)
+    total = float(p.sum())
+    if total > budget:
+        p *= budget / total      # rounding only; keeps the result feasible
     return p
 
 
 def _cell_best_response(scenario: Scenario, assignment: np.ndarray, m: int,
-                        snapshot: np.ndarray, lam_m: np.ndarray,
-                        tol: float, max_iters: int) -> np.ndarray:
+                        snapshot: np.ndarray, lam_m: np.ndarray) -> np.ndarray:
     """Best response of cell m: coefficient and weight per own subcarrier."""
     n_sub = scenario.num_subcarriers
     coeff = np.zeros(n_sub)
@@ -156,23 +132,17 @@ def _cell_best_response(scenario: Scenario, assignment: np.ndarray, m: int,
                  * scenario.snr_gap)
         coeff[ns] = scenario.gains[m, m, u, ns] / denom
         weight[ns] = lam_m[u]
-    start = np.where(weight > 0.0, snapshot[m], 0.0)
-    if not weight.any():
-        return np.zeros(n_sub)
-    return best_response(coeff, weight, start, scenario.p_max,
-                         tol=tol, max_iters=max_iters)
+    return best_response(coeff, weight, scenario.p_max)
 
 
 def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarray,
              *, psi: float = 0.1, max_iters: int = 200, alpha0: float = ALPHA0,
-             beta: float = BETA, inner_tol: float = INNER_TOL,
-             inner_max_iters: int = INNER_MAX_ITERS, workers: int = 1,
-             bus: MessageBus | None = None) -> LrResult:
+             beta: float = BETA, bus: MessageBus | None = None) -> LrResult:
     """Run the relaxation until the power iterates settle.
 
     Outer iteration t: exchange state, let every cell best-respond to the
-    previous iterate's interference (warm-started at its previous power),
-    then update multipliers from the per-user rate gaps at the new powers.
+    previous iterate's interference, then update multipliers from the
+    per-user rate gaps at the new powers.
     Stops like the decomposed method: stacked power movement below `psi`, or
     `max_iters` outer iterations.
     """
@@ -195,23 +165,9 @@ def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarr
 
     for iteration in range(1, max_iters + 1):
         bus.exchange(report_sizes)
-        snapshot = power_prev
-
-        def respond(m):
-            return _cell_best_response(scenario, assignment, m, snapshot,
-                                       lam[m], inner_tol, inner_max_iters)
-
-        try:
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    rows = list(pool.map(respond, range(scenario.num_cells)))
-            else:
-                rows = [respond(m) for m in range(scenario.num_cells)]
-        except LrDivergenceError as exc:
-            exc.iteration = iteration
-            exc.trace = trace
-            raise
-        power_now = np.vstack(rows)
+        power_now = np.vstack([
+            _cell_best_response(scenario, assignment, m, power_prev, lam[m])
+            for m in range(scenario.num_cells)])
         if not np.isfinite(power_now).all():
             raise LrDivergenceError("power iterate is not finite",
                                     iteration=iteration, trace=trace)

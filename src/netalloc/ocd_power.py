@@ -23,7 +23,6 @@ through independent code paths so the identity can be checked numerically.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -338,7 +337,8 @@ def init_cell_states(scenario: Scenario, assignment: np.ndarray,
 
     The auxiliary rate starts just below the cell's achieved minimum so the
     rate constraints begin inactive; multipliers start at weight / K for
-    rates (making the aux-rate stationarity exact) and at one for the local
+    rates (making the aux-rate stationarity exact), floored so a zero-weight
+    cell still starts strictly interior, and at one for the local
     constraints; slacks match the constraint values up to a small floor.
     """
     states = []
@@ -346,7 +346,7 @@ def init_cell_states(scenario: Scenario, assignment: np.ndarray,
         rates = cell_user_rates(scenario, power, assignment, m)
         aux = AUX_RATE_INIT_FACTOR * float(rates.min())
         k_m = scenario.users_per_cell[m]
-        lam = np.full(k_m, scenario.weights[m] / k_m)
+        lam = np.full(k_m, max(scenario.weights[m] / k_m, SLACK_FLOOR))
         g, _ = _local_constraints(power[m].astype(float), scenario.p_max)
         h = aux - rates
         states.append(CellState(
@@ -359,7 +359,7 @@ def init_cell_states(scenario: Scenario, assignment: np.ndarray,
 
 
 def ocd_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarray,
-              *, psi: float = 0.1, max_iters: int = 200, workers: int = 1,
+              *, psi: float = 0.1, max_iters: int = 200,
               bus: MessageBus | None = None) -> OcdResult:
     """Run the decomposed power method until the iterates settle.
 
@@ -389,14 +389,8 @@ def ocd_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndar
     for iteration in range(1, max_iters + 1):
         bus.exchange(report_sizes)
         try:
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    steps = list(pool.map(
-                        lambda m: newton_step(scenario, assignment, m, states),
-                        range(scenario.num_cells)))
-            else:
-                steps = [newton_step(scenario, assignment, m, states)
-                         for m in range(scenario.num_cells)]
+            steps = [newton_step(scenario, assignment, m, states)
+                     for m in range(scenario.num_cells)]
         except OcdStepError as exc:
             exc.iteration = iteration
             exc.trace = trace

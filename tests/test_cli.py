@@ -7,8 +7,7 @@ import pytest
 
 from netalloc import (ScenarioParams, generate_scenario, initial_point,
                       load_scenario, scenarios_equal, wsmr)
-from netalloc.experiment_cli import (ENSEMBLE_HEADER, TRACE_HEADER,
-                                     _worker_cap, main)
+from netalloc.experiment_cli import ENSEMBLE_HEADER, TRACE_HEADER, main
 
 FLOAT_12 = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,}$")
 
@@ -158,14 +157,6 @@ def test_montecarlo_subset_reproducible(tmp_path):
     assert part_rows == [row for row in full_rows if row[0] == "9"]
 
 
-def test_montecarlo_worker_threads_keep_output(tmp_path):
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    main(montecarlo_args(serial))
-    main(montecarlo_args(threaded, extra=("--workers", "3")))
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
 def test_montecarlo_budget_sweep_column(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(montecarlo_args(out, extra=("--pmax-sweep", "0.5,1.0"))) == 0
@@ -217,18 +208,6 @@ def test_oracle_refuses_oversized_instances(capsys):
     code = main(["oracle", "--check", "power", "--power-subcarriers", "3"])
     assert code == 2
     assert "limited to" in capsys.readouterr().err
-
-
-def test_worker_cap_env(monkeypatch):
-    monkeypatch.delenv("NETALLOC_THREADS", raising=False)
-    assert _worker_cap(8) == 8
-    monkeypatch.setenv("NETALLOC_THREADS", "2")
-    assert _worker_cap(8) == 2
-    assert _worker_cap(1) == 1
-    monkeypatch.setenv("NETALLOC_THREADS", "0")
-    assert _worker_cap(8) == 1
-    monkeypatch.setenv("NETALLOC_THREADS", "junk")
-    assert _worker_cap(8) == 8
 
 
 def test_console_entry_point_runs():

@@ -1,11 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import netalloc.coordinator as coord_module
 from netalloc import (CoordinatorAbort, MessageBus, OcdStepError, RunConfig,
-                      check_convergence, init_cell_states, initial_point,
-                      message_bus, run, validate_assignment, validate_power,
-                      wsmr)
+                      check_convergence, initial_point, run,
+                      validate_assignment, validate_power, wsmr)
 
 from conftest import make_scenario
 
@@ -35,11 +36,8 @@ def test_check_convergence_validation():
 
 
 def test_message_bus_exchange_accounting():
-    s = make_scenario(cells=3, subcarriers=8, users=2, seed=0)
-    power, assignment = initial_point(s)
-    states = init_cell_states(s, assignment, power)
-    out_states, record = message_bus(states)
-    assert out_states is states
+    # Three cells, each reporting 8 powers, one auxiliary rate, 2 multipliers.
+    record = MessageBus().exchange([8 + 1 + 2] * 3)
     assert record.messages == 6
     assert record.gather_bytes == (88, 88, 88)
     assert record.broadcast_bytes == (176, 176, 176)
@@ -47,17 +45,16 @@ def test_message_bus_exchange_accounting():
 
 
 def test_message_bus_accumulates_and_validates():
-    s = make_scenario(cells=1, subcarriers=2, users=1, seed=0)
-    power, assignment = initial_point(s)
-    states = init_cell_states(s, assignment, power)
     bus = MessageBus()
-    _, first = message_bus(states, bus)
+    first = bus.exchange([2 + 1 + 1])
     assert first.messages == 2
-    message_bus(states, bus)
-    assert bus.exchanges == 2
+    bus.exchange([2 + 1 + 1])
     assert bus.messages_total == 4
-    with pytest.raises(ValueError):
-        message_bus([None], bus)
+    assert bus.bytes_total == 2 * first.total_bytes
+    for bad in ([], [3, -1], [None]):
+        with pytest.raises(ValueError):
+            bus.exchange(bad)
+    assert bus.messages_total == 4
 
 
 def test_initial_point_layout():
@@ -77,7 +74,7 @@ def test_config_validation():
     RunConfig(wsmr_tol=np.inf).validated()
     bad = [dict(psi=0.0), dict(psi=np.nan), dict(max_power_iters=0),
            dict(max_rounds=0), dict(wsmr_tol=-1.0), dict(power_method="fast"),
-           dict(subcarrier_mode="random"), dict(workers=0)]
+           dict(subcarrier_mode="random")]
     for kw in bad:
         with pytest.raises(ValueError):
             RunConfig(**kw).validated()
@@ -164,6 +161,22 @@ def test_run_with_benchmark_method_and_greedy_mode():
                               subcarrier_mode="greedy", max_power_iters=100))
     assert result.best_wsmr >= start
     assert result.rounds >= 1
+
+
+def test_ocd_run_with_zero_weight_cell():
+    # Validation accepts a zero cell weight; OCD must still start interior.
+    for seed in range(4):
+        s = make_scenario(cells=3, subcarriers=8, users=2, seed=seed,
+                          weights=(0.0, 1.0, 1.0))
+        power, assignment = initial_point(s)
+        start = wsmr(s, power, assignment).value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run(s, RunConfig(power_method="ocd"))
+        validate_power(s, result.best_power)
+        validate_assignment(s, result.best_assignment, require_complete=True)
+        assert np.isfinite(result.best_wsmr)
+        assert result.best_wsmr >= start
 
 
 def test_run_abort_carries_partial_trace(monkeypatch):

@@ -27,6 +27,27 @@ def simplex_by_bisection(v, total):
     return np.maximum(v - hi, 0.0)
 
 
+def water_filling_by_bisection(coeff, weight, budget):
+    """Reference best response: geometric bisection on the water level nu."""
+    on = weight * coeff > 0.0
+
+    def powers(nu):
+        p = np.zeros_like(coeff)
+        p[on] = np.maximum(weight[on] / nu - 1.0 / coeff[on], 0.0)
+        return p
+
+    lo, hi = 1e-300, float((weight * coeff).max())
+    for _ in range(2000):
+        mid = np.sqrt(lo * hi)
+        if mid <= lo or mid >= hi:
+            break
+        if powers(mid).sum() > budget:
+            lo = mid
+        else:
+            hi = mid
+    return powers(hi)
+
+
 def test_simplex_projection_examples():
     assert project_simplex(np.array([0.5, 0.5]), 1.0) == \
         pytest.approx([0.5, 0.5], abs=1e-15)
@@ -89,18 +110,21 @@ def test_update_multipliers_shifts_toward_lagging_user():
 
 def test_best_response_water_filling():
     # Known closed form: level 1.25 gives powers 0.75 and 0.25.
-    p = best_response(np.array([2.0, 1.0]), np.array([1.0, 1.0]),
-                      np.array([0.5, 0.5]), 1.0)
-    assert p == pytest.approx([0.75, 0.25], abs=1e-5)
-    assert p.sum() == pytest.approx(1.0, rel=1e-8)
+    p = best_response(np.array([2.0, 1.0]), np.array([1.0, 1.0]), 1.0)
+    assert p == pytest.approx([0.75, 0.25], abs=1e-14)
+    assert p.sum() == pytest.approx(1.0, rel=1e-14)
 
 
 def test_best_response_simple_cases():
-    p = best_response(np.array([3.0]), np.array([1.0]), np.array([0.1]), 2.0)
-    assert p == pytest.approx([2.0], rel=1e-8)
-    p = best_response(np.array([2.0, 5.0]), np.array([1.0, 0.0]),
-                      np.array([0.5, 0.5]), 1.0)
-    assert p == pytest.approx([1.0, 0.0], abs=1e-8)
+    p = best_response(np.array([3.0]), np.array([1.0]), 2.0)
+    assert p == pytest.approx([2.0], rel=1e-14)
+    p = best_response(np.array([2.0, 5.0]), np.array([1.0, 0.0]), 1.0)
+    assert p == pytest.approx([1.0, 0.0], abs=1e-14)
+    # A weak subcarrier stays dry: level 1/nu = 1.5 is below 1/c = 2.
+    p = best_response(np.array([2.0, 0.5]), np.array([1.0, 1.0]), 1.0)
+    assert p == pytest.approx([1.0, 0.0], abs=1e-14)
+    assert (best_response(np.array([2.0, 5.0]), np.zeros(2), 1.0) == 0.0).all()
+    assert (best_response(np.array([2.0, 5.0]), np.ones(2), 0.0) == 0.0).all()
 
 
 def test_best_response_never_decreases_objective():
@@ -109,15 +133,36 @@ def test_best_response_never_decreases_objective():
         n = int(rng.integers(1, 6))
         coeff = rng.exponential(size=n) * 10
         weight = rng.uniform(size=n)
-        start = rng.uniform(size=n)
         budget = float(rng.uniform(0.5, 2.0))
-        p = best_response(coeff, weight, start, budget)
-        start_feasible = lr_module._project_budget(start, budget)
-        v0 = weight @ np.log1p(coeff * start_feasible)
+        start = rng.uniform(size=n)
+        start *= rng.uniform(0.0, budget) / start.sum()
+        p = best_response(coeff, weight, budget)
+        v0 = weight @ np.log1p(coeff * start)
         v1 = weight @ np.log1p(coeff * p)
         assert v1 >= v0 - 1e-12
         assert (p >= 0.0).all()
-        assert p.sum() <= budget + 1e-9
+        assert p.sum() <= budget * (1.0 + 1e-12)
+
+
+def test_best_response_matches_bisection():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(1, 65))
+        coeff = 10.0 ** rng.uniform(-2.0, 6.0, size=n)
+        weight = rng.uniform(size=n)
+        weight[rng.uniform(size=n) < 0.2] = 0.0
+        if not weight.any():
+            weight[0] = 1.0
+        budget = float(10.0 ** rng.uniform(-2.0, 1.0))
+        fast = best_response(coeff, weight, budget)
+        slow = water_filling_by_bisection(coeff, weight, budget)
+        assert (fast >= 0.0).all()
+        assert fast.sum() <= budget * (1.0 + 1e-12)
+        assert (fast[weight == 0.0] == 0.0).all()
+        v_fast = weight @ np.log1p(coeff * fast)
+        v_slow = weight @ np.log1p(coeff * slow)
+        assert v_fast >= v_slow - 1e-12 * abs(v_slow)
+        assert abs(v_fast - v_slow) <= 1e-12 * abs(v_slow)
 
 
 def test_solver_single_cell_splits_evenly():
@@ -165,14 +210,6 @@ def test_multipliers_stay_on_weight_simplex():
         assert (lam_m >= 0.0).all()
 
 
-def test_worker_count_does_not_change_results():
-    s, assignment, power = desk_instance()
-    serial = lr_solve(s, assignment, power, psi=1e-4, max_iters=60)
-    threaded = lr_solve(s, assignment, power, psi=1e-4, max_iters=60, workers=3)
-    assert (serial.power == threaded.power).all()
-    assert serial.iterations == threaded.iterations
-
-
 def test_message_accounting():
     s, assignment, power = desk_instance()
     bus = MessageBus()
@@ -195,11 +232,11 @@ def test_divergence_error_carries_partial_trace(monkeypatch):
     real = lr_module._cell_best_response
     calls = {"count": 0}
 
-    def flaky(scenario, assignment_, m, snapshot, lam_m, tol, max_iters):
+    def flaky(scenario, assignment_, m, snapshot, lam_m):
         calls["count"] += 1
         if calls["count"] > scenario.num_cells:
             return np.full(scenario.num_subcarriers, np.nan)
-        return real(scenario, assignment_, m, snapshot, lam_m, tol, max_iters)
+        return real(scenario, assignment_, m, snapshot, lam_m)
 
     monkeypatch.setattr(lr_module, "_cell_best_response", flaky)
     with pytest.raises(LrDivergenceError) as excinfo:

@@ -231,17 +231,6 @@ def test_single_iteration_budget():
     assert len(result.trace) == 1
 
 
-def test_worker_count_does_not_change_results():
-    s, assignment, power = desk_instance()
-    serial = ocd_solve(s, assignment, power, psi=1e-4, max_iters=100)
-    threaded = ocd_solve(s, assignment, power, psi=1e-4, max_iters=100,
-                         workers=3)
-    assert (serial.power == threaded.power).all()
-    assert serial.iterations == threaded.iterations
-    for a, b in zip(serial.trace, threaded.trace):
-        assert a.wsmr == b.wsmr and a.delta_p_norm == b.delta_p_norm
-
-
 def test_message_accounting():
     s, assignment, power = desk_instance()
     bus = MessageBus()
