@@ -21,10 +21,9 @@ from .ocd_power import (CellState, KktResidual, NewtonStep, OcdResult,
 from .oracles import (GridOptimum, OracleSizeError, exhaustive_min_rate,
                       grid_power_optimum)
 from .rate_model import (AssignmentValidationError, PowerValidationError,
-                         WsmrResult, cell_user_rates, interference,
-                         rate_gradient, rate_subcarrier, rate_user, sinr,
-                         user_subcarrier_rates, validate_assignment,
-                         validate_power, wsmr)
+                         WsmrResult, cell_user_rates, link_rates, link_terms,
+                         rate_gradient, rate_subcarrier, sinr,
+                         validate_assignment, validate_power, wsmr)
 from .scenario import (Scenario, ScenarioFormatError, ScenarioParams,
                        ScenarioValidationError, db_to_linear,
                        generate_scenario, hex_layout, linear_to_db,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bus import IterationRecord, MessageBus
-from .rate_model import cell_user_rates, validate_assignment, validate_power, wsmr
+from .rate_model import link_terms, validate_assignment, validate_power, wsmr
 from .scenario import Scenario
 
 ALPHA0 = 1.0
@@ -117,21 +117,16 @@ def best_response(coeff: np.ndarray, weight: np.ndarray,
 
 
 def _cell_best_response(scenario: Scenario, assignment: np.ndarray, m: int,
-                        snapshot: np.ndarray, lam_m: np.ndarray) -> np.ndarray:
-    """Best response of cell m: coefficient and weight per own subcarrier."""
-    n_sub = scenario.num_subcarriers
-    coeff = np.zeros(n_sub)
-    weight = np.zeros(n_sub)
-    a = np.asarray(assignment)
-    for u in range(scenario.users_per_cell[m]):
-        ns = np.nonzero(a[m, u, :])[0]
-        if ns.size == 0:
-            continue
-        cross = scenario.gains[:, m, u, ns] * snapshot[:, ns]
-        denom = ((scenario.noise[m, u, ns] + cross.sum(axis=0) - cross[m])
-                 * scenario.snr_gap)
-        coeff[ns] = scenario.gains[m, m, u, ns] / denom
-        weight[ns] = lam_m[u]
+                        denom: np.ndarray, lam_m: np.ndarray) -> np.ndarray:
+    """Best response of cell m to the link denominators `denom` of `link_terms`.
+
+    Each own subcarrier gets the coefficient gain / denom and the multiplier
+    of the user it is assigned to; unassigned subcarriers get neither.
+    """
+    k_m = scenario.users_per_cell[m]
+    own = np.asarray(assignment)[m, :k_m] == 1
+    coeff = np.where(own, scenario.gains[m, m, :k_m] / denom[m, :k_m], 0.0).sum(axis=0)
+    weight = np.where(own, lam_m[:, None], 0.0).sum(axis=0)
     return best_response(coeff, weight, scenario.p_max)
 
 
@@ -165,21 +160,20 @@ def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarr
 
     for iteration in range(1, max_iters + 1):
         bus.exchange(report_sizes)
+        _, denom = link_terms(scenario, power_prev)
         power_now = np.vstack([
-            _cell_best_response(scenario, assignment, m, power_prev, lam[m])
+            _cell_best_response(scenario, assignment, m, denom, lam[m])
             for m in range(scenario.num_cells)])
         if not np.isfinite(power_now).all():
             raise LrDivergenceError("power iterate is not finite",
                                     iteration=iteration, trace=trace)
 
-        rates = [cell_user_rates(scenario, power_now, assignment, m)
-                 for m in range(scenario.num_cells)]
-        residuals = [r.mean() - r for r in rates]
+        snapshot_wsmr = wsmr(scenario, power_now, assignment)
+        residuals = [r.mean() - r for r in snapshot_wsmr.user_rates]
         lam = update_multipliers(lam, residuals, scenario.weights, iteration - 1,
                                  alpha0=alpha0, beta=beta)
 
         delta = float(np.linalg.norm(power_now - power_prev))
-        snapshot_wsmr = wsmr(scenario, power_now, assignment)
         trace.append(IterationRecord(
             iteration=iteration, wsmr=snapshot_wsmr.value, delta_p_norm=delta,
             min_rates=snapshot_wsmr.min_rates, messages=bus.messages_total,

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bus import IterationRecord, MessageBus
-from .rate_model import (cell_user_rates, rate_gradient, validate_assignment,
-                         validate_power, wsmr)
+from .rate_model import (cell_user_rates, link_terms, rate_gradient,
+                         validate_assignment, validate_power, wsmr)
 from .scenario import Scenario
 
 FRACTION_TO_BOUNDARY = 0.995
@@ -129,66 +129,58 @@ def project_power(power: np.ndarray, p_max: float) -> np.ndarray:
     return out
 
 
-def _own_sets(scenario: Scenario, assignment: np.ndarray, m: int) -> list[np.ndarray]:
-    a = np.asarray(assignment)
-    return [np.nonzero(a[m, u, :])[0] for u in range(scenario.users_per_cell[m])]
-
-
 def _subproblem_terms(scenario: Scenario, assignment: np.ndarray, cell: int,
-                      snapshot: np.ndarray, power: np.ndarray, aux_rate: float,
-                      foreign_lam: list[np.ndarray], foreign_aux: np.ndarray):
+                      states: list[CellState]):
     """Value, derivatives and own constraints of one cell's subproblem.
 
-    `snapshot` is the (M, N) power matrix the other cells reported; this
-    cell's row of it is ignored in favour of `power`.  Returns
-    (phi, grad, curv, h, jac_h, curv_h) where grad/curv run over the N + 1
-    variables (powers then aux rate), curv is the diagonal of the Lagrangian
-    Hessian contribution of phi alone, and curv_h[u] holds the diagonal
-    second derivatives of rate constraint u with respect to the powers.
+    The snapshot is the (M, N) power matrix of `states`, whose row `cell` is
+    this cell's own power, so one `link_terms` call gives the denominators of
+    every link: own users see the snapshot's interference, and a foreign
+    user's denominator already holds this cell's interference at its own
+    power.  Returns (phi, grad, curv, h, jac_h, curv_h) where grad/curv run
+    over the N + 1 variables (powers then aux rate), curv is the diagonal of
+    the Lagrangian Hessian contribution of phi alone, and curv_h[u] holds the
+    diagonal second derivatives of rate constraint u with respect to the
+    powers.
     """
     n_sub = scenario.num_subcarriers
     gap = scenario.snr_gap
     k_own = scenario.users_per_cell[cell]
+    a = np.asarray(assignment) == 1
+    signal, denom = link_terms(scenario, np.vstack([st.power for st in states]))
+    full = denom + signal
+    rates = np.log1p(signal / denom)
+    aux_rate = states[cell].aux_rate
 
+    own = a[cell, :k_own]
+    d_rate = scenario.gains[cell, cell, :k_own] / full[cell, :k_own]
+    h = aux_rate - np.where(own, rates[cell, :k_own], 0.0).sum(axis=1)
+    jac_h = np.zeros((k_own, n_sub + 1))
+    jac_h[:, :n_sub] = np.where(own, -d_rate, 0.0)
+    jac_h[:, n_sub] = 1.0
+    curv_h = np.where(own, d_rate * d_rate, 0.0)          # -(d2 rate) >= 0
+
+    # Foreign users (o, u) weighted by their frozen multipliers; this cell's
+    # row and the padded user rows are masked out.
+    lam_bar = np.zeros(a.shape[:2])
+    for o, st in enumerate(states):
+        lam_bar[o, :st.lam.size] = st.lam
+    foreign = a.copy()
+    foreign[cell] = False
+    into = scenario.gains[cell] * gap                  # this station into (o, u)
+    weighted = lam_bar[:, :, None] * into
     phi = scenario.weights[cell] * aux_rate
+    phi -= sum(float(st.lam.sum()) * st.aux_rate
+               for o, st in enumerate(states) if o != cell)
+    phi += float((lam_bar * np.where(foreign, rates, 0.0).sum(axis=2)).sum())
     grad = np.zeros(n_sub + 1)
+    grad[:n_sub] = np.where(foreign, weighted * (1.0 / full - 1.0 / denom),
+                            0.0).sum(axis=(0, 1))
     grad[n_sub] = scenario.weights[cell]
     curv = np.zeros(n_sub + 1)
-    h = np.empty(k_own)
-    jac_h = np.zeros((k_own, n_sub + 1))
-    curv_h = np.zeros((k_own, n_sub))
-
-    for u, ns in enumerate(_own_sets(scenario, assignment, cell)):
-        own_gain = scenario.gains[cell, cell, u, ns]
-        cross = scenario.gains[:, cell, u, ns] * snapshot[:, ns]
-        other = cross.sum(axis=0) - cross[cell]
-        denom = (scenario.noise[cell, u, ns] + other) * gap
-        signal = power[ns] * own_gain
-        h[u] = aux_rate - float(np.log1p(signal / denom).sum())
-        d_rate = own_gain / (denom + signal)
-        jac_h[u, ns] = -d_rate
-        jac_h[u, n_sub] = 1.0
-        curv_h[u, ns] = (d_rate * d_rate)          # -(d2 rate) >= 0
-
-    for other_cell in range(scenario.num_cells):
-        if other_cell == cell:
-            continue
-        lam_bar = foreign_lam[other_cell]
-        coupling = -float(lam_bar.sum()) * foreign_aux[other_cell]
-        phi += coupling
-        for u, ns in enumerate(_own_sets(scenario, assignment, other_cell)):
-            lam_u = lam_bar[u]
-            into = scenario.gains[cell, other_cell, u, ns] * gap
-            cross = scenario.gains[:, other_cell, u, ns] * snapshot[:, ns]
-            base = ((scenario.noise[other_cell, u, ns]
-                     + cross.sum(axis=0) - cross[other_cell] - cross[cell]) * gap)
-            denom = base + into * power[ns]
-            signal = snapshot[other_cell, ns] * scenario.gains[other_cell, other_cell, u, ns]
-            phi += lam_u * float(np.log1p(signal / denom).sum())
-            full = denom + signal
-            grad[ns] += lam_u * into * (1.0 / full - 1.0 / denom)
-            curv[ns] += lam_u * into * into * (1.0 / (denom * denom) - 1.0 / (full * full))
-
+    curv[:n_sub] = np.where(
+        foreign, weighted * into * (1.0 / (denom * denom) - 1.0 / (full * full)),
+        0.0).sum(axis=(0, 1))
     return phi, grad, curv, h, jac_h, curv_h
 
 
@@ -207,23 +199,14 @@ def _local_constraints(power: np.ndarray, p_max: float):
 def local_objective(scenario: Scenario, assignment: np.ndarray, cell: int,
                     states: list[CellState]) -> float:
     """This cell's subproblem objective at the given joint state."""
-    snapshot = np.vstack([st.power for st in states])
-    lam = [st.lam for st in states]
-    aux = np.array([st.aux_rate for st in states])
-    phi, *_ = _subproblem_terms(scenario, assignment, cell, snapshot,
-                                states[cell].power, states[cell].aux_rate, lam, aux)
+    phi, *_ = _subproblem_terms(scenario, assignment, cell, states)
     return phi
 
 
 def constraint_residuals(scenario: Scenario, assignment: np.ndarray, cell: int,
                          states: list[CellState]):
     """(rate constraints h, local constraints g) of one cell, raw signed."""
-    snapshot = np.vstack([st.power for st in states])
-    lam = [st.lam for st in states]
-    aux = np.array([st.aux_rate for st in states])
-    _, _, _, h, _, _ = _subproblem_terms(scenario, assignment, cell, snapshot,
-                                         states[cell].power, states[cell].aux_rate,
-                                         lam, aux)
+    _, _, _, h, _, _ = _subproblem_terms(scenario, assignment, cell, states)
     g, _ = _local_constraints(states[cell].power, scenario.p_max)
     return h, g
 
@@ -249,12 +232,7 @@ def newton_step(scenario: Scenario, assignment: np.ndarray, cell: int,
     st = states[cell]
     n_sub = scenario.num_subcarriers
     n_x = n_sub + 1
-    snapshot = np.vstack([s.power for s in states])
-    lam_all = [s.lam for s in states]
-    aux_all = np.array([s.aux_rate for s in states])
-
-    _, grad, curv, h, jac_h, curv_h = _subproblem_terms(
-        scenario, assignment, cell, snapshot, st.power, st.aux_rate, lam_all, aux_all)
+    _, grad, curv, h, jac_h, curv_h = _subproblem_terms(scenario, assignment, cell, states)
     g, jac_g = _local_constraints(st.power, scenario.p_max)
 
     k = h.shape[0]
@@ -447,12 +425,7 @@ def cell_kkt_residual(scenario: Scenario, assignment: np.ndarray, cell: int,
     Returns (stationarity, primal, complementarity) for this cell.
     """
     st = states[cell]
-    snapshot = np.vstack([s.power for s in states])
-    lam_all = [s.lam for s in states]
-    aux_all = np.array([s.aux_rate for s in states])
-    _, grad, _, h, jac_h, _ = _subproblem_terms(
-        scenario, assignment, cell, snapshot, st.power, st.aux_rate,
-        lam_all, aux_all)
+    _, grad, _, h, jac_h, _ = _subproblem_terms(scenario, assignment, cell, states)
     g, jac_g = _local_constraints(st.power, scenario.p_max)
     stationarity = grad - jac_h.T @ st.lam - jac_g.T @ st.mu
     primal = np.concatenate((np.maximum(h, 0.0), np.maximum(g, 0.0)))

@@ -10,6 +10,15 @@ SNR gap scales the whole noise-plus-interference term.  A user's rate is the
 sum over the subcarriers its own cell assigned to it; the network objective is
 the weighted sum over cells of each cell's worst user rate.
 
+Cells couple only through that noise-plus-interference term, so one kernel,
+`link_terms`, computes it for every link at once: it returns the received
+signal and the gap-scaled denominator over (cell, user, subcarrier), padded
+user rows included.  Every rate consumer (`link_rates`, `wsmr`, the
+subcarrier rate tables and both power methods) reads those two arrays and
+slices or masks away the padded rows.  `sinr`, `rate_subcarrier` and
+`rate_gradient` compute single links on their own, as independent checks of
+the kernel.
+
 Everything here takes the full (num_cells, num_subcarriers) power matrix P and
 the (num_cells, max_users, num_subcarriers) 0/1 assignment tensor A.
 """
@@ -101,19 +110,14 @@ def validate_assignment(scenario: Scenario, assignment: np.ndarray, *,
                 f"assignment was required")
 
 
-def interference(scenario: Scenario, power: np.ndarray, u: int, m: int) -> np.ndarray:
-    """Other-station power seen by user (m, u), per subcarrier (length N)."""
-    cross = scenario.gains[:, m, u, :] * power          # (M, N)
-    return cross.sum(axis=0) - cross[m]
-
-
 def sinr(scenario: Scenario, power: np.ndarray, u: int, m: int, n: int) -> float:
     """Signal-to-interference-plus-noise ratio of user (m, u) on subcarrier n."""
     _check_user(scenario, m, u)
     _check_subcarrier(scenario, n)
     power = np.asarray(power, dtype=float)
     signal = power[m, n] * scenario.gains[m, m, u, n]
-    others = float(interference(scenario, power, u, m)[n])
+    others = sum(power[l, n] * scenario.gains[l, m, u, n]
+                 for l in range(scenario.num_cells) if l != m)
     return signal / ((scenario.noise[m, u, n] + others) * scenario.snr_gap)
 
 
@@ -122,42 +126,53 @@ def rate_subcarrier(scenario: Scenario, power: np.ndarray, u: int, m: int, n: in
     return float(np.log1p(sinr(scenario, power, u, m, n)))
 
 
-def user_subcarrier_rates(scenario: Scenario, power: np.ndarray, m: int, u: int) -> np.ndarray:
-    """Rates of user (m, u) on every subcarrier at once (length N)."""
-    _check_user(scenario, m, u)
+def link_terms(scenario: Scenario, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(signal, denom) of every link, each over (cell, max_users, subcarrier).
+
+    signal[m, u, n] = gains[m, m, u, n] * P[m, n] is what user (m, u) receives
+    from its own station; denom[m, u, n] is its noise plus the power of every
+    other station on subcarrier n, times the SNR gap.  Padded user rows are
+    computed over filler and must be sliced or masked away by the caller.
+    """
     power = np.asarray(power, dtype=float)
-    signal = power[m] * scenario.gains[m, m, u, :]
-    denom = (scenario.noise[m, u, :] + interference(scenario, power, u, m)) * scenario.snr_gap
+    cells = np.arange(scenario.num_cells)
+    signal = scenario.gains[cells, cells] * power[:, None, :]
+    total = (scenario.gains * power[:, None, None, :]).sum(axis=0)
+    denom = (scenario.noise + (total - signal)) * scenario.snr_gap
+    return signal, denom
+
+
+def link_rates(scenario: Scenario, power: np.ndarray) -> np.ndarray:
+    """Rate of every user on every subcarrier, over (cell, max_users, subcarrier)."""
+    signal, denom = link_terms(scenario, power)
     return np.log1p(signal / denom)
 
 
-def rate_user(scenario: Scenario, power: np.ndarray, assignment: np.ndarray,
-              u: int, m: int) -> float:
-    """Total rate of user (m, u): sum over its assigned subcarriers."""
-    validate_assignment(scenario, assignment)
-    _check_user(scenario, m, u)
-    rates = user_subcarrier_rates(scenario, power, m, u)
-    return float(rates @ np.asarray(assignment)[m, u, :])
+def _user_rates(scenario: Scenario, rates: np.ndarray,
+                assignment: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per cell, each real user's rate summed over its assigned subcarriers."""
+    a = np.asarray(assignment)
+    return tuple((rates[m, :k_m] * a[m, :k_m]).sum(axis=1)
+                 for m, k_m in enumerate(scenario.users_per_cell))
 
 
 def cell_user_rates(scenario: Scenario, power: np.ndarray, assignment: np.ndarray,
                     m: int) -> np.ndarray:
     """Rates of all users of cell m under the given assignment (length K_m)."""
-    a = np.asarray(assignment)
-    k_m = scenario.users_per_cell[m]
-    out = np.empty(k_m)
-    for u in range(k_m):
-        out[u] = user_subcarrier_rates(scenario, power, m, u) @ a[m, u, :]
-    return out
+    return _user_rates(scenario, link_rates(scenario, power), assignment)[m]
 
 
 @dataclass(frozen=True)
 class WsmrResult:
-    """Weighted sum of per-cell minimum rates plus the supporting detail."""
+    """Weighted sum of per-cell minimum rates plus the supporting detail.
+
+    `user_rates[m]` holds the rates of cell m's K_m users.
+    """
 
     value: float
     min_rates: tuple[float, ...]
     argmin_users: tuple[int, ...]
+    user_rates: tuple[np.ndarray, ...]
 
 
 def wsmr(scenario: Scenario, power: np.ndarray, assignment: np.ndarray) -> WsmrResult:
@@ -166,14 +181,12 @@ def wsmr(scenario: Scenario, power: np.ndarray, assignment: np.ndarray) -> WsmrR
     Ties in the per-cell minimum resolve to the lowest user index.
     """
     validate_assignment(scenario, assignment)
-    mins, argmins = [], []
-    for m in range(scenario.num_cells):
-        rates = cell_user_rates(scenario, power, assignment, m)
-        idx = int(np.argmin(rates))
-        argmins.append(idx)
-        mins.append(float(rates[idx]))
+    user_rates = _user_rates(scenario, link_rates(scenario, power), assignment)
+    argmins = tuple(int(np.argmin(r)) for r in user_rates)
+    mins = tuple(float(r[i]) for r, i in zip(user_rates, argmins))
     value = float(np.dot(scenario.weights, mins))
-    return WsmrResult(value=value, min_rates=tuple(mins), argmin_users=tuple(argmins))
+    return WsmrResult(value=value, min_rates=mins, argmin_users=argmins,
+                      user_rates=user_rates)
 
 
 def rate_gradient(scenario: Scenario, power: np.ndarray, u: int, m: int, n: int) -> np.ndarray:

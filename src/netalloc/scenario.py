@@ -132,8 +132,10 @@ class Scenario:
     gains has axes (transmitter station l, cell m, user u, subcarrier n):
     gains[l, m, u, n] is the channel power gain from station l to user u of
     cell m on subcarrier n.  The user axis is padded to the largest cell;
-    entries at u >= users_per_cell[m] are filler (set to 1.0) and must never
-    be read.  noise has axes (cell, user, subcarrier) with the same padding.
+    entries at u >= users_per_cell[m] are filler (set to 1.0): they are
+    computed over by `rate_model.link_terms` and masked by every consumer,
+    so no result depends on them.  noise has axes (cell, user, subcarrier)
+    with the same padding.
     """
 
     params: ScenarioParams

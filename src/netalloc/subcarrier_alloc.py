@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rate_model import user_subcarrier_rates
+from .rate_model import link_rates
 from .scenario import Scenario
 
 
@@ -35,11 +35,7 @@ class AssignmentResult:
 
 def rate_table(scenario: Scenario, power: np.ndarray, m: int) -> np.ndarray:
     """(K_m, N) table of user-on-subcarrier rates for cell m at `power`."""
-    k_m = scenario.users_per_cell[m]
-    table = np.empty((k_m, scenario.num_subcarriers))
-    for u in range(k_m):
-        table[u] = user_subcarrier_rates(scenario, power, m, u)
-    return table
+    return link_rates(scenario, power)[m, :scenario.users_per_cell[m]]
 
 
 def _checked(table: np.ndarray) -> np.ndarray:

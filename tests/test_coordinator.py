@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -177,6 +178,29 @@ def test_ocd_run_with_zero_weight_cell():
         validate_assignment(s, result.best_assignment, require_complete=True)
         assert np.isfinite(result.best_wsmr)
         assert result.best_wsmr >= start
+
+
+def test_unequal_cells_never_read_padded_rows():
+    # Cells with 1, 2 and 3 users pad the user axis to 3.  Overwriting the
+    # filler with NaN must not change any result: every consumer slices or
+    # masks the padded rows away instead of multiplying them by zero.
+    for seed in range(4):
+        s = make_scenario(cells=3, subcarriers=6, users=(1, 2, 3), seed=seed)
+        gains, noise = s.gains.copy(), s.noise.copy()
+        for m, k_m in enumerate(s.users_per_cell):
+            gains[:, m, k_m:, :] = np.nan
+            noise[m, k_m:, :] = np.nan
+        poisoned = dataclasses.replace(s, gains=gains, noise=noise)
+        for method in ("ocd", "lr"):
+            for mode in ("exact", "greedy"):
+                config = RunConfig(power_method=method, subcarrier_mode=mode)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    clean = run(s, config)
+                    dirty = run(poisoned, config)
+                assert np.isfinite(clean.best_wsmr)
+                assert dirty.best_wsmr == clean.best_wsmr
+                assert dirty.best_power.tobytes() == clean.best_power.tobytes()
 
 
 def test_run_abort_carries_partial_trace(monkeypatch):

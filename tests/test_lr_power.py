@@ -232,11 +232,11 @@ def test_divergence_error_carries_partial_trace(monkeypatch):
     real = lr_module._cell_best_response
     calls = {"count": 0}
 
-    def flaky(scenario, assignment_, m, snapshot, lam_m):
+    def flaky(scenario, assignment_, m, denom, lam_m):
         calls["count"] += 1
         if calls["count"] > scenario.num_cells:
             return np.full(scenario.num_subcarriers, np.nan)
-        return real(scenario, assignment_, m, snapshot, lam_m)
+        return real(scenario, assignment_, m, denom, lam_m)
 
     monkeypatch.setattr(lr_module, "_cell_best_response", flaky)
     with pytest.raises(LrDivergenceError) as excinfo:

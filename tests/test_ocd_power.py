@@ -17,8 +17,8 @@ from conftest import hand_scenario, make_scenario
 LN_101 = 4.61512051684126
 
 
-def desk_instance(seed=0):
-    s = make_scenario(cells=3, subcarriers=4, users=2, seed=seed)
+def desk_instance(seed=0, users=2):
+    s = make_scenario(cells=3, subcarriers=4, users=users, seed=seed)
     power = np.full((3, 4), s.p_max / 4)
     assignment = solve_all_cells(s, power)
     return s, assignment, power
@@ -107,6 +107,38 @@ def test_constraint_residuals_uniform_budget_is_exact():
         assert (g[1:] == -power[m]).all()
         rates = cell_user_rates(s, power, assignment, m)
         assert h == pytest.approx(states[m].aux_rate - rates, rel=1e-12)
+
+
+def second_difference(f, states, cell, n, step):
+    """Central second difference of f(states) in the cell's own power n."""
+    def at(delta):
+        st = states[cell]
+        power = st.power.copy()
+        power[n] += delta
+        moved = list(states)
+        moved[cell] = dataclasses.replace(st, power=power)
+        return f(moved)
+    return (at(step) - 2.0 * at(0.0) + at(-step)) / step ** 2
+
+
+def test_curvatures_match_second_differences():
+    for s, assignment, power in (desk_instance(), desk_instance(users=(1, 2, 3))):
+        states = init_cell_states(s, assignment, power)
+        for cell in range(3):
+            _, _, curv, _, _, curv_h = ocd_module._subproblem_terms(
+                s, assignment, cell, states)
+            assert (curv[:4] > 0.0).all() and curv[4] == 0.0
+            for n in range(4):
+                step = 1e-3 * power[cell, n]
+                fd = second_difference(
+                    lambda st: local_objective(s, assignment, cell, st),
+                    states, cell, n, step)
+                assert curv[n] == pytest.approx(fd, rel=1e-4)
+                fd_h = second_difference(
+                    lambda st: constraint_residuals(s, assignment, cell, st)[0],
+                    states, cell, n, step)
+                scale = np.abs(curv_h[:, n]).max()
+                assert curv_h[:, n] == pytest.approx(fd_h, rel=1e-5, abs=1e-9 * scale)
 
 
 def test_init_states_structure():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from netalloc import (AssignmentValidationError, PowerValidationError,
-                      rate_gradient, rate_subcarrier, rate_user, sinr,
-                      user_subcarrier_rates, validate_assignment,
-                      validate_power, wsmr)
+                      cell_user_rates, link_rates, rate_gradient,
+                      rate_subcarrier, sinr, solve_all_cells,
+                      validate_assignment, validate_power, wsmr)
 
 from conftest import fd_rate_gradient, hand_scenario, make_scenario
 
@@ -52,7 +52,7 @@ def test_rate_reference_values():
         pytest.approx(RATE_INTERFERED, rel=1e-13)
 
 
-def test_rate_user_sums_assigned_subcarriers():
+def test_cell_user_rates_sums_assigned_subcarriers():
     # Two subcarriers for the user of cell 0: on the first the other
     # station is silent (SINR 100), on the second it transmits at equal
     # gain (SINR ~0.99).
@@ -60,29 +60,30 @@ def test_rate_user_sums_assigned_subcarriers():
     s = hand_scenario(gains, users_per_cell=1, p_max=2.0)
     power = np.array([[1.0, 1.0], [0.0, 1.0]])
     assignment = np.ones((2, 1, 2), dtype=np.int8)
-    value = rate_user(s, power, assignment, 0, 0)
+    value = cell_user_rates(s, power, assignment, 0)[0]
     assert value == pytest.approx(RATE_SUM, rel=1e-13)
 
     nothing = np.zeros((2, 1, 2), dtype=np.int8)
-    assert rate_user(s, power, nothing, 0, 0) == 0.0
+    assert cell_user_rates(s, power, nothing, 0)[0] == 0.0
 
 
 def test_vectorized_rates_match_scalar():
-    s = make_scenario(cells=2, subcarriers=4, users=2, seed=5)
-    power = np.linspace(0.01, 0.2, 8).reshape(2, 4)
-    for m in range(2):
-        for u in range(2):
-            vec = user_subcarrier_rates(s, power, m, u)
+    for s in (make_scenario(cells=2, subcarriers=4, users=2, seed=5),
+              make_scenario(cells=3, subcarriers=4, users=(1, 2, 3), seed=6)):
+        power = np.linspace(0.01, 0.2, s.num_cells * 4).reshape(s.num_cells, 4)
+        vec = link_rates(s, power)
+        assert vec.shape == (s.num_cells, s.max_users, 4)
+        for m, u in s.cells_users():
             ref = [rate_subcarrier(s, power, u, m, n) for n in range(4)]
-            assert vec == pytest.approx(ref, rel=1e-14)
+            assert vec[m, u] == pytest.approx(ref, rel=1e-14)
 
 
-def test_rate_user_symmetric_subcarriers():
+def test_cell_user_rates_symmetric_subcarriers():
     gains = np.full((1, 1, 1, 4), 1e-4)
     s = hand_scenario(gains, users_per_cell=1, p_max=4.0)
     power = np.ones((1, 4))
     assignment = np.ones((1, 1, 4), dtype=np.int8)
-    assert rate_user(s, power, assignment, 0, 0) == \
+    assert cell_user_rates(s, power, assignment, 0)[0] == \
         pytest.approx(4 * LN_101, rel=1e-12)
 
 
@@ -96,11 +97,23 @@ def test_wsmr_weighted_sum_of_min_rates():
     result = wsmr(s, power, assignment)
     mins = []
     for m in range(2):
-        rates = [rate_user(s, power, assignment, u, m) for u in range(2)]
-        mins.append(min(rates))
+        rates = cell_user_rates(s, power, assignment, m)
+        mins.append(rates.min())
         assert result.argmin_users[m] == int(np.argmin(rates))
     assert result.min_rates == pytest.approx(tuple(mins), rel=1e-12)
     assert result.value == pytest.approx(mins[0] + 2.0 * mins[1], rel=1e-12)
+
+
+def test_wsmr_user_rates_match_cell_user_rates():
+    s = make_scenario(cells=3, subcarriers=6, users=(1, 2, 3), seed=4)
+    power = np.linspace(0.02, 0.16, 18).reshape(3, 6)
+    assignment = solve_all_cells(s, power)
+    result = wsmr(s, power, assignment)
+    assert len(result.user_rates) == 3
+    for m in range(3):
+        assert np.array_equal(result.user_rates[m],
+                              cell_user_rates(s, power, assignment, m))
+        assert result.min_rates[m] == result.user_rates[m].min()
 
 
 def test_wsmr_zero_power_and_weight_scaling():

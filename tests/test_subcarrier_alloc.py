@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from netalloc import (RateTableError, cell_user_rates, exhaustive_min_rate,
-                      rate_table, solve_all_cells, solve_exact, solve_greedy,
-                      user_subcarrier_rates, validate_assignment, wsmr)
+                      link_rates, rate_table, solve_all_cells, solve_exact,
+                      solve_greedy, validate_assignment, wsmr)
 
 from conftest import make_scenario
 
@@ -86,14 +86,12 @@ def test_column_permutation_keeps_value():
 
 
 def test_rate_table_matches_rate_model():
-    s = make_scenario(cells=2, subcarriers=5, users=2, seed=13)
-    power = np.full((2, 5), s.p_max / 5)
-    for m in range(2):
+    s = make_scenario(cells=3, subcarriers=5, users=(1, 2, 3), seed=13)
+    power = np.full((3, 5), s.p_max / 5)
+    for m, k_m in enumerate(s.users_per_cell):
         table = rate_table(s, power, m)
-        assert table.shape == (2, 5)
-        for u in range(2):
-            ref = user_subcarrier_rates(s, power, m, u)
-            assert table[u] == pytest.approx(ref, rel=1e-14)
+        assert table.shape == (k_m, 5)
+        assert np.array_equal(table, link_rates(s, power)[m, :k_m])
 
 
 def test_solve_all_cells_shape_and_validity():
