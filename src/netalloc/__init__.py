@@ -9,7 +9,7 @@ distributed power methods, `coordinator` alternates the phases, and
 
 from .bus import ExchangeRecord, IterationRecord, MessageBus
 from .coordinator import (CoordinatorAbort, RunConfig, RunResult, TraceRow,
-                          check_convergence, initial_point, run)
+                          initial_point, run)
 from .lr_power import (LrDivergenceError, LrResult, best_response,
                        dual_step_size, lr_solve, project_simplex,
                        update_multipliers)

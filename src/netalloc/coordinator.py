@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bus import MessageBus
+from .bus import IterationRecord, MessageBus
 from .lr_power import LrDivergenceError, lr_solve
 from .ocd_power import OcdStepError, ocd_solve
 from .rate_model import wsmr
@@ -114,16 +114,14 @@ def initial_point(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return power, assignment
 
 
-def check_convergence(power_now: np.ndarray, power_prev: np.ndarray,
-                      psi: float) -> bool:
-    """Stop test of the central agent: Euclidean movement strictly below psi."""
-    power_now = np.asarray(power_now, dtype=float)
-    power_prev = np.asarray(power_prev, dtype=float)
-    if power_now.shape != power_prev.shape:
-        raise ValueError(f"power shapes differ: {power_now.shape} vs {power_prev.shape}")
-    if not (psi > 0.0 and np.isfinite(psi)):
-        raise ValueError(f"psi must be finite and positive, got {psi!r}")
-    return float(np.linalg.norm(power_now - power_prev)) < psi
+def _power_rows(records: list[IterationRecord], round_index: int,
+                offset_s: float) -> list[TraceRow]:
+    """A power phase's iteration records as run trace rows, times rebased."""
+    return [TraceRow(round=round_index, phase="power", iteration=row.iteration,
+                     wsmr=row.wsmr, delta_p_norm=row.delta_p_norm,
+                     min_rates=row.min_rates, messages=row.messages,
+                     bytes=row.bytes, elapsed_s=offset_s + row.elapsed_s)
+            for row in records]
 
 
 def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
@@ -156,20 +154,10 @@ def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
                 result = lr_solve(scenario, assignment, power, psi=config.psi,
                                   max_iters=config.max_power_iters, bus=bus)
         except (OcdStepError, LrDivergenceError) as exc:
-            partial = trace + [
-                TraceRow(round=round_index, phase="power", iteration=row.iteration,
-                         wsmr=row.wsmr, delta_p_norm=row.delta_p_norm,
-                         min_rates=row.min_rates, messages=row.messages,
-                         bytes=row.bytes, elapsed_s=phase_offset + row.elapsed_s)
-                for row in exc.trace]
+            partial = trace + _power_rows(exc.trace, round_index, phase_offset)
             raise CoordinatorAbort(str(exc), partial) from exc
 
-        for row in result.trace:
-            trace.append(TraceRow(
-                round=round_index, phase="power", iteration=row.iteration,
-                wsmr=row.wsmr, delta_p_norm=row.delta_p_norm,
-                min_rates=row.min_rates, messages=row.messages, bytes=row.bytes,
-                elapsed_s=phase_offset + row.elapsed_s))
+        trace.extend(_power_rows(result.trace, round_index, phase_offset))
         power = result.power
         power_iterations += result.iterations
         if round_index == 0:

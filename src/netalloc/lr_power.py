@@ -65,14 +65,13 @@ def project_simplex(v: np.ndarray, total: float) -> np.ndarray:
     return np.maximum(v - shift, 0.0)
 
 
-def dual_step_size(t: int, *, alpha0: float = ALPHA0, beta: float = BETA) -> float:
-    """Diminishing multiplier step a0 / (1 + beta * t) for outer iteration t."""
-    return alpha0 / (1.0 + beta * t)
+def dual_step_size(t: int) -> float:
+    """Diminishing multiplier step ALPHA0 / (1 + BETA * t) for outer iteration t."""
+    return ALPHA0 / (1.0 + BETA * t)
 
 
 def update_multipliers(lam: list[np.ndarray], residuals: list[np.ndarray],
-                       weights, t: int, *, alpha0: float = ALPHA0,
-                       beta: float = BETA) -> list[np.ndarray]:
+                       weights, t: int) -> list[np.ndarray]:
     """Projected subgradient step on every cell's multiplier block.
 
     `residuals[m][u]` should be positive when user u lags its cell (here:
@@ -80,7 +79,7 @@ def update_multipliers(lam: list[np.ndarray], residuals: list[np.ndarray],
     `dual_step_size(t)` times its residual and is projected back onto the
     simplex summing to the cell weight.
     """
-    step = dual_step_size(t, alpha0=alpha0, beta=beta)
+    step = dual_step_size(t)
     return [project_simplex(lam_m + step * res_m, w_m)
             for lam_m, res_m, w_m in zip(lam, residuals, weights)]
 
@@ -131,8 +130,8 @@ def _cell_best_response(scenario: Scenario, assignment: np.ndarray, m: int,
 
 
 def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarray,
-             *, psi: float = 0.1, max_iters: int = 200, alpha0: float = ALPHA0,
-             beta: float = BETA, bus: MessageBus | None = None) -> LrResult:
+             *, psi: float = 0.1, max_iters: int = 200,
+             bus: MessageBus | None = None) -> LrResult:
     """Run the relaxation until the power iterates settle.
 
     Outer iteration t: exchange state, let every cell best-respond to the
@@ -170,8 +169,7 @@ def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarr
 
         snapshot_wsmr = wsmr(scenario, power_now, assignment)
         residuals = [r.mean() - r for r in snapshot_wsmr.user_rates]
-        lam = update_multipliers(lam, residuals, scenario.weights, iteration - 1,
-                                 alpha0=alpha0, beta=beta)
+        lam = update_multipliers(lam, residuals, scenario.weights, iteration - 1)
 
         delta = float(np.linalg.norm(power_now - power_prev))
         trace.append(IterationRecord(

@@ -10,7 +10,9 @@ cells' current multipliers.
 
 Per iteration every cell takes exactly one primal-dual interior-point Newton
 step on its subproblem, reading only the previous iteration's snapshot of all
-cells (a Jacobi sweep), then reports (powers, auxiliary rate, multipliers) to
+cells (a Jacobi sweep).  The step eliminates slacks and multipliers in closed
+form and solves one reduced (N+1)x(N+1) system in the cell's powers and aux
+rate.  Each cell then reports (powers, auxiliary rate, multipliers) to
 the central agent, which rebroadcasts and checks whether the stacked power
 iterates moved less than psi in Euclidean norm.
 
@@ -42,7 +44,12 @@ REGULARIZATION = 1e-8
 
 
 class OcdStepError(RuntimeError):
-    """A cell's Newton system stayed singular after regularization."""
+    """A cell's Newton step failed.
+
+    Raised when a slack is not strictly positive (the reduced system divides
+    by the slacks), or when the reduced system is singular or yields a
+    non-finite direction.  There is no regularization retry.
+    """
 
     def __init__(self, cell: int, detail: str, iteration: int | None = None,
                  trace: list | None = None):
@@ -223,21 +230,25 @@ def newton_step(scenario: Scenario, assignment: np.ndarray, cell: int,
                 states: list[CellState]) -> NewtonStep:
     """One interior-point Newton step of `cell` against the snapshot `states`.
 
-    Builds the primal-dual system for the cell's subproblem (variables,
-    slacks and multipliers of its own constraints only), solves it with a
-    single dense linear solve, damps by a shared fraction-to-boundary step
-    and decays the barrier.  A singular system gets one diagonal
-    regularization retry before raising OcdStepError.
+    Linearizes the primal-dual conditions of the cell's subproblem
+    (variables, slacks and multipliers of its own constraints only) and
+    eliminates slacks and multipliers in closed form, leaving one
+    (N+1)x(N+1) reduced system in the powers and aux rate (Nocedal & Wright,
+    ch. 19).  Slacks and multipliers are recovered from the primal
+    direction, all four blocks are damped by a shared fraction-to-boundary
+    step, and the barrier decays.  The elimination divides by the slacks,
+    so every slack must be strictly positive; otherwise, or when the
+    reduced system is singular, OcdStepError is raised.  There is no
+    regularization retry.
     """
     st = states[cell]
+    if not ((st.slack_h > 0.0).all() and (st.slack_g > 0.0).all()):
+        raise OcdStepError(cell, "Newton system singular: a slack is not strictly positive")
     n_sub = scenario.num_subcarriers
-    n_x = n_sub + 1
     _, grad, curv, h, jac_h, curv_h = _subproblem_terms(scenario, assignment, cell, states)
     g, jac_g = _local_constraints(st.power, scenario.p_max)
 
-    k = h.shape[0]
-    n_g = g.shape[0]
-    hess_diag = np.zeros(n_x)
+    hess_diag = np.zeros(n_sub + 1)
     hess_diag[:n_sub] = curv[:n_sub] - st.lam @ curv_h
     # Inertia safeguard: the coupling terms can turn single coordinates
     # convex, which makes pure Newton oscillate into the positivity
@@ -251,47 +262,22 @@ def newton_step(scenario: Scenario, assignment: np.ndarray, cell: int,
     r_ch = st.lam * st.slack_h - st.barrier
     r_cg = st.mu * st.slack_g - st.barrier
 
-    size = n_x + 2 * k + 2 * n_g
-    i_sh = n_x
-    i_sg = i_sh + k
-    i_lam = i_sg + n_g
-    i_mu = i_lam + k
-    system = np.zeros((size, size))
-    system[:n_x, :n_x] = np.diag(hess_diag)
-    system[:n_x, i_lam:i_lam + k] = -jac_h.T
-    system[:n_x, i_mu:] = -jac_g.T
-    system[i_sh:i_sh + k, :n_x] = jac_h
-    system[i_sh:i_sh + k, i_sh:i_sh + k] = np.eye(k)
-    system[i_sg:i_sg + n_g, :n_x] = jac_g
-    system[i_sg:i_sg + n_g, i_sg:i_sg + n_g] = np.eye(n_g)
-    rows = np.arange(k)
-    system[i_lam + rows, i_sh + rows] = st.lam
-    system[i_lam + rows, i_lam + rows] = st.slack_h
-    rows = np.arange(n_g)
-    system[i_mu + rows, i_sg + rows] = st.mu
-    system[i_mu + rows, i_mu + rows] = st.slack_g
-
-    rhs = -np.concatenate((r_stat, r_ph, r_pg, r_ch, r_cg))
-
-    solution = None
-    for attempt in range(2):
-        try:
-            candidate = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:
-            candidate = None
-        if candidate is not None and np.isfinite(candidate).all():
-            solution = candidate
-            break
-        if attempt == 0:
-            system[np.arange(n_x), np.arange(n_x)] += REGULARIZATION
-    if solution is None:
-        raise OcdStepError(cell, "KKT system singular even after regularization")
-
-    d_x = solution[:n_x]
-    d_sh = solution[i_sh:i_sh + k]
-    d_sg = solution[i_sg:i_sg + n_g]
-    d_lam = solution[i_lam:i_lam + k]
-    d_mu = solution[i_mu:]
+    w_h = st.lam / st.slack_h
+    w_g = st.mu / st.slack_g
+    reduced = (np.diag(hess_diag) - jac_h.T @ (w_h[:, None] * jac_h)
+               - jac_g.T @ (w_g[:, None] * jac_g))
+    rhs = (-r_stat + jac_h.T @ ((st.lam * r_ph - r_ch) / st.slack_h)
+           + jac_g.T @ ((st.mu * r_pg - r_cg) / st.slack_g))
+    try:
+        d_x = np.linalg.solve(reduced, rhs)
+    except np.linalg.LinAlgError:
+        d_x = None
+    if d_x is None or not np.isfinite(d_x).all():
+        raise OcdStepError(cell, "reduced Newton system singular")
+    d_sh = -r_ph - jac_h @ d_x
+    d_sg = -r_pg - jac_g @ d_x
+    d_lam = -(r_ch + st.lam * d_sh) / st.slack_h
+    d_mu = -(r_cg + st.mu * d_sg) / st.slack_g
 
     alpha = min(_max_step(st.slack_h, d_sh), _max_step(st.slack_g, d_sg),
                 _max_step(st.lam, d_lam), _max_step(st.mu, d_mu))

@@ -6,34 +6,14 @@ import pytest
 
 import netalloc.coordinator as coord_module
 from netalloc import (CoordinatorAbort, MessageBus, OcdStepError, RunConfig,
-                      check_convergence, initial_point, run,
-                      validate_assignment, validate_power, wsmr)
+                      initial_point, run, validate_assignment, validate_power,
+                      wsmr)
 
 from conftest import make_scenario
 
 
 def desk_scenario(seed=0, **kw):
     return make_scenario(cells=3, subcarriers=4, users=2, seed=seed, **kw)
-
-
-def test_check_convergence_examples():
-    same = np.full((2, 3), 0.2)
-    assert check_convergence(same, same.copy(), 0.1) is True
-    prev = np.zeros((2, 2))
-    now = prev.copy()
-    now[0, 0] = 0.1
-    assert check_convergence(now, prev, 0.1) is False     # strict inequality
-    a = np.array([[0.30, 0.20], [0.25, 0.25]])
-    b = np.array([[0.25, 0.25], [0.25, 0.25]])            # movement 0.0707
-    assert check_convergence(a, b, 0.1) is True
-    assert check_convergence(a, b, 0.07) is False
-
-
-def test_check_convergence_validation():
-    with pytest.raises(ValueError):
-        check_convergence(np.zeros((2, 2)), np.zeros((2, 3)), 0.1)
-    with pytest.raises(ValueError):
-        check_convergence(np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
 
 
 def test_message_bus_exchange_accounting():

@@ -74,7 +74,6 @@ def test_simplex_projection_matches_bisection():
 def test_dual_step_size_schedule():
     assert dual_step_size(0) == 1.0
     assert dual_step_size(10) == pytest.approx(0.5, rel=1e-15)
-    assert dual_step_size(4, alpha0=2.0, beta=0.25) == pytest.approx(1.0)
     sizes = [dual_step_size(t) for t in range(20)]
     assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
@@ -194,9 +193,10 @@ def test_solver_trace_and_stop_rule():
     assert one.iterations == 1 and not one.converged
 
 
-def test_frozen_multipliers_with_zero_step():
+def test_frozen_multipliers_with_zero_step(monkeypatch):
+    monkeypatch.setattr(lr_module, "ALPHA0", 0.0)
     s, assignment, power = desk_instance()
-    result = lr_solve(s, assignment, power, psi=1e-4, max_iters=50, alpha0=0.0)
+    result = lr_solve(s, assignment, power, psi=1e-4, max_iters=50)
     for m, lam_m in enumerate(result.lam):
         k = s.users_per_cell[m]
         assert lam_m == pytest.approx(np.full(k, s.weights[m] / k), abs=1e-15)

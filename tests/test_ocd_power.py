@@ -169,6 +169,62 @@ def test_newton_step_reduces_residuals():
         assert (step.state.mu > 0.0).all()
 
 
+def linearized_kkt_blocks(s, assignment, cell, states, step):
+    """(left side, residual, rounding scale) of each of the cell's five
+    linearized primal-dual equations at the step's direction.
+
+    The rounding scale sums the magnitudes of the left side's terms.  The
+    slack directions come back as state differences over alpha, so their
+    term counts at the size of the slacks that were differenced.  The
+    stationarity rows are what the reduced system solves, so their scale
+    also holds the terms that eliminating slacks and multipliers adds,
+    weighted by multiplier over slack.
+    """
+    st = states[cell]
+    n = st.power.size
+    _, grad, curv, h, jac_h, curv_h = ocd_module._subproblem_terms(
+        s, assignment, cell, states)
+    g, jac_g = ocd_module._local_constraints(st.power, s.p_max)
+    hess = np.zeros(n + 1)
+    hess[:n] = np.minimum(curv[:n] - st.lam @ curv_h, -ocd_module.REGULARIZATION)
+    d_x = np.append(step.d_power, step.d_aux_rate)
+    d_sh = (step.state.slack_h - st.slack_h) / step.alpha
+    d_sg = (step.state.slack_g - st.slack_g) / step.alpha
+    size_sh = (step.state.slack_h + st.slack_h) / step.alpha
+    size_sg = (step.state.slack_g + st.slack_g) / step.alpha
+    abs_jh, abs_jg = np.abs(jac_h), np.abs(jac_g)
+    eliminated = (abs_jh.T @ (st.lam / st.slack_h * (abs_jh @ np.abs(d_x)))
+                  + abs_jg.T @ (st.mu / st.slack_g * (abs_jg @ np.abs(d_x))))
+    return [
+        (hess * d_x - jac_h.T @ step.d_lam - jac_g.T @ step.d_mu,
+         grad - jac_h.T @ st.lam - jac_g.T @ st.mu,
+         np.abs(hess * d_x) + abs_jh.T @ np.abs(step.d_lam)
+         + abs_jg.T @ np.abs(step.d_mu) + eliminated),
+        (jac_h @ d_x + d_sh, h + st.slack_h, abs_jh @ np.abs(d_x) + size_sh),
+        (jac_g @ d_x + d_sg, g + st.slack_g, abs_jg @ np.abs(d_x) + size_sg),
+        (st.lam * d_sh + st.slack_h * step.d_lam, st.lam * st.slack_h - st.barrier,
+         st.lam * size_sh + st.slack_h * np.abs(step.d_lam)),
+        (st.mu * d_sg + st.slack_g * step.d_mu, st.mu * st.slack_g - st.barrier,
+         st.mu * size_sg + st.slack_g * np.abs(step.d_mu)),
+    ]
+
+
+def test_newton_step_solves_linearized_kkt():
+    for s, assignment, power in (desk_instance(), desk_instance(users=(1, 2, 3))):
+        states = init_cell_states(s, assignment, power)
+        for sweep in range(61):
+            steps = [newton_step(s, assignment, m, states) for m in range(3)]
+            if sweep in (0, 30, 60):      # the barrier is at its floor by 60
+                for cell, step in enumerate(steps):
+                    for lhs, residual, rounding in linearized_kkt_blocks(
+                            s, assignment, cell, states, step):
+                        tol = (1e-10 * np.abs(residual).max()
+                               + 16 * np.finfo(float).eps * rounding.max())
+                        assert np.abs(lhs + residual).max() <= tol
+            states = [step.state for step in steps]
+        assert states[0].barrier == ocd_module.BARRIER_FLOOR
+
+
 def test_solver_converges_and_traces():
     s, assignment, power = desk_instance()
     result = ocd_solve(s, assignment, power, psi=0.1, max_iters=200)
@@ -278,14 +334,14 @@ def test_message_accounting():
 
 def test_singular_system_raises_with_cell_index():
     s, assignment, power = desk_instance()
-    states = init_cell_states(s, assignment, power)
-    broken = dataclasses.replace(states[1], lam=np.zeros_like(states[1].lam),
-                                 slack_h=np.zeros_like(states[1].slack_h))
-    states[1] = broken
-    with pytest.raises(OcdStepError) as excinfo:
-        newton_step(s, assignment, 1, states)
-    assert excinfo.value.cell == 1
-    assert "singular" in str(excinfo.value)
+    for cell, broken in ((1, dict(lam=np.zeros(2), slack_h=np.zeros(2))),
+                         (2, dict(slack_g=np.zeros(5)))):
+        states = init_cell_states(s, assignment, power)
+        states[cell] = dataclasses.replace(states[cell], **broken)
+        with pytest.raises(OcdStepError) as excinfo:
+            newton_step(s, assignment, cell, states)
+        assert excinfo.value.cell == cell
+        assert "singular" in str(excinfo.value)
 
 
 def test_solver_enriches_step_errors(monkeypatch):
