@@ -3,12 +3,13 @@
 Library layout: `scenario` builds problem instances, `rate_model` evaluates
 rates and the weighted minimum-rate objective, `subcarrier_alloc` assigns
 subcarriers at fixed powers, `ocd_power` and `lr_power` are the two
-distributed power methods, `coordinator` alternates the phases, and
-`experiment_cli` is the command-line harness.
+distributed power methods, which both run in the central agent's loop
+`bus.relay`, `coordinator` alternates the phases, and `experiment_cli` is
+the command-line harness.
 """
 
-from .bus import ExchangeRecord, IterationRecord, MessageBus
-from .coordinator import (CoordinatorAbort, RunConfig, RunResult, TraceRow,
+from .bus import ExchangeRecord, MessageBus, PhaseError, TraceRow, relay
+from .coordinator import (CoordinatorAbort, RunConfig, RunResult,
                           initial_point, run)
 from .lr_power import (LrDivergenceError, LrResult, best_response,
                        dual_step_size, lr_solve, project_simplex,

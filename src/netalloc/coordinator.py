@@ -5,6 +5,9 @@ rounds of (power phase, subcarrier phase): the power phase runs one of the
 two distributed power methods to movement below psi, the subcarrier phase
 reassigns every cell's subcarriers at the new powers.  Rounds stop when the
 objective's relative change falls below `wsmr_tol` or after `max_rounds`.
+Both power methods run in `bus.relay`, so a phase's rows are `TraceRow`s
+that a run only moves to its round and rebases in time, and a failed phase
+raises a `PhaseError`, which the run turns into `CoordinatorAbort`.
 
 The run keeps the best (power, assignment) pair ever evaluated, including
 the starting configuration, so a late non-improving round cannot degrade the
@@ -16,13 +19,13 @@ cell-local and add no traffic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bus import IterationRecord, MessageBus
-from .lr_power import LrDivergenceError, lr_solve
-from .ocd_power import OcdStepError, ocd_solve
+from .bus import MessageBus, PhaseError, TraceRow
+from .lr_power import lr_solve
+from .ocd_power import ocd_solve
 from .rate_model import wsmr
 from .scenario import Scenario
 from .subcarrier_alloc import solve_all_cells
@@ -70,21 +73,6 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class TraceRow:
-    """One trace line: a power iteration or a subcarrier reassignment."""
-
-    round: int
-    phase: str
-    iteration: int
-    wsmr: float
-    delta_p_norm: float
-    min_rates: tuple[float, ...]
-    messages: int
-    bytes: int
-    elapsed_s: float
-
-
-@dataclass(frozen=True)
 class RunResult:
     best_power: np.ndarray
     best_assignment: np.ndarray
@@ -114,14 +102,11 @@ def initial_point(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return power, assignment
 
 
-def _power_rows(records: list[IterationRecord], round_index: int,
+def _power_rows(rows: list[TraceRow], round_index: int,
                 offset_s: float) -> list[TraceRow]:
-    """A power phase's iteration records as run trace rows, times rebased."""
-    return [TraceRow(round=round_index, phase="power", iteration=row.iteration,
-                     wsmr=row.wsmr, delta_p_norm=row.delta_p_norm,
-                     min_rates=row.min_rates, messages=row.messages,
-                     bytes=row.bytes, elapsed_s=offset_s + row.elapsed_s)
-            for row in records]
+    """A power phase's rows in round `round_index`, times rebased to the run."""
+    return [replace(row, round=round_index, elapsed_s=offset_s + row.elapsed_s)
+            for row in rows]
 
 
 def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
@@ -153,7 +138,7 @@ def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
             else:
                 result = lr_solve(scenario, assignment, power, psi=config.psi,
                                   max_iters=config.max_power_iters, bus=bus)
-        except (OcdStepError, LrDivergenceError) as exc:
+        except PhaseError as exc:
             partial = trace + _power_rows(exc.trace, round_index, phase_offset)
             raise CoordinatorAbort(str(exc), partial) from exc
 
@@ -165,9 +150,10 @@ def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
             first_phase_converged = result.converged
         last_phase_converged = result.converged
 
-        after_power = wsmr(scenario, power, assignment)
-        if after_power.value > best_value:
-            best_value = after_power.value
+        # The last row is the objective at exactly `result.power`.
+        after_power = result.trace[-1].wsmr
+        if after_power > best_value:
+            best_value = after_power
             best_power = power.copy()
             best_assignment = assignment.copy()
 

@@ -11,18 +11,18 @@ rate.  With interference frozen, the dualized objective is a weighted sum of
 ln(1 + c_n p_n) over the cell's subcarriers, so the best response is exact
 weighted water-filling (Palomar & Fonollosa, IEEE TSP 2005).
 
-Same Jacobi information pattern and stop test as the decomposed method, so
-iteration counts and message totals are comparable.
+Both methods run in the same loop, `bus.relay`: same Jacobi information
+pattern, exchange and stop test as the decomposed method, so iteration
+counts and message totals are comparable.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bus import IterationRecord, MessageBus
+from .bus import MessageBus, PhaseError, TraceRow, relay
 from .rate_model import link_terms, validate_assignment, validate_power, wsmr
 from .scenario import Scenario
 
@@ -30,21 +30,15 @@ ALPHA0 = 1.0
 BETA = 0.1
 
 
-class LrDivergenceError(RuntimeError):
+class LrDivergenceError(PhaseError):
     """The relaxation produced a non-finite iterate."""
-
-    def __init__(self, detail: str, iteration: int | None = None,
-                 trace: list | None = None):
-        self.iteration = iteration
-        self.trace = trace or []
-        super().__init__(detail)
 
 
 @dataclass(frozen=True)
 class LrResult:
     power: np.ndarray
     lam: list[np.ndarray]
-    trace: list[IterationRecord]
+    trace: list[TraceRow]
     converged: bool
     iterations: int
 
@@ -134,52 +128,33 @@ def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarr
              bus: MessageBus | None = None) -> LrResult:
     """Run the relaxation until the power iterates settle.
 
-    Outer iteration t: exchange state, let every cell best-respond to the
-    previous iterate's interference, then update multipliers from the
-    per-user rate gaps at the new powers.
-    Stops like the decomposed method: stacked power movement below `psi`, or
+    Outer iteration t is one sweep of `bus.relay`: every cell best-responds
+    to the previous iterate's interference, then the multipliers are
+    updated from the per-user rate gaps at the new powers.  The relay stops
+    like the decomposed method: stacked power movement below `psi`, or
     `max_iters` outer iterations.
     """
-    if not (psi > 0.0 and np.isfinite(psi)):
-        raise ValueError(f"psi must be finite and positive, got {psi!r}")
-    if not isinstance(max_iters, int) or max_iters < 1:
-        raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
     validate_assignment(scenario, assignment, require_complete=True)
     validate_power(scenario, initial_power)
-    if bus is None:
-        bus = MessageBus()
-
     report_sizes = [scenario.num_subcarriers + k for k in scenario.users_per_cell]
     lam = [np.full(k, w / k) for k, w in
            zip(scenario.users_per_cell, scenario.weights)]
-    power_prev = np.asarray(initial_power, dtype=float).copy()
-    trace: list[IterationRecord] = []
-    converged = False
-    started = time.perf_counter()
 
-    for iteration in range(1, max_iters + 1):
-        bus.exchange(report_sizes)
-        _, denom = link_terms(scenario, power_prev)
+    def sweep(iteration, power):
+        nonlocal lam
+        _, denom = link_terms(scenario, power)
         power_now = np.vstack([
             _cell_best_response(scenario, assignment, m, denom, lam[m])
             for m in range(scenario.num_cells)])
         if not np.isfinite(power_now).all():
-            raise LrDivergenceError("power iterate is not finite",
-                                    iteration=iteration, trace=trace)
-
-        snapshot_wsmr = wsmr(scenario, power_now, assignment)
-        residuals = [r.mean() - r for r in snapshot_wsmr.user_rates]
+            raise LrDivergenceError("power iterate is not finite")
+        reported = wsmr(scenario, power_now, assignment)
+        residuals = [r.mean() - r for r in reported.user_rates]
         lam = update_multipliers(lam, residuals, scenario.weights, iteration - 1)
+        return power_now, reported
 
-        delta = float(np.linalg.norm(power_now - power_prev))
-        trace.append(IterationRecord(
-            iteration=iteration, wsmr=snapshot_wsmr.value, delta_p_norm=delta,
-            min_rates=snapshot_wsmr.min_rates, messages=bus.messages_total,
-            bytes=bus.bytes_total, elapsed_s=time.perf_counter() - started))
-        power_prev = power_now
-        if delta < psi:
-            converged = True
-            break
-
-    return LrResult(power=power_prev, lam=lam, trace=trace,
+    power, trace, converged = relay(
+        sweep, np.asarray(initial_power, dtype=float), report_sizes,
+        psi=psi, max_iters=max_iters, bus=bus)
+    return LrResult(power=power, lam=lam, trace=trace,
                     converged=converged, iterations=len(trace))

@@ -13,8 +13,8 @@ step on its subproblem, reading only the previous iteration's snapshot of all
 cells (a Jacobi sweep).  The step eliminates slacks and multipliers in closed
 form and solves one reduced (N+1)x(N+1) system in the cell's powers and aux
 rate.  Each cell then reports (powers, auxiliary rate, multipliers) to
-the central agent, which rebroadcasts and checks whether the stacked power
-iterates moved less than psi in Euclidean norm.
+the central agent (`bus.relay`), which rebroadcasts and checks whether the
+stacked power iterates moved less than psi in Euclidean norm.
 
 Stacking each cell's first-order conditions reproduces the first-order
 conditions of the undecomposed problem.  `stacked_cell_residuals` (per-cell
@@ -24,12 +24,11 @@ through independent code paths so the identity can be checked numerically.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bus import IterationRecord, MessageBus
+from .bus import MessageBus, PhaseError, TraceRow, relay
 from .rate_model import (cell_user_rates, link_terms, rate_gradient,
                          validate_assignment, validate_power, wsmr)
 from .scenario import Scenario
@@ -43,7 +42,7 @@ SLACK_FLOOR = 1e-6
 REGULARIZATION = 1e-8
 
 
-class OcdStepError(RuntimeError):
+class OcdStepError(PhaseError):
     """A cell's Newton step failed.
 
     Raised when a slack is not strictly positive (the reduced system divides
@@ -54,10 +53,7 @@ class OcdStepError(RuntimeError):
     def __init__(self, cell: int, detail: str, iteration: int | None = None,
                  trace: list | None = None):
         self.cell = cell
-        self.iteration = iteration
-        self.detail = detail
-        self.trace = trace or []
-        super().__init__(str(self))
+        super().__init__(detail, iteration, trace)
 
     def __str__(self) -> str:
         where = f"iteration {self.iteration}, " if self.iteration is not None else ""
@@ -118,11 +114,8 @@ class KktResidual:
 @dataclass(frozen=True)
 class OcdResult:
     power: np.ndarray
-    aux_rates: np.ndarray
-    lam: list[np.ndarray]
-    mu: list[np.ndarray]
     states: list[CellState]
-    trace: list[IterationRecord]
+    trace: list[TraceRow]
     converged: bool
     iterations: int
 
@@ -191,16 +184,23 @@ def _subproblem_terms(scenario: Scenario, assignment: np.ndarray, cell: int,
     return phi, grad, curv, h, jac_h, curv_h
 
 
-def _local_constraints(power: np.ndarray, p_max: float):
-    """Budget and nonnegativity values plus their Jacobian over (p, aux)."""
-    n_sub = power.shape[0]
-    g = np.empty(1 + n_sub)
+def _local_constraints(power: np.ndarray, p_max: float) -> np.ndarray:
+    """Budget and nonnegativity values g = (sum(p) - p_max, -p).
+
+    Their Jacobian J_g over (p, aux) is an all-ones budget row over -I with
+    a zero aux column, so it is applied in closed form: J_g d = (sum(d_p),
+    -d_p), J_g^T v = (v_0 - v_1.., 0), and J_g^T W J_g is W_0 on the whole
+    power block plus diag(W_1..).
+    """
+    g = np.empty(1 + power.shape[0])
     g[0] = power.sum() - p_max
     g[1:] = -power
-    jac_g = np.zeros((1 + n_sub, n_sub + 1))
-    jac_g[0, :n_sub] = 1.0
-    jac_g[1:, :n_sub] = -np.eye(n_sub)
-    return g, jac_g
+    return g
+
+
+def _jac_g_transpose(v: np.ndarray) -> np.ndarray:
+    """J_g^T v for the local constraints; see `_local_constraints`."""
+    return np.append(v[0] - v[1:], 0.0)
 
 
 def local_objective(scenario: Scenario, assignment: np.ndarray, cell: int,
@@ -214,8 +214,7 @@ def constraint_residuals(scenario: Scenario, assignment: np.ndarray, cell: int,
                          states: list[CellState]):
     """(rate constraints h, local constraints g) of one cell, raw signed."""
     _, _, _, h, _, _ = _subproblem_terms(scenario, assignment, cell, states)
-    g, _ = _local_constraints(states[cell].power, scenario.p_max)
-    return h, g
+    return h, _local_constraints(states[cell].power, scenario.p_max)
 
 
 def _max_step(values: np.ndarray, directions: np.ndarray) -> float:
@@ -246,7 +245,7 @@ def newton_step(scenario: Scenario, assignment: np.ndarray, cell: int,
         raise OcdStepError(cell, "Newton system singular: a slack is not strictly positive")
     n_sub = scenario.num_subcarriers
     _, grad, curv, h, jac_h, curv_h = _subproblem_terms(scenario, assignment, cell, states)
-    g, jac_g = _local_constraints(st.power, scenario.p_max)
+    g = _local_constraints(st.power, scenario.p_max)
 
     hess_diag = np.zeros(n_sub + 1)
     hess_diag[:n_sub] = curv[:n_sub] - st.lam @ curv_h
@@ -256,7 +255,7 @@ def newton_step(scenario: Scenario, assignment: np.ndarray, cell: int,
     # moving any fixed point (residuals are untouched).
     np.minimum(hess_diag[:n_sub], -REGULARIZATION, out=hess_diag[:n_sub])
 
-    r_stat = grad - jac_h.T @ st.lam - jac_g.T @ st.mu
+    r_stat = grad - jac_h.T @ st.lam - _jac_g_transpose(st.mu)
     r_ph = h + st.slack_h
     r_pg = g + st.slack_g
     r_ch = st.lam * st.slack_h - st.barrier
@@ -264,10 +263,10 @@ def newton_step(scenario: Scenario, assignment: np.ndarray, cell: int,
 
     w_h = st.lam / st.slack_h
     w_g = st.mu / st.slack_g
-    reduced = (np.diag(hess_diag) - jac_h.T @ (w_h[:, None] * jac_h)
-               - jac_g.T @ (w_g[:, None] * jac_g))
+    reduced = np.diag(hess_diag) - jac_h.T @ (w_h[:, None] * jac_h)
+    reduced[:n_sub, :n_sub] -= w_g[0] + np.diag(w_g[1:])
     rhs = (-r_stat + jac_h.T @ ((st.lam * r_ph - r_ch) / st.slack_h)
-           + jac_g.T @ ((st.mu * r_pg - r_cg) / st.slack_g))
+           + _jac_g_transpose((st.mu * r_pg - r_cg) / st.slack_g))
     try:
         d_x = np.linalg.solve(reduced, rhs)
     except np.linalg.LinAlgError:
@@ -275,7 +274,7 @@ def newton_step(scenario: Scenario, assignment: np.ndarray, cell: int,
     if d_x is None or not np.isfinite(d_x).all():
         raise OcdStepError(cell, "reduced Newton system singular")
     d_sh = -r_ph - jac_h @ d_x
-    d_sg = -r_pg - jac_g @ d_x
+    d_sg = -r_pg - np.append(d_x[:n_sub].sum(), -d_x[:n_sub])
     d_lam = -(r_ch + st.lam * d_sh) / st.slack_h
     d_mu = -(r_cg + st.mu * d_sg) / st.slack_g
 
@@ -311,7 +310,7 @@ def init_cell_states(scenario: Scenario, assignment: np.ndarray,
         aux = AUX_RATE_INIT_FACTOR * float(rates.min())
         k_m = scenario.users_per_cell[m]
         lam = np.full(k_m, max(scenario.weights[m] / k_m, SLACK_FLOOR))
-        g, _ = _local_constraints(power[m].astype(float), scenario.p_max)
+        g = _local_constraints(power[m].astype(float), scenario.p_max)
         h = aux - rates
         states.append(CellState(
             power=power[m].astype(float).copy(), aux_rate=aux, lam=lam,
@@ -327,57 +326,31 @@ def ocd_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndar
               bus: MessageBus | None = None) -> OcdResult:
     """Run the decomposed power method until the iterates settle.
 
-    Every iteration exchanges state through the bus (one gather and one
-    broadcast per cell), advances each cell by one Newton step against the
-    previous iteration's snapshot, and stops once the stacked power matrix
-    moves less than `psi` in Euclidean norm, or after `max_iters` iterations.
-    The reported and returned powers are projected onto the feasible box and
-    budgets; the stop test uses the raw iterates.
+    Each sweep of `bus.relay` advances every cell by one Newton step against
+    the previous iteration's snapshot; the relay exchanges state through the
+    bus (one gather and one broadcast per cell) and stops once the stacked
+    power matrix moves less than `psi` in Euclidean norm, or after
+    `max_iters` iterations.  The reported and returned powers are projected
+    onto the feasible box and budgets; the stop test uses the raw iterates.
     """
-    if not (psi > 0.0 and np.isfinite(psi)):
-        raise ValueError(f"psi must be finite and positive, got {psi!r}")
-    if not isinstance(max_iters, int) or max_iters < 1:
-        raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
     validate_assignment(scenario, assignment, require_complete=True)
     validate_power(scenario, initial_power)
-    if bus is None:
-        bus = MessageBus()
-
     report_sizes = [scenario.num_subcarriers + 1 + k for k in scenario.users_per_cell]
     states = init_cell_states(scenario, assignment, initial_power)
-    power_prev = np.asarray(initial_power, dtype=float).copy()
-    trace: list[IterationRecord] = []
-    converged = False
-    started = time.perf_counter()
 
-    for iteration in range(1, max_iters + 1):
-        bus.exchange(report_sizes)
-        try:
-            steps = [newton_step(scenario, assignment, m, states)
-                     for m in range(scenario.num_cells)]
-        except OcdStepError as exc:
-            exc.iteration = iteration
-            exc.trace = trace
-            raise
-        states = [step.state for step in steps]
+    def sweep(iteration, power):
+        nonlocal states
+        states = [newton_step(scenario, assignment, m, states).state
+                  for m in range(scenario.num_cells)]
         power_now = np.vstack([st.power for st in states])
-        delta = float(np.linalg.norm(power_now - power_prev))
-        snapshot_wsmr = wsmr(scenario, project_power(power_now, scenario.p_max),
-                             assignment)
-        trace.append(IterationRecord(
-            iteration=iteration, wsmr=snapshot_wsmr.value, delta_p_norm=delta,
-            min_rates=snapshot_wsmr.min_rates, messages=bus.messages_total,
-            bytes=bus.bytes_total, elapsed_s=time.perf_counter() - started))
-        power_prev = power_now
-        if delta < psi:
-            converged = True
-            break
+        return power_now, wsmr(scenario, project_power(power_now, scenario.p_max),
+                               assignment)
 
-    return OcdResult(
-        power=project_power(power_prev, scenario.p_max),
-        aux_rates=np.array([st.aux_rate for st in states]),
-        lam=[st.lam for st in states], mu=[st.mu for st in states],
-        states=states, trace=trace, converged=converged, iterations=len(trace))
+    power, trace, converged = relay(
+        sweep, np.asarray(initial_power, dtype=float), report_sizes,
+        psi=psi, max_iters=max_iters, bus=bus)
+    return OcdResult(power=project_power(power, scenario.p_max), states=states,
+                     trace=trace, converged=converged, iterations=len(trace))
 
 
 def states_from_point(scenario: Scenario, assignment: np.ndarray,
@@ -392,7 +365,7 @@ def states_from_point(scenario: Scenario, assignment: np.ndarray,
     for m in range(scenario.num_cells):
         rates = cell_user_rates(scenario, power, assignment, m)
         h = aux_rates[m] - rates
-        g, _ = _local_constraints(np.asarray(power, dtype=float)[m], scenario.p_max)
+        g = _local_constraints(np.asarray(power, dtype=float)[m], scenario.p_max)
         states.append(CellState(
             power=np.asarray(power, dtype=float)[m].copy(),
             aux_rate=float(aux_rates[m]), lam=np.asarray(lam[m], dtype=float),
@@ -412,8 +385,8 @@ def cell_kkt_residual(scenario: Scenario, assignment: np.ndarray, cell: int,
     """
     st = states[cell]
     _, grad, _, h, jac_h, _ = _subproblem_terms(scenario, assignment, cell, states)
-    g, jac_g = _local_constraints(st.power, scenario.p_max)
-    stationarity = grad - jac_h.T @ st.lam - jac_g.T @ st.mu
+    g = _local_constraints(st.power, scenario.p_max)
+    stationarity = grad - jac_h.T @ st.lam - _jac_g_transpose(st.mu)
     primal = np.concatenate((np.maximum(h, 0.0), np.maximum(g, 0.0)))
     complementarity = np.concatenate((st.lam * h, st.mu * g))
     return stationarity, primal, complementarity

@@ -1,13 +1,14 @@
 import dataclasses
+import types
 import warnings
 
 import numpy as np
 import pytest
 
 import netalloc.coordinator as coord_module
-from netalloc import (CoordinatorAbort, MessageBus, OcdStepError, RunConfig,
-                      initial_point, run, validate_assignment, validate_power,
-                      wsmr)
+from netalloc import (CoordinatorAbort, LrDivergenceError, MessageBus,
+                      OcdStepError, PhaseError, RunConfig, initial_point, relay,
+                      run, validate_assignment, validate_power, wsmr)
 
 from conftest import make_scenario
 
@@ -36,6 +37,82 @@ def test_message_bus_accumulates_and_validates():
         with pytest.raises(ValueError):
             bus.exchange(bad)
     assert bus.messages_total == 4
+
+
+REPORT = types.SimpleNamespace(value=1.0, min_rates=(1.0,))
+
+
+def halving_sweep(bus, num_cells, calls):
+    """A toy sweep that halves the power and checks it follows one exchange."""
+    def sweep(iteration, power):
+        assert bus.messages_total == 2 * num_cells * iteration
+        calls.append((iteration, power.copy()))
+        reported = types.SimpleNamespace(value=10.0 * iteration,
+                                         min_rates=(float(iteration),))
+        return power / 2.0, reported
+    return sweep
+
+
+def test_relay_stops_strictly_below_psi_on_raw_iterates():
+    # Powers 8, 4, 2, 1, 0.5 move by 4, 2, 1, 0.5: a move of exactly psi = 1
+    # goes on, the next one stops.
+    bus, calls = MessageBus(), []
+    power, trace, converged = relay(halving_sweep(bus, 2, calls),
+                                    np.array([8.0]), [3, 3], psi=1.0,
+                                    max_iters=10, bus=bus)
+    assert converged and power.tolist() == [0.5]
+    assert [(i, p.tolist()) for i, p in calls] == \
+        [(1, [8.0]), (2, [4.0]), (3, [2.0]), (4, [1.0])]
+    assert [row.delta_p_norm for row in trace] == [4.0, 2.0, 1.0, 0.5]
+    assert [row.iteration for row in trace] == [1, 2, 3, 4]
+    assert all(row.round == 0 and row.phase == "power" for row in trace)
+    assert [row.wsmr for row in trace] == [10.0, 20.0, 30.0, 40.0]
+    assert [row.min_rates for row in trace] == [(1.0,), (2.0,), (3.0,), (4.0,)]
+    assert [row.messages for row in trace] == [4, 8, 12, 16]
+    assert [row.bytes for row in trace] == [96, 192, 288, 384]
+    elapsed = [row.elapsed_s for row in trace]
+    assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
+
+
+def test_relay_iteration_budget_and_own_bus():
+    calls = []
+    bus = MessageBus()
+    power, trace, converged = relay(halving_sweep(bus, 1, calls),
+                                    np.array([8.0]), [1], psi=0.1,
+                                    max_iters=3, bus=bus)
+    assert not converged and power.tolist() == [1.0] and len(trace) == 3
+    # Without a bus the relay counts on its own, starting from zero.
+    _, trace, _ = relay(lambda i, p: (p / 2.0, REPORT), np.array([8.0]), [1],
+                        psi=0.1, max_iters=3)
+    assert [row.messages for row in trace] == [2, 4, 6]
+
+
+def test_relay_validation():
+    def never(iteration, power):
+        raise AssertionError("the sweep must not run")
+    bus = MessageBus()
+    for kw in (dict(psi=0.0), dict(psi=-1.0), dict(psi=np.nan), dict(psi=np.inf),
+               dict(max_iters=0), dict(max_iters=-1), dict(max_iters=1.5)):
+        with pytest.raises(ValueError):
+            relay(never, np.zeros(1), [1], **dict(dict(psi=0.1, max_iters=5), **kw),
+                  bus=bus)
+    assert bus.messages_total == 0
+
+
+def test_relay_attaches_iteration_and_rows_to_phase_errors():
+    class ToyError(PhaseError):
+        pass
+
+    def sweep(iteration, power):
+        if iteration == 3:
+            raise ToyError("toy failure")
+        return power / 2.0, REPORT
+
+    with pytest.raises(ToyError) as excinfo:
+        relay(sweep, np.array([8.0]), [1], psi=1e-9, max_iters=10)
+    assert excinfo.value.iteration == 3
+    assert [row.iteration for row in excinfo.value.trace] == [1, 2]
+    assert str(excinfo.value) == "toy failure"
 
 
 def test_initial_point_layout():
@@ -183,23 +260,26 @@ def test_unequal_cells_never_read_padded_rows():
                 assert dirty.best_power.tobytes() == clean.best_power.tobytes()
 
 
-def test_run_abort_carries_partial_trace(monkeypatch):
+@pytest.mark.parametrize("method", ["ocd", "lr"])
+def test_run_abort_carries_partial_trace(monkeypatch, method):
     s = desk_scenario()
-    real = coord_module.ocd_solve
+    real = getattr(coord_module, f"{method}_solve")
     calls = {"count": 0}
 
     def flaky(scenario, assignment, power, **kw):
         calls["count"] += 1
         if calls["count"] == 2:
-            raise OcdStepError(0, "forced failure", iteration=3,
-                               trace=real(scenario, assignment, power,
-                                          **dict(kw, max_iters=2)).trace)
+            trace = real(scenario, assignment, power, **dict(kw, max_iters=2)).trace
+            if method == "ocd":
+                raise OcdStepError(0, "forced failure", iteration=3, trace=trace)
+            raise LrDivergenceError("forced failure", iteration=3, trace=trace)
         return real(scenario, assignment, power, **kw)
 
-    monkeypatch.setattr(coord_module, "ocd_solve", flaky)
+    monkeypatch.setattr(coord_module, f"{method}_solve", flaky)
     with pytest.raises(CoordinatorAbort) as excinfo:
-        coord_module.run(s, RunConfig(psi=1e-9, max_rounds=5,
-                                      max_power_iters=40, wsmr_tol=0.0))
+        coord_module.run(s, RunConfig(psi=1e-9, max_rounds=5, max_power_iters=40,
+                                      wsmr_tol=0.0, power_method=method))
+    assert "forced failure" in str(excinfo.value)
     partial = excinfo.value.trace
     assert partial, "abort should carry the rows produced so far"
     assert partial[0].round == 0

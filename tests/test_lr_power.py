@@ -189,6 +189,8 @@ def test_solver_trace_and_stop_rule():
     assert result.iterations == len(result.trace)
     assert result.trace[-1].delta_p_norm < 0.05
     assert all(row.delta_p_norm >= 0.05 for row in result.trace[:-1])
+    # coordinator.run takes the phase's objective from the last row.
+    assert result.trace[-1].wsmr == wsmr(s, result.power, assignment).value
     one = lr_solve(s, assignment, power, psi=1e-12, max_iters=1)
     assert one.iterations == 1 and not one.converged
 

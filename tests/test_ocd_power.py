@@ -184,7 +184,10 @@ def linearized_kkt_blocks(s, assignment, cell, states, step):
     n = st.power.size
     _, grad, curv, h, jac_h, curv_h = ocd_module._subproblem_terms(
         s, assignment, cell, states)
-    g, jac_g = ocd_module._local_constraints(st.power, s.p_max)
+    g = ocd_module._local_constraints(st.power, s.p_max)
+    jac_g = np.zeros((n + 1, n + 1))
+    jac_g[0, :n] = 1.0
+    jac_g[1:, :n] = -np.eye(n)
     hess = np.zeros(n + 1)
     hess[:n] = np.minimum(curv[:n] - st.lam @ curv_h, -ocd_module.REGULARIZATION)
     d_x = np.append(step.d_power, step.d_aux_rate)
@@ -234,6 +237,8 @@ def test_solver_converges_and_traces():
     assert result.trace[-2].delta_p_norm >= 0.1
     for row in result.trace:
         assert np.isfinite(row.wsmr)
+    # coordinator.run takes the phase's objective from the last row.
+    assert result.trace[-1].wsmr == wsmr(s, result.power, assignment).value
     np.testing.assert_array_less(-1e-12, result.power)
     assert (result.power.sum(axis=1) <= s.p_max + 1e-9).all()
 
@@ -254,14 +259,19 @@ def test_fixed_point_newton_direction_vanishes():
         assert abs(step.d_aux_rate) < 1e-8
 
 
+def point_of(states):
+    """(raw power, aux rates, lam, mu) of per-cell states."""
+    return (np.vstack([st.power for st in states]),
+            np.array([st.aux_rate for st in states]),
+            [st.lam for st in states], [st.mu for st in states])
+
+
 def test_tight_tolerance_reaches_stationarity():
     for seed in (0, 1, 2):
         s, assignment, power = desk_instance(seed)
         result = ocd_solve(s, assignment, power, psi=1e-6, max_iters=400)
         assert result.converged
-        raw_power = np.vstack([st.power for st in result.states])
-        res = global_kkt_residual(s, assignment, raw_power,
-                                  result.aux_rates, result.lam, result.mu)
+        res = global_kkt_residual(s, assignment, *point_of(result.states))
         assert res.max_abs < 1e-4
 
 
@@ -269,9 +279,7 @@ def test_cell_and_global_residual_routes_agree():
     s, assignment, power = desk_instance()
     result = ocd_solve(s, assignment, power, psi=1e-3, max_iters=200)
     a = stacked_cell_residuals(s, assignment, result.states)
-    raw_power = np.vstack([st.power for st in result.states])
-    b = global_kkt_residual(s, assignment, raw_power, result.aux_rates,
-                            result.lam, result.mu)
+    b = global_kkt_residual(s, assignment, *point_of(result.states))
     assert np.abs(a.stationarity - b.stationarity).max() <= 1e-12
     assert np.abs(a.primal - b.primal).max() <= 1e-12
     assert np.abs(a.complementarity - b.complementarity).max() <= 1e-12
