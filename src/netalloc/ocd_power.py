@@ -10,9 +10,11 @@ cells' current multipliers.
 
 Per iteration every cell takes exactly one primal-dual interior-point Newton
 step on its subproblem, reading only the previous iteration's snapshot of all
-cells (a Jacobi sweep).  The step eliminates slacks and multipliers in closed
-form and solves one reduced (N+1)x(N+1) system in the cell's powers and aux
-rate.  Each cell then reports (powers, auxiliary rate, multipliers) to
+cells (a Jacobi sweep).  `newton_step` is that sweep and owns the snapshot:
+it evaluates the link kernel and every cell's subproblem terms once, then
+steps each cell.  A step eliminates slacks and multipliers in closed form and
+solves one reduced (N+1)x(N+1) system in the cell's powers and aux rate.
+Each cell then reports (powers, auxiliary rate, multipliers) to
 the central agent (`bus.relay`), which rebroadcasts and checks whether the
 stacked power iterates moved less than psi in Euclidean norm.
 
@@ -129,59 +131,65 @@ def project_power(power: np.ndarray, p_max: float) -> np.ndarray:
     return out
 
 
-def _subproblem_terms(scenario: Scenario, assignment: np.ndarray, cell: int,
-                      states: list[CellState]):
-    """Value, derivatives and own constraints of one cell's subproblem.
+def _subproblem_terms(scenario: Scenario, assignment: np.ndarray,
+                      states: list[CellState]) -> list[tuple]:
+    """Value, derivatives and own constraints of every cell's subproblem.
 
-    The snapshot is the (M, N) power matrix of `states`, whose row `cell` is
-    this cell's own power, so one `link_terms` call gives the denominators of
-    every link: own users see the snapshot's interference, and a foreign
-    user's denominator already holds this cell's interference at its own
-    power.  Returns (phi, grad, curv, h, jac_h, curv_h) where grad/curv run
-    over the N + 1 variables (powers then aux rate), curv is the diagonal of
-    the Lagrangian Hessian contribution of phi alone, and curv_h[u] holds the
-    diagonal second derivatives of rate constraint u with respect to the
-    powers.
+    The snapshot is the (M, N) power matrix of `states`, whose row m is cell
+    m's own power, so one `link_terms` call gives the denominators of every
+    link for every cell: own users see the snapshot's interference, and a
+    foreign user's denominator already holds cell m's interference at its
+    own power.  The rates, the reciprocal differences, the padded multiplier
+    matrix and each cell's lam-weighted aux rate are computed once per
+    snapshot.  Entry m is (phi, grad, curv, h, jac_h, curv_h) of cell m,
+    where grad/curv run over the N + 1 variables (powers then aux rate),
+    curv is the diagonal of the Lagrangian Hessian contribution of phi
+    alone, and curv_h[u] holds the diagonal second derivatives of rate
+    constraint u with respect to the powers.
     """
     n_sub = scenario.num_subcarriers
     gap = scenario.snr_gap
-    k_own = scenario.users_per_cell[cell]
     a = np.asarray(assignment) == 1
     signal, denom = link_terms(scenario, np.vstack([st.power for st in states]))
     full = denom + signal
     rates = np.log1p(signal / denom)
-    aux_rate = states[cell].aux_rate
-
-    own = a[cell, :k_own]
-    d_rate = scenario.gains[cell, cell, :k_own] / full[cell, :k_own]
-    h = aux_rate - np.where(own, rates[cell, :k_own], 0.0).sum(axis=1)
-    jac_h = np.zeros((k_own, n_sub + 1))
-    jac_h[:, :n_sub] = np.where(own, -d_rate, 0.0)
-    jac_h[:, n_sub] = 1.0
-    curv_h = np.where(own, d_rate * d_rate, 0.0)          # -(d2 rate) >= 0
-
-    # Foreign users (o, u) weighted by their frozen multipliers; this cell's
-    # row and the padded user rows are masked out.
+    rate_sums = np.where(a, rates, 0.0).sum(axis=2)
+    d_inv = 1.0 / full - 1.0 / denom
+    d_inv_sq = 1.0 / (denom * denom) - 1.0 / (full * full)
+    # Foreign users (o, u) are weighted by their frozen multipliers; each
+    # cell masks out its own row, and the padded user rows are masked out.
     lam_bar = np.zeros(a.shape[:2])
     for o, st in enumerate(states):
         lam_bar[o, :st.lam.size] = st.lam
-    foreign = a.copy()
-    foreign[cell] = False
-    into = scenario.gains[cell] * gap                  # this station into (o, u)
-    weighted = lam_bar[:, :, None] * into
-    phi = scenario.weights[cell] * aux_rate
-    phi -= sum(float(st.lam.sum()) * st.aux_rate
-               for o, st in enumerate(states) if o != cell)
-    phi += float((lam_bar * np.where(foreign, rates, 0.0).sum(axis=2)).sum())
-    grad = np.zeros(n_sub + 1)
-    grad[:n_sub] = np.where(foreign, weighted * (1.0 / full - 1.0 / denom),
-                            0.0).sum(axis=(0, 1))
-    grad[n_sub] = scenario.weights[cell]
-    curv = np.zeros(n_sub + 1)
-    curv[:n_sub] = np.where(
-        foreign, weighted * into * (1.0 / (denom * denom) - 1.0 / (full * full)),
-        0.0).sum(axis=(0, 1))
-    return phi, grad, curv, h, jac_h, curv_h
+    lam_aux = [float(st.lam.sum()) * st.aux_rate for st in states]
+    coupled = lam_bar * rate_sums
+
+    terms = []
+    for cell, st in enumerate(states):
+        k_own = scenario.users_per_cell[cell]
+        own = a[cell, :k_own]
+        d_rate = scenario.gains[cell, cell, :k_own] / full[cell, :k_own]
+        h = st.aux_rate - rate_sums[cell, :k_own]
+        jac_h = np.zeros((k_own, n_sub + 1))
+        jac_h[:, :n_sub] = np.where(own, -d_rate, 0.0)
+        jac_h[:, n_sub] = 1.0
+        curv_h = np.where(own, d_rate * d_rate, 0.0)      # -(d2 rate) >= 0
+
+        others = np.arange(len(states)) != cell
+        foreign = a & others[:, None, None]
+        into = scenario.gains[cell] * gap              # this station into (o, u)
+        weighted = lam_bar[:, :, None] * into
+        phi = scenario.weights[cell] * st.aux_rate
+        phi -= sum(v for o, v in enumerate(lam_aux) if o != cell)
+        phi += float(np.where(others[:, None], coupled, 0.0).sum())
+        grad = np.zeros(n_sub + 1)
+        grad[:n_sub] = np.where(foreign, weighted * d_inv, 0.0).sum(axis=(0, 1))
+        grad[n_sub] = scenario.weights[cell]
+        curv = np.zeros(n_sub + 1)
+        curv[:n_sub] = np.where(foreign, weighted * into * d_inv_sq,
+                                0.0).sum(axis=(0, 1))
+        terms.append((phi, grad, curv, h, jac_h, curv_h))
+    return terms
 
 
 def _local_constraints(power: np.ndarray, p_max: float) -> np.ndarray:
@@ -206,14 +214,13 @@ def _jac_g_transpose(v: np.ndarray) -> np.ndarray:
 def local_objective(scenario: Scenario, assignment: np.ndarray, cell: int,
                     states: list[CellState]) -> float:
     """This cell's subproblem objective at the given joint state."""
-    phi, *_ = _subproblem_terms(scenario, assignment, cell, states)
-    return phi
+    return _subproblem_terms(scenario, assignment, states)[cell][0]
 
 
 def constraint_residuals(scenario: Scenario, assignment: np.ndarray, cell: int,
                          states: list[CellState]):
     """(rate constraints h, local constraints g) of one cell, raw signed."""
-    _, _, _, h, _, _ = _subproblem_terms(scenario, assignment, cell, states)
+    h = _subproblem_terms(scenario, assignment, states)[cell][3]
     return h, _local_constraints(states[cell].power, scenario.p_max)
 
 
@@ -225,73 +232,96 @@ def _max_step(values: np.ndarray, directions: np.ndarray) -> float:
     return min(1.0, limit)
 
 
-def newton_step(scenario: Scenario, assignment: np.ndarray, cell: int,
-                states: list[CellState]) -> NewtonStep:
-    """One interior-point Newton step of `cell` against the snapshot `states`.
+def newton_step(scenario: Scenario, assignment: np.ndarray,
+                states: list[CellState]) -> list[NewtonStep]:
+    """One Jacobi sweep: each cell's Newton step against the snapshot `states`.
 
-    Linearizes the primal-dual conditions of the cell's subproblem
-    (variables, slacks and multipliers of its own constraints only) and
-    eliminates slacks and multipliers in closed form, leaving one
-    (N+1)x(N+1) reduced system in the powers and aux rate (Nocedal & Wright,
-    ch. 19).  Slacks and multipliers are recovered from the primal
-    direction, all four blocks are damped by a shared fraction-to-boundary
-    step, and the barrier decays.  The elimination divides by the slacks,
-    so every slack must be strictly positive; otherwise, or when the
-    reduced system is singular, OcdStepError is raised.  There is no
+    The sweep owns the snapshot: `_subproblem_terms` evaluates it once (one
+    link-kernel call) for all cells.  Per cell it linearizes the primal-dual
+    conditions of the subproblem (variables, slacks and multipliers of the
+    cell's own constraints only) and eliminates slacks and multipliers in
+    closed form, leaving one (N+1)x(N+1) reduced system in the powers and
+    aux rate (Nocedal & Wright, ch. 19).  Slacks and multipliers are
+    recovered from the primal direction, all four blocks are damped by a
+    shared fraction-to-boundary step, and the barrier decays.  The
+    elimination divides by the slacks, so every slack must be strictly
+    positive; otherwise, or when the reduced system is singular,
+    OcdStepError is raised for the first failing cell.  There is no
     regularization retry.
     """
-    st = states[cell]
-    if not ((st.slack_h > 0.0).all() and (st.slack_g > 0.0).all()):
-        raise OcdStepError(cell, "Newton system singular: a slack is not strictly positive")
     n_sub = scenario.num_subcarriers
-    _, grad, curv, h, jac_h, curv_h = _subproblem_terms(scenario, assignment, cell, states)
-    g = _local_constraints(st.power, scenario.p_max)
+    steps = []
+    for cell, (st, terms) in enumerate(
+            zip(states, _subproblem_terms(scenario, assignment, states))):
+        if not ((st.slack_h > 0.0).all() and (st.slack_g > 0.0).all()):
+            raise OcdStepError(
+                cell, "Newton system singular: a slack is not strictly positive")
+        _, grad, curv, h, jac_h, curv_h = terms
+        g = _local_constraints(st.power, scenario.p_max)
 
-    hess_diag = np.zeros(n_sub + 1)
-    hess_diag[:n_sub] = curv[:n_sub] - st.lam @ curv_h
-    # Inertia safeguard: the coupling terms can turn single coordinates
-    # convex, which makes pure Newton oscillate into the positivity
-    # boundary; flooring the curvature keeps the step productive without
-    # moving any fixed point (residuals are untouched).
-    np.minimum(hess_diag[:n_sub], -REGULARIZATION, out=hess_diag[:n_sub])
+        hess_diag = np.zeros(n_sub + 1)
+        hess_diag[:n_sub] = curv[:n_sub] - st.lam @ curv_h
+        # Inertia safeguard: the coupling terms can turn single coordinates
+        # convex, which makes pure Newton oscillate into the positivity
+        # boundary; flooring the curvature keeps the step productive without
+        # moving any fixed point (residuals are untouched).
+        np.minimum(hess_diag[:n_sub], -REGULARIZATION, out=hess_diag[:n_sub])
 
-    r_stat = grad - jac_h.T @ st.lam - _jac_g_transpose(st.mu)
-    r_ph = h + st.slack_h
-    r_pg = g + st.slack_g
-    r_ch = st.lam * st.slack_h - st.barrier
-    r_cg = st.mu * st.slack_g - st.barrier
+        r_stat = grad - jac_h.T @ st.lam - _jac_g_transpose(st.mu)
+        r_ph = h + st.slack_h
+        r_pg = g + st.slack_g
+        r_ch = st.lam * st.slack_h - st.barrier
+        r_cg = st.mu * st.slack_g - st.barrier
 
-    w_h = st.lam / st.slack_h
-    w_g = st.mu / st.slack_g
-    reduced = np.diag(hess_diag) - jac_h.T @ (w_h[:, None] * jac_h)
-    reduced[:n_sub, :n_sub] -= w_g[0] + np.diag(w_g[1:])
-    rhs = (-r_stat + jac_h.T @ ((st.lam * r_ph - r_ch) / st.slack_h)
-           + _jac_g_transpose((st.mu * r_pg - r_cg) / st.slack_g))
-    try:
-        d_x = np.linalg.solve(reduced, rhs)
-    except np.linalg.LinAlgError:
-        d_x = None
-    if d_x is None or not np.isfinite(d_x).all():
-        raise OcdStepError(cell, "reduced Newton system singular")
-    d_sh = -r_ph - jac_h @ d_x
-    d_sg = -r_pg - np.append(d_x[:n_sub].sum(), -d_x[:n_sub])
-    d_lam = -(r_ch + st.lam * d_sh) / st.slack_h
-    d_mu = -(r_cg + st.mu * d_sg) / st.slack_g
+        w_h = st.lam / st.slack_h
+        w_g = st.mu / st.slack_g
+        reduced = np.diag(hess_diag) - jac_h.T @ (w_h[:, None] * jac_h)
+        reduced[:n_sub, :n_sub] -= w_g[0] + np.diag(w_g[1:])
+        rhs = (-r_stat + jac_h.T @ ((st.lam * r_ph - r_ch) / st.slack_h)
+               + _jac_g_transpose((st.mu * r_pg - r_cg) / st.slack_g))
+        try:
+            d_x = np.linalg.solve(reduced, rhs)
+        except np.linalg.LinAlgError:
+            d_x = None
+        if d_x is None or not np.isfinite(d_x).all():
+            raise OcdStepError(cell, "reduced Newton system singular")
+        d_sh = -r_ph - jac_h @ d_x
+        d_sg = -r_pg - np.append(d_x[:n_sub].sum(), -d_x[:n_sub])
+        d_lam = -(r_ch + st.lam * d_sh) / st.slack_h
+        d_mu = -(r_cg + st.mu * d_sg) / st.slack_g
 
-    alpha = min(_max_step(st.slack_h, d_sh), _max_step(st.slack_g, d_sg),
-                _max_step(st.lam, d_lam), _max_step(st.mu, d_mu))
+        alpha = min(_max_step(st.slack_h, d_sh), _max_step(st.slack_g, d_sg),
+                    _max_step(st.lam, d_lam), _max_step(st.mu, d_mu))
 
-    new_state = CellState(
-        power=st.power + alpha * d_x[:n_sub],
-        aux_rate=st.aux_rate + alpha * d_x[n_sub],
-        lam=st.lam + alpha * d_lam,
-        mu=st.mu + alpha * d_mu,
-        slack_h=st.slack_h + alpha * d_sh,
-        slack_g=st.slack_g + alpha * d_sg,
-        barrier=max(BARRIER_DECAY * st.barrier, BARRIER_FLOOR),
-    )
-    return NewtonStep(d_power=d_x[:n_sub], d_aux_rate=float(d_x[n_sub]),
-                      d_lam=d_lam, d_mu=d_mu, alpha=alpha, state=new_state)
+        new_state = CellState(
+            power=st.power + alpha * d_x[:n_sub],
+            aux_rate=st.aux_rate + alpha * d_x[n_sub],
+            lam=st.lam + alpha * d_lam,
+            mu=st.mu + alpha * d_mu,
+            slack_h=st.slack_h + alpha * d_sh,
+            slack_g=st.slack_g + alpha * d_sg,
+            barrier=max(BARRIER_DECAY * st.barrier, BARRIER_FLOOR),
+        )
+        steps.append(NewtonStep(d_power=d_x[:n_sub], d_aux_rate=float(d_x[n_sub]),
+                                d_lam=d_lam, d_mu=d_mu, alpha=alpha, state=new_state))
+    return steps
+
+
+def _cell_states(scenario: Scenario, power: np.ndarray,
+                 user_rates: tuple[np.ndarray, ...], aux_rates, lam, mu,
+                 barrier: float) -> list[CellState]:
+    """Per-cell states at `power` whose slacks match the constraint values
+    up to SLACK_FLOOR; each state holds its own copies of lam and mu."""
+    power = np.asarray(power, dtype=float)
+    states = []
+    for m, rates in enumerate(user_rates):
+        g = _local_constraints(power[m], scenario.p_max)
+        states.append(CellState(
+            power=power[m].copy(), aux_rate=float(aux_rates[m]),
+            lam=np.array(lam[m], dtype=float), mu=np.array(mu[m], dtype=float),
+            slack_h=np.maximum(rates - aux_rates[m], SLACK_FLOOR),
+            slack_g=np.maximum(-g, SLACK_FLOOR), barrier=barrier))
+    return states
 
 
 def init_cell_states(scenario: Scenario, assignment: np.ndarray,
@@ -304,21 +334,12 @@ def init_cell_states(scenario: Scenario, assignment: np.ndarray,
     cell still starts strictly interior, and at one for the local
     constraints; slacks match the constraint values up to a small floor.
     """
-    states = []
-    for m in range(scenario.num_cells):
-        rates = cell_user_rates(scenario, power, assignment, m)
-        aux = AUX_RATE_INIT_FACTOR * float(rates.min())
-        k_m = scenario.users_per_cell[m]
-        lam = np.full(k_m, max(scenario.weights[m] / k_m, SLACK_FLOOR))
-        g = _local_constraints(power[m].astype(float), scenario.p_max)
-        h = aux - rates
-        states.append(CellState(
-            power=power[m].astype(float).copy(), aux_rate=aux, lam=lam,
-            mu=np.ones(1 + scenario.num_subcarriers),
-            slack_h=np.maximum(-h, SLACK_FLOOR),
-            slack_g=np.maximum(-g, SLACK_FLOOR),
-            barrier=BARRIER_INIT))
-    return states
+    rates = cell_user_rates(scenario, power, assignment)
+    aux = [AUX_RATE_INIT_FACTOR * float(r.min()) for r in rates]
+    lam = [np.full(k_m, max(w / k_m, SLACK_FLOOR))
+           for w, k_m in zip(scenario.weights, scenario.users_per_cell)]
+    mu = np.ones((scenario.num_cells, 1 + scenario.num_subcarriers))
+    return _cell_states(scenario, power, rates, aux, lam, mu, BARRIER_INIT)
 
 
 def ocd_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarray,
@@ -340,8 +361,7 @@ def ocd_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndar
 
     def sweep(iteration, power):
         nonlocal states
-        states = [newton_step(scenario, assignment, m, states).state
-                  for m in range(scenario.num_cells)]
+        states = [step.state for step in newton_step(scenario, assignment, states)]
         power_now = np.vstack([st.power for st in states])
         return power_now, wsmr(scenario, project_power(power_now, scenario.p_max),
                                assignment)
@@ -361,18 +381,16 @@ def states_from_point(scenario: Scenario, assignment: np.ndarray,
     Slacks are set consistent with the constraints (floored to stay
     positive); they do not affect the first-order residuals.
     """
-    states = []
-    for m in range(scenario.num_cells):
-        rates = cell_user_rates(scenario, power, assignment, m)
-        h = aux_rates[m] - rates
-        g = _local_constraints(np.asarray(power, dtype=float)[m], scenario.p_max)
-        states.append(CellState(
-            power=np.asarray(power, dtype=float)[m].copy(),
-            aux_rate=float(aux_rates[m]), lam=np.asarray(lam[m], dtype=float),
-            mu=np.asarray(mu[m], dtype=float),
-            slack_h=np.maximum(-h, SLACK_FLOOR),
-            slack_g=np.maximum(-g, SLACK_FLOOR), barrier=BARRIER_FLOOR))
-    return states
+    return _cell_states(scenario, power, cell_user_rates(scenario, power, assignment),
+                        aux_rates, lam, mu, BARRIER_FLOOR)
+
+
+def _residual_blocks(st: CellState, terms: tuple, p_max: float):
+    _, grad, _, h, jac_h, _ = terms
+    g = _local_constraints(st.power, p_max)
+    return (grad - jac_h.T @ st.lam - _jac_g_transpose(st.mu),
+            np.concatenate((np.maximum(h, 0.0), np.maximum(g, 0.0))),
+            np.concatenate((st.lam * h, st.mu * g)))
 
 
 def cell_kkt_residual(scenario: Scenario, assignment: np.ndarray, cell: int,
@@ -383,24 +401,16 @@ def cell_kkt_residual(scenario: Scenario, assignment: np.ndarray, cell: int,
     multipliers, evaluated at the snapshot formed by the states themselves.
     Returns (stationarity, primal, complementarity) for this cell.
     """
-    st = states[cell]
-    _, grad, _, h, jac_h, _ = _subproblem_terms(scenario, assignment, cell, states)
-    g = _local_constraints(st.power, scenario.p_max)
-    stationarity = grad - jac_h.T @ st.lam - _jac_g_transpose(st.mu)
-    primal = np.concatenate((np.maximum(h, 0.0), np.maximum(g, 0.0)))
-    complementarity = np.concatenate((st.lam * h, st.mu * g))
-    return stationarity, primal, complementarity
+    terms = _subproblem_terms(scenario, assignment, states)[cell]
+    return _residual_blocks(states[cell], terms, scenario.p_max)
 
 
 def stacked_cell_residuals(scenario: Scenario, assignment: np.ndarray,
                            states: list[CellState]) -> KktResidual:
     """Concatenate every cell's subproblem residual blocks in cell order."""
-    stat, primal, comp = [], [], []
-    for m in range(scenario.num_cells):
-        s_m, p_m, c_m = cell_kkt_residual(scenario, assignment, m, states)
-        stat.append(s_m)
-        primal.append(p_m)
-        comp.append(c_m)
+    blocks = [_residual_blocks(st, terms, scenario.p_max) for st, terms in
+              zip(states, _subproblem_terms(scenario, assignment, states))]
+    stat, primal, comp = zip(*blocks)
     return KktResidual(stationarity=np.concatenate(stat),
                        primal=np.concatenate(primal),
                        complementarity=np.concatenate(comp))
@@ -431,11 +441,11 @@ def global_kkt_residual(scenario: Scenario, assignment: np.ndarray,
     for m in range(scenario.num_cells):
         stat_p[m] += -mu[m][0] + mu[m][1:]
 
+    user_rates = cell_user_rates(scenario, power, a)
     stat, primal, comp = [], [], []
     for m in range(scenario.num_cells):
         stat.append(np.concatenate((stat_p[m], [stat_aux[m]])))
-        rates = cell_user_rates(scenario, power, a, m)
-        h = aux_rates[m] - rates
+        h = aux_rates[m] - user_rates[m]
         g = np.concatenate(([power[m].sum() - scenario.p_max], -power[m]))
         primal.append(np.concatenate((np.maximum(h, 0.0), np.maximum(g, 0.0))))
         comp.append(np.concatenate((lam[m] * h, mu[m] * g)))

@@ -148,18 +148,14 @@ def link_rates(scenario: Scenario, power: np.ndarray) -> np.ndarray:
     return np.log1p(signal / denom)
 
 
-def _user_rates(scenario: Scenario, rates: np.ndarray,
-                assignment: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per cell, each real user's rate summed over its assigned subcarriers."""
+def cell_user_rates(scenario: Scenario, power: np.ndarray,
+                    assignment: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per cell, the K_m users' rates summed over their assigned subcarriers,
+    all from one `link_rates` call."""
+    rates = link_rates(scenario, power)
     a = np.asarray(assignment)
     return tuple((rates[m, :k_m] * a[m, :k_m]).sum(axis=1)
                  for m, k_m in enumerate(scenario.users_per_cell))
-
-
-def cell_user_rates(scenario: Scenario, power: np.ndarray, assignment: np.ndarray,
-                    m: int) -> np.ndarray:
-    """Rates of all users of cell m under the given assignment (length K_m)."""
-    return _user_rates(scenario, link_rates(scenario, power), assignment)[m]
 
 
 @dataclass(frozen=True)
@@ -181,7 +177,7 @@ def wsmr(scenario: Scenario, power: np.ndarray, assignment: np.ndarray) -> WsmrR
     Ties in the per-cell minimum resolve to the lowest user index.
     """
     validate_assignment(scenario, assignment)
-    user_rates = _user_rates(scenario, link_rates(scenario, power), assignment)
+    user_rates = cell_user_rates(scenario, power, assignment)
     argmins = tuple(int(np.argmin(r)) for r in user_rates)
     mins = tuple(float(r[i]) for r, i in zip(user_rates, argmins))
     value = float(np.dot(scenario.weights, mins))

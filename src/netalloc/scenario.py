@@ -83,11 +83,7 @@ class ScenarioParams:
     def __post_init__(self):
         cells = self.num_cells if isinstance(self.num_cells, int) and self.num_cells > 0 else 1
         for key in ("users_per_cell", "weights"):
-            value = getattr(self, key)
-            if np.isscalar(value):
-                object.__setattr__(self, key, tuple([value] * cells))
-            else:
-                object.__setattr__(self, key, _as_per_cell(value, cells, key))
+            object.__setattr__(self, key, _as_per_cell(getattr(self, key), cells, key))
 
     def violations(self) -> list[str]:
         """Return one message per invalid field, empty when all is well."""
@@ -362,11 +358,7 @@ def load_scenario(path: str | os.PathLike) -> Scenario:
 
     raw_params = _require(doc, "params", path)
     try:
-        raw_params = dict(raw_params)
-        for key in ("users_per_cell", "weights"):
-            if isinstance(raw_params.get(key), list):
-                raw_params[key] = tuple(raw_params[key])
-        params = ScenarioParams(**raw_params)
+        params = ScenarioParams(**dict(raw_params))
     except TypeError as exc:
         raise ScenarioFormatError(f"{path}: bad params block: {exc}") from exc
     bad = params.violations()

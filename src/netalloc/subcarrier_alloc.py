@@ -33,9 +33,10 @@ class AssignmentResult:
     min_rate: float
 
 
-def rate_table(scenario: Scenario, power: np.ndarray, m: int) -> np.ndarray:
-    """(K_m, N) table of user-on-subcarrier rates for cell m at `power`."""
-    return link_rates(scenario, power)[m, :scenario.users_per_cell[m]]
+def rate_table(scenario: Scenario, power: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per cell, the (K_m, N) user-on-subcarrier rates; one `link_rates` call."""
+    rates = link_rates(scenario, power)
+    return tuple(rates[m, :k_m] for m, k_m in enumerate(scenario.users_per_cell))
 
 
 def _checked(table: np.ndarray) -> np.ndarray:
@@ -139,7 +140,7 @@ def solve_all_cells(scenario: Scenario, power: np.ndarray, *,
     solver = solve_exact if mode == "exact" else solve_greedy
     out = np.zeros((scenario.num_cells, scenario.max_users,
                     scenario.num_subcarriers), dtype=np.int8)
-    for m in range(scenario.num_cells):
-        result = solver(rate_table(scenario, power, m))
+    for m, table in enumerate(rate_table(scenario, power)):
+        result = solver(table)
         out[m, result.assignment, np.arange(scenario.num_subcarriers)] = 1
     return out

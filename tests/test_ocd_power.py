@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import netalloc.ocd_power as ocd_module
+import netalloc.rate_model as rate_module
 from netalloc import (AssignmentValidationError, MessageBus, OcdStepError,
                       cell_user_rates,
                       constraint_residuals, global_kkt_residual,
@@ -105,7 +106,7 @@ def test_constraint_residuals_uniform_budget_is_exact():
         h, g = constraint_residuals(s, assignment, m, states)
         assert g[0] == 0.0
         assert (g[1:] == -power[m]).all()
-        rates = cell_user_rates(s, power, assignment, m)
+        rates = cell_user_rates(s, power, assignment)[m]
         assert h == pytest.approx(states[m].aux_rate - rates, rel=1e-12)
 
 
@@ -124,9 +125,9 @@ def second_difference(f, states, cell, n, step):
 def test_curvatures_match_second_differences():
     for s, assignment, power in (desk_instance(), desk_instance(users=(1, 2, 3))):
         states = init_cell_states(s, assignment, power)
+        terms = ocd_module._subproblem_terms(s, assignment, states)
         for cell in range(3):
-            _, _, curv, _, _, curv_h = ocd_module._subproblem_terms(
-                s, assignment, cell, states)
+            _, _, curv, _, _, curv_h = terms[cell]
             assert (curv[:4] > 0.0).all() and curv[4] == 0.0
             for n in range(4):
                 step = 1e-3 * power[cell, n]
@@ -145,23 +146,62 @@ def test_init_states_structure():
     s, assignment, power = desk_instance()
     states = init_cell_states(s, assignment, power)
     for m, st in enumerate(states):
-        rates = cell_user_rates(s, power, assignment, m)
+        rates = cell_user_rates(s, power, assignment)[m]
         assert st.aux_rate == pytest.approx(0.9 * rates.min(), rel=1e-12)
         assert st.lam == pytest.approx(np.full(2, s.weights[m] / 2))
         assert st.mu.shape == (5,)
         assert (st.slack_h > 0.0).all() and (st.slack_g > 0.0).all()
 
 
+def test_states_own_their_multipliers():
+    s, assignment, power = desk_instance()
+    lam, mu = np.full(2, 0.5), np.ones(5)
+    for states in (init_cell_states(s, assignment, power),
+                   states_from_point(s, assignment, power, np.full(3, 0.1),
+                                     [lam] * 3, [mu] * 3)):
+        arrays = [lam, mu] + [x for st in states for x in (st.lam, st.mu)]
+        for i, x in enumerate(arrays):
+            assert not any(np.shares_memory(x, y) for y in arrays[i + 1:])
+
+
+def test_snapshot_evaluates_link_kernel_once(monkeypatch):
+    # A sweep, a starting point, a residual check and a reassignment each
+    # evaluate their power snapshot once, whatever the number of cells.
+    s, assignment, power = desk_instance(users=(1, 2, 3))
+    real = rate_module.link_terms
+    calls = {"count": 0}
+
+    def counted(scenario, power_):
+        calls["count"] += 1
+        return real(scenario, power_)
+
+    monkeypatch.setattr(rate_module, "link_terms", counted)
+    monkeypatch.setattr(ocd_module, "link_terms", counted)
+
+    def once(fn, *args, **kwargs):
+        calls["count"] = 0
+        result = fn(*args, **kwargs)
+        assert calls["count"] == 1, fn.__name__
+        return result
+
+    states = once(init_cell_states, s, assignment, power)
+    for _ in range(3):
+        states = [step.state for step in once(newton_step, s, assignment, states)]
+    once(stacked_cell_residuals, s, assignment, states)
+    once(states_from_point, s, assignment, *point_of(states))
+    for mode in ("exact", "greedy"):
+        once(solve_all_cells, s, power, mode=mode)
+
+
 def test_newton_step_reduces_residuals():
     s, assignment, power = desk_instance()
     states = init_cell_states(s, assignment, power)
     before = stacked_cell_residuals(s, assignment, states).max_abs
-    after_states = [newton_step(s, assignment, m, states).state
-                    for m in range(3)]
+    after_states = [step.state for step in newton_step(s, assignment, states)]
+    assert len(after_states) == 3
     after = stacked_cell_residuals(s, assignment, after_states).max_abs
     assert after < before
-    for m in range(3):
-        step = newton_step(s, assignment, m, states)
+    for step in newton_step(s, assignment, states):
         assert 0.0 < step.alpha <= 1.0
         assert (step.state.slack_h > 0.0).all()
         assert (step.state.slack_g > 0.0).all()
@@ -183,7 +223,7 @@ def linearized_kkt_blocks(s, assignment, cell, states, step):
     st = states[cell]
     n = st.power.size
     _, grad, curv, h, jac_h, curv_h = ocd_module._subproblem_terms(
-        s, assignment, cell, states)
+        s, assignment, states)[cell]
     g = ocd_module._local_constraints(st.power, s.p_max)
     jac_g = np.zeros((n + 1, n + 1))
     jac_g[0, :n] = 1.0
@@ -216,7 +256,7 @@ def test_newton_step_solves_linearized_kkt():
     for s, assignment, power in (desk_instance(), desk_instance(users=(1, 2, 3))):
         states = init_cell_states(s, assignment, power)
         for sweep in range(61):
-            steps = [newton_step(s, assignment, m, states) for m in range(3)]
+            steps = newton_step(s, assignment, states)
             if sweep in (0, 30, 60):      # the barrier is at its floor by 60
                 for cell, step in enumerate(steps):
                     for lhs, residual, rounding in linearized_kkt_blocks(
@@ -253,8 +293,7 @@ def test_solver_improves_on_uniform_start():
 def test_fixed_point_newton_direction_vanishes():
     s, assignment, power = desk_instance()
     result = ocd_solve(s, assignment, power, psi=1e-12, max_iters=400)
-    for m in range(3):
-        step = newton_step(s, assignment, m, result.states)
+    for step in newton_step(s, assignment, result.states):
         assert np.linalg.norm(step.d_power) < 1e-8
         assert abs(step.d_aux_rate) < 1e-8
 
@@ -347,7 +386,7 @@ def test_singular_system_raises_with_cell_index():
         states = init_cell_states(s, assignment, power)
         states[cell] = dataclasses.replace(states[cell], **broken)
         with pytest.raises(OcdStepError) as excinfo:
-            newton_step(s, assignment, cell, states)
+            newton_step(s, assignment, states)
         assert excinfo.value.cell == cell
         assert "singular" in str(excinfo.value)
 
@@ -357,11 +396,11 @@ def test_solver_enriches_step_errors(monkeypatch):
     real = ocd_module.newton_step
     calls = {"count": 0}
 
-    def flaky(scenario, assignment_, cell, states):
+    def flaky(scenario, assignment_, states):
         calls["count"] += 1
-        if calls["count"] > scenario.num_cells:
-            raise OcdStepError(cell, "forced failure")
-        return real(scenario, assignment_, cell, states)
+        if calls["count"] > 1:
+            raise OcdStepError(0, "forced failure")
+        return real(scenario, assignment_, states)
 
     monkeypatch.setattr(ocd_module, "newton_step", flaky)
     with pytest.raises(OcdStepError) as excinfo:

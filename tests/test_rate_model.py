@@ -60,11 +60,11 @@ def test_cell_user_rates_sums_assigned_subcarriers():
     s = hand_scenario(gains, users_per_cell=1, p_max=2.0)
     power = np.array([[1.0, 1.0], [0.0, 1.0]])
     assignment = np.ones((2, 1, 2), dtype=np.int8)
-    value = cell_user_rates(s, power, assignment, 0)[0]
+    value = cell_user_rates(s, power, assignment)[0][0]
     assert value == pytest.approx(RATE_SUM, rel=1e-13)
 
     nothing = np.zeros((2, 1, 2), dtype=np.int8)
-    assert cell_user_rates(s, power, nothing, 0)[0] == 0.0
+    assert cell_user_rates(s, power, nothing)[0][0] == 0.0
 
 
 def test_vectorized_rates_match_scalar():
@@ -83,7 +83,7 @@ def test_cell_user_rates_symmetric_subcarriers():
     s = hand_scenario(gains, users_per_cell=1, p_max=4.0)
     power = np.ones((1, 4))
     assignment = np.ones((1, 1, 4), dtype=np.int8)
-    assert cell_user_rates(s, power, assignment, 0)[0] == \
+    assert cell_user_rates(s, power, assignment)[0][0] == \
         pytest.approx(4 * LN_101, rel=1e-12)
 
 
@@ -97,7 +97,7 @@ def test_wsmr_weighted_sum_of_min_rates():
     result = wsmr(s, power, assignment)
     mins = []
     for m in range(2):
-        rates = cell_user_rates(s, power, assignment, m)
+        rates = cell_user_rates(s, power, assignment)[m]
         mins.append(rates.min())
         assert result.argmin_users[m] == int(np.argmin(rates))
     assert result.min_rates == pytest.approx(tuple(mins), rel=1e-12)
@@ -112,7 +112,7 @@ def test_wsmr_user_rates_match_cell_user_rates():
     assert len(result.user_rates) == 3
     for m in range(3):
         assert np.array_equal(result.user_rates[m],
-                              cell_user_rates(s, power, assignment, m))
+                              cell_user_rates(s, power, assignment)[m])
         assert result.min_rates[m] == result.user_rates[m].min()
 
 

@@ -89,7 +89,7 @@ def test_rate_table_matches_rate_model():
     s = make_scenario(cells=3, subcarriers=5, users=(1, 2, 3), seed=13)
     power = np.full((3, 5), s.p_max / 5)
     for m, k_m in enumerate(s.users_per_cell):
-        table = rate_table(s, power, m)
+        table = rate_table(s, power)[m]
         assert table.shape == (k_m, 5)
         assert np.array_equal(table, link_rates(s, power)[m, :k_m])
 
@@ -102,9 +102,9 @@ def test_solve_all_cells_shape_and_validity():
     assert assignment.dtype == np.int8
     validate_assignment(s, assignment, require_complete=True)
     for m in range(3):
-        table = rate_table(s, power, m)
+        table = rate_table(s, power)[m]
         expected = solve_exact(table)
-        rates = cell_user_rates(s, power, assignment, m)
+        rates = cell_user_rates(s, power, assignment)[m]
         assert rates.min() == pytest.approx(expected.min_rate, rel=1e-12)
 
 
