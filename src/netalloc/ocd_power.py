@@ -11,9 +11,20 @@ cells' current multipliers.
 Per iteration every cell takes exactly one primal-dual interior-point Newton
 step on its subproblem, reading only the previous iteration's snapshot of all
 cells (a Jacobi sweep).  `newton_step` is that sweep and owns the snapshot:
-it evaluates the link kernel and every cell's subproblem terms once, then
-steps each cell.  A step eliminates slacks and multipliers in closed form and
-solves one reduced (N+1)x(N+1) system in the cell's powers and aux rate.
+it evaluates the link kernel and every cell's subproblem terms once, as
+padded all-cell arrays, then steps all cells with one set of array
+operations.  A step eliminates slacks and multipliers in closed form,
+leaving a reduced (N+1)x(N+1) system in the cell's powers and aux rate.
+That matrix is a diagonal plus rank K + 1 (the K rate rows and the budget
+row), except that its aux diagonal entry is 0; bordering the aux coordinate
+with eps = mean of the power diagonal, once added and once subtracted as a
+row of its own, makes it a strictly negative diagonal plus rank K + 2.  So
+Woodbury (Golub & Van Loan, sec. 2.1.4) replaces the dense solve with one
+batched (K+2)x(K+2) capacitance solve over all cells, O(NK^2) per cell
+instead of O(N^3).  Near the barrier floor the multiplier/slack weights
+reach ~1e10 and the capacitance solve alone can lose most digits, so two
+steps of iterative refinement on the structured residual follow it; with
+them the step agrees with the dense solve to its own rounding floor.
 Each cell then reports (powers, auxiliary rate, multipliers) to
 the central agent (`bus.relay`), which rebroadcasts and checks whether the
 stacked power iterates moved less than psi in Euclidean norm.
@@ -42,6 +53,9 @@ BARRIER_INIT = 0.01
 AUX_RATE_INIT_FACTOR = 0.9
 SLACK_FLOOR = 1e-6
 REGULARIZATION = 1e-8
+# Iterative-refinement steps after each batched capacitance solve; see
+# `_solve_reduced`.
+REFINEMENT_STEPS = 2
 
 
 class OcdStepError(PhaseError):
@@ -126,95 +140,125 @@ def project_power(power: np.ndarray, p_max: float) -> np.ndarray:
     """Clip negatives and rescale any row exceeding the budget."""
     out = np.maximum(np.asarray(power, dtype=float), 0.0)
     sums = out.sum(axis=1)
-    for m in np.nonzero(sums > p_max)[0]:
-        out[m] *= p_max / sums[m]
+    scale = np.ones_like(sums)
+    np.divide(p_max, sums, out=scale, where=sums > p_max)
+    out *= scale[:, None]
     return out
 
 
+def _stack(rows: list[np.ndarray], width: int, fill: float) -> np.ndarray:
+    """Rows of unequal length as one (len(rows), width) array, right-padded."""
+    out = np.full((len(rows), width), fill)
+    for i, row in enumerate(rows):
+        out[i, :row.size] = row
+    return out
+
+
+@dataclass(frozen=True)
+class SubproblemTerms:
+    """Every cell's subproblem at one snapshot, as padded all-cell arrays.
+
+    Row m belongs to cell m.  `grad` and `curv` run over the N + 1 variables
+    (powers then aux rate); `curv` is the diagonal of the Lagrangian Hessian
+    contribution of phi alone.  `h`, `jac_h` and `curv_h` run over the Kmax
+    user slots: each rate constraint's value, its Jacobian over the N + 1
+    variables, and its diagonal second derivatives -(d2 rate) >= 0 over the
+    powers.  `real` marks the user slots that exist; padded slots hold
+    zeros.  `terms[m]` is cell m's (phi, grad, curv, h, jac_h, curv_h) with
+    the padding sliced off.
+    """
+
+    phi: np.ndarray
+    grad: np.ndarray
+    curv: np.ndarray
+    h: np.ndarray
+    jac_h: np.ndarray
+    curv_h: np.ndarray
+    real: np.ndarray
+
+    def __getitem__(self, cell: int) -> tuple:
+        k = int(self.real[cell].sum())
+        return (float(self.phi[cell]), self.grad[cell], self.curv[cell],
+                self.h[cell, :k], self.jac_h[cell, :k], self.curv_h[cell, :k])
+
+
 def _subproblem_terms(scenario: Scenario, assignment: np.ndarray,
-                      states: list[CellState]) -> list[tuple]:
+                      states: list[CellState]) -> SubproblemTerms:
     """Value, derivatives and own constraints of every cell's subproblem.
 
     The snapshot is the (M, N) power matrix of `states`, whose row m is cell
     m's own power, so one `link_terms` call gives the denominators of every
     link for every cell: own users see the snapshot's interference, and a
     foreign user's denominator already holds cell m's interference at its
-    own power.  The rates, the reciprocal differences, the padded multiplier
-    matrix and each cell's lam-weighted aux rate are computed once per
-    snapshot.  Entry m is (phi, grad, curv, h, jac_h, curv_h) of cell m,
-    where grad/curv run over the N + 1 variables (powers then aux rate),
-    curv is the diagonal of the Lagrangian Hessian contribution of phi
-    alone, and curv_h[u] holds the diagonal second derivatives of rate
-    constraint u with respect to the powers.
+    own power.  Foreign users (o, u) enter cell m's objective weighted by
+    their frozen multipliers through station m's gain into them, so every
+    cell's coupling gradient and curvature come from one contraction over
+    `gains` with each cell's own block zeroed.  Every link term is masked
+    with `np.where` on the assignment, so filler in padded user rows never
+    enters, not even multiplied by zero.
     """
     n_sub = scenario.num_subcarriers
-    gap = scenario.snr_gap
+    cells = np.arange(scenario.num_cells)
     a = np.asarray(assignment) == 1
-    signal, denom = link_terms(scenario, np.vstack([st.power for st in states]))
+    real = np.arange(scenario.max_users) < np.array(scenario.users_per_cell)[:, None]
+    weights = np.asarray(scenario.weights, dtype=float)
+    aux = np.array([st.aux_rate for st in states])
+    lam_bar = _stack([st.lam for st in states], scenario.max_users, 0.0)
+    signal, denom = link_terms(scenario, np.array([st.power for st in states]))
     full = denom + signal
-    rates = np.log1p(signal / denom)
-    rate_sums = np.where(a, rates, 0.0).sum(axis=2)
-    d_inv = 1.0 / full - 1.0 / denom
-    d_inv_sq = 1.0 / (denom * denom) - 1.0 / (full * full)
-    # Foreign users (o, u) are weighted by their frozen multipliers; each
-    # cell masks out its own row, and the padded user rows are masked out.
-    lam_bar = np.zeros(a.shape[:2])
-    for o, st in enumerate(states):
-        lam_bar[o, :st.lam.size] = st.lam
-    lam_aux = [float(st.lam.sum()) * st.aux_rate for st in states]
-    coupled = lam_bar * rate_sums
+    rate_sums = np.where(a, np.log1p(signal / denom), 0.0).sum(axis=2)
+    d_rate = np.where(a, scenario.gains[cells, cells] / full, 0.0)
 
-    terms = []
-    for cell, st in enumerate(states):
-        k_own = scenario.users_per_cell[cell]
-        own = a[cell, :k_own]
-        d_rate = scenario.gains[cell, cell, :k_own] / full[cell, :k_own]
-        h = st.aux_rate - rate_sums[cell, :k_own]
-        jac_h = np.zeros((k_own, n_sub + 1))
-        jac_h[:, :n_sub] = np.where(own, -d_rate, 0.0)
-        jac_h[:, n_sub] = 1.0
-        curv_h = np.where(own, d_rate * d_rate, 0.0)      # -(d2 rate) >= 0
+    # into[m, o, u, n]: station m's gap-scaled gain into foreign user (o, u).
+    into = np.where(a, scenario.gains, 0.0)
+    into[cells, cells] = 0.0
+    into *= scenario.snr_gap
+    weighted = np.where(a, lam_bar[:, :, None] * (1.0 / full - 1.0 / denom), 0.0)
+    weighted_sq = np.where(a, lam_bar[:, :, None]
+                           * (1.0 / (denom * denom) - 1.0 / (full * full)), 0.0)
+    grad = np.empty((scenario.num_cells, n_sub + 1))
+    grad[:, :n_sub] = np.einsum("mokn,okn->mn", into, weighted)
+    grad[:, n_sub] = weights
+    curv = np.zeros_like(grad)
+    curv[:, :n_sub] = np.einsum("mokn,mokn,okn->mn", into, into, weighted_sq)
 
-        others = np.arange(len(states)) != cell
-        foreign = a & others[:, None, None]
-        into = scenario.gains[cell] * gap              # this station into (o, u)
-        weighted = lam_bar[:, :, None] * into
-        phi = scenario.weights[cell] * st.aux_rate
-        phi -= sum(v for o, v in enumerate(lam_aux) if o != cell)
-        phi += float(np.where(others[:, None], coupled, 0.0).sum())
-        grad = np.zeros(n_sub + 1)
-        grad[:n_sub] = np.where(foreign, weighted * d_inv, 0.0).sum(axis=(0, 1))
-        grad[n_sub] = scenario.weights[cell]
-        curv = np.zeros(n_sub + 1)
-        curv[:n_sub] = np.where(foreign, weighted * into * d_inv_sq,
-                                0.0).sum(axis=(0, 1))
-        terms.append((phi, grad, curv, h, jac_h, curv_h))
-    return terms
+    # phi_m = w_m aux_m + the sum over other cells o of their lam-weighted
+    # constraint slack, sum_u lam_ou (rate_ou - aux_o).
+    coupled = (lam_bar * rate_sums).sum(axis=1) - lam_bar.sum(axis=1) * aux
+    phi = weights * aux + np.where(cells[:, None] != cells, coupled, 0.0).sum(axis=1)
+    jac_h = np.zeros(real.shape + (n_sub + 1,))
+    jac_h[..., :n_sub] = -d_rate
+    jac_h[..., n_sub] = real
+    return SubproblemTerms(phi=phi, grad=grad, curv=curv,
+                           h=np.where(real, aux[:, None] - rate_sums, 0.0),
+                           jac_h=jac_h, curv_h=d_rate * d_rate, real=real)
 
 
 def _local_constraints(power: np.ndarray, p_max: float) -> np.ndarray:
-    """Budget and nonnegativity values g = (sum(p) - p_max, -p).
+    """Budget and nonnegativity values g = (sum(p) - p_max, -p), per row.
 
     Their Jacobian J_g over (p, aux) is an all-ones budget row over -I with
     a zero aux column, so it is applied in closed form: J_g d = (sum(d_p),
     -d_p), J_g^T v = (v_0 - v_1.., 0), and J_g^T W J_g is W_0 on the whole
     power block plus diag(W_1..).
     """
-    g = np.empty(1 + power.shape[0])
-    g[0] = power.sum() - p_max
-    g[1:] = -power
+    g = np.empty(power.shape[:-1] + (1 + power.shape[-1],))
+    g[..., 0] = power.sum(axis=-1) - p_max
+    g[..., 1:] = -power
     return g
 
 
 def _jac_g_transpose(v: np.ndarray) -> np.ndarray:
-    """J_g^T v for the local constraints; see `_local_constraints`."""
-    return np.append(v[0] - v[1:], 0.0)
+    """J_g^T v for the local constraints, per row; see `_local_constraints`."""
+    out = np.zeros_like(v)
+    out[..., :-1] = v[..., :1] - v[..., 1:]
+    return out
 
 
 def local_objective(scenario: Scenario, assignment: np.ndarray, cell: int,
                     states: list[CellState]) -> float:
     """This cell's subproblem objective at the given joint state."""
-    return _subproblem_terms(scenario, assignment, states)[cell][0]
+    return float(_subproblem_terms(scenario, assignment, states).phi[cell])
 
 
 def constraint_residuals(scenario: Scenario, assignment: np.ndarray, cell: int,
@@ -224,87 +268,160 @@ def constraint_residuals(scenario: Scenario, assignment: np.ndarray, cell: int,
     return h, _local_constraints(states[cell].power, scenario.p_max)
 
 
-def _max_step(values: np.ndarray, directions: np.ndarray) -> float:
+def _max_step(values: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Per row, the fraction-to-boundary step length, at most 1."""
     shrink = directions < 0.0
-    if not shrink.any():
-        return 1.0
-    limit = float((FRACTION_TO_BOUNDARY * (-values[shrink] / directions[shrink])).min())
-    return min(1.0, limit)
+    ratio = np.divide(values, -directions, out=np.full(values.shape, np.inf),
+                      where=shrink)
+    return np.minimum(FRACTION_TO_BOUNDARY * ratio.min(axis=1), 1.0)
+
+
+def _solve_capacitance(cap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Batched solve; a singular cell's solution comes back NaN.
+
+    Only when the batch is singular are the cells solved one by one, so
+    that the caller's finiteness check names the first failing cell.
+    """
+    try:
+        return np.linalg.solve(cap, rhs)
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for cell, (matrix, b) in enumerate(zip(cap, rhs)):
+            try:
+                out[cell] = np.linalg.solve(matrix, b)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _solve_reduced(d_pow: np.ndarray, rows: np.ndarray, mult: np.ndarray,
+                   slack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve every cell's reduced system (D - sum_r w_r v_r v_r^T) x = rhs.
+
+    `d_pow` is the (M, N) strictly negative diagonal of the power block and
+    the aux diagonal is 0; each of the R (M, R, N + 1) `rows` v_r carries
+    weight w_r = mult / slack.  The aux coordinate is bordered with
+    eps = mean(D) on both sides, D^ = diag(D, eps) and one more row e_aux of
+    weight eps, so the matrix is D^ - V'^T S' V' and Woodbury reduces it to
+    the (R + 1)x(R + 1) capacitance S'^-1 - V' D^-1 V'^T.  Rows whose
+    multiplier is 0 carry no weight and are dropped, so slack / mult is
+    never formed for them.  Two refinement steps follow the solve, each on
+    the structured residual rhs - (D^ x - V'^T S' V' x) at O(NK) cost.  The
+    diagonal and weights span from the 1e-8 curvature floor to ~1e10 near
+    the barrier floor, where the Woodbury form alone cancels large terms: at
+    a converged iterate it returned a direction of ~1e15 where the dense
+    solve gives < 1e-8.  One step brings it within about 1e-11 of the dense
+    solve, the second to the dense solve's own rounding floor.
+    """
+    m_cells, n_var = rhs.shape
+    eps = d_pow.mean(axis=1, keepdims=True)
+    d_hat = np.concatenate((d_pow, eps), axis=1)
+    active = mult > 0.0
+    e_aux = np.zeros((m_cells, 1, n_var))
+    e_aux[..., -1] = 1.0
+    v = np.concatenate((np.where(active[..., None], rows, 0.0), e_aux), axis=1)
+    s = np.concatenate((mult / slack, eps), axis=1)
+    s_inv = np.concatenate(
+        (np.divide(slack, mult, out=np.ones_like(slack), where=active), 1.0 / eps),
+        axis=1)
+    v_t = v.transpose(0, 2, 1)
+    d_inv_v_t = v_t / d_hat[..., None]
+    cap = -(v @ d_inv_v_t)
+    diag = np.arange(cap.shape[1])
+    cap[:, diag, diag] += s_inv
+
+    def solve(r):
+        y = r / d_hat
+        x = y + (d_inv_v_t @ _solve_capacitance(cap, v @ y[..., None]))[..., 0]
+        bad = ~np.isfinite(x).all(axis=1)
+        if bad.any():
+            raise OcdStepError(int(np.argmax(bad)), "reduced Newton system singular")
+        return x
+
+    x = solve(rhs)
+    for _ in range(REFINEMENT_STEPS):
+        x = x + solve(rhs - d_hat * x + (v_t @ (s[..., None] * (v @ x[..., None])))[..., 0])
+    return x
 
 
 def newton_step(scenario: Scenario, assignment: np.ndarray,
                 states: list[CellState]) -> list[NewtonStep]:
-    """One Jacobi sweep: each cell's Newton step against the snapshot `states`.
+    """One Jacobi sweep: every cell's Newton step against the snapshot `states`.
 
     The sweep owns the snapshot: `_subproblem_terms` evaluates it once (one
-    link-kernel call) for all cells.  Per cell it linearizes the primal-dual
-    conditions of the subproblem (variables, slacks and multipliers of the
-    cell's own constraints only) and eliminates slacks and multipliers in
-    closed form, leaving one (N+1)x(N+1) reduced system in the powers and
-    aux rate (Nocedal & Wright, ch. 19).  Slacks and multipliers are
-    recovered from the primal direction, all four blocks are damped by a
-    shared fraction-to-boundary step, and the barrier decays.  The
-    elimination divides by the slacks, so every slack must be strictly
-    positive; otherwise, or when the reduced system is singular,
-    OcdStepError is raised for the first failing cell.  There is no
-    regularization retry.
+    link-kernel call) for all cells.  Each cell linearizes the primal-dual
+    conditions of its subproblem (variables, slacks and multipliers of its
+    own constraints only) and eliminates slacks and multipliers in closed
+    form, leaving one reduced system in the powers and aux rate (Nocedal &
+    Wright, ch. 19).  That matrix is diagonal plus rank K + 1 (the rate
+    rows and the budget row) with a zero aux diagonal, so all cells are
+    solved at once through their (K + 2)x(K + 2) Woodbury capacitance, the
+    aux coordinate bordered with eps = mean(D), with two refinement steps;
+    see `_solve_reduced`.  Slacks and multipliers are recovered from the
+    primal direction, each cell's four blocks are damped by a shared
+    fraction-to-boundary step, and the barrier decays.  The elimination
+    divides by the slacks, so every slack must be strictly positive;
+    otherwise, or when a reduced system is singular or yields a non-finite
+    direction, OcdStepError is raised for the first failing cell.  There is
+    no regularization retry.
     """
     n_sub = scenario.num_subcarriers
-    steps = []
-    for cell, (st, terms) in enumerate(
-            zip(states, _subproblem_terms(scenario, assignment, states))):
-        if not ((st.slack_h > 0.0).all() and (st.slack_g > 0.0).all()):
-            raise OcdStepError(
-                cell, "Newton system singular: a slack is not strictly positive")
-        _, grad, curv, h, jac_h, curv_h = terms
-        g = _local_constraints(st.power, scenario.p_max)
+    k_max = scenario.max_users
+    lam = _stack([st.lam for st in states], k_max, 0.0)
+    slack_h = _stack([st.slack_h for st in states], k_max, 1.0)
+    mu = np.array([st.mu for st in states])
+    slack_g = np.array([st.slack_g for st in states])
+    positive = (slack_h > 0.0).all(axis=1) & (slack_g > 0.0).all(axis=1)
+    if not positive.all():
+        raise OcdStepError(int(np.argmin(positive)),
+                           "Newton system singular: a slack is not strictly positive")
+    t = _subproblem_terms(scenario, assignment, states)
+    power = np.array([st.power for st in states])
+    aux = np.array([st.aux_rate for st in states])
+    barrier = np.array([st.barrier for st in states])[:, None]
 
-        hess_diag = np.zeros(n_sub + 1)
-        hess_diag[:n_sub] = curv[:n_sub] - st.lam @ curv_h
-        # Inertia safeguard: the coupling terms can turn single coordinates
-        # convex, which makes pure Newton oscillate into the positivity
-        # boundary; flooring the curvature keeps the step productive without
-        # moving any fixed point (residuals are untouched).
-        np.minimum(hess_diag[:n_sub], -REGULARIZATION, out=hess_diag[:n_sub])
+    # Inertia safeguard: the coupling terms can turn single coordinates
+    # convex, which makes pure Newton oscillate into the positivity
+    # boundary; flooring the curvature keeps the step productive without
+    # moving any fixed point (residuals are untouched).
+    hess = np.minimum(t.curv[:, :n_sub] - np.einsum("mk,mkn->mn", lam, t.curv_h),
+                      -REGULARIZATION)
+    r_stat = t.grad - np.einsum("mkj,mk->mj", t.jac_h, lam) - _jac_g_transpose(mu)
+    r_ph = np.where(t.real, t.h + slack_h, 0.0)
+    r_pg = _local_constraints(power, scenario.p_max) + slack_g
+    r_ch = np.where(t.real, lam * slack_h - barrier, 0.0)
+    r_cg = mu * slack_g - barrier
+    rhs = (-r_stat + np.einsum("mkj,mk->mj", t.jac_h, (lam * r_ph - r_ch) / slack_h)
+           + _jac_g_transpose((mu * r_pg - r_cg) / slack_g))
+    budget = np.zeros((len(states), 1, n_sub + 1))
+    budget[..., :n_sub] = 1.0
+    d_x = _solve_reduced(
+        hess - mu[:, 1:] / slack_g[:, 1:], np.concatenate((t.jac_h, budget), axis=1),
+        np.concatenate((lam, mu[:, :1]), axis=1),
+        np.concatenate((slack_h, slack_g[:, :1]), axis=1), rhs)
 
-        r_stat = grad - jac_h.T @ st.lam - _jac_g_transpose(st.mu)
-        r_ph = h + st.slack_h
-        r_pg = g + st.slack_g
-        r_ch = st.lam * st.slack_h - st.barrier
-        r_cg = st.mu * st.slack_g - st.barrier
+    d_power = d_x[:, :n_sub]
+    d_sh = -r_ph - np.einsum("mkj,mj->mk", t.jac_h, d_x)
+    d_sg = -r_pg - np.concatenate((d_power.sum(axis=1, keepdims=True), -d_power), axis=1)
+    d_lam = -(r_ch + lam * d_sh) / slack_h
+    d_mu = -(r_cg + mu * d_sg) / slack_g
+    alpha = _max_step(np.concatenate((slack_h, slack_g, lam, mu), axis=1),
+                      np.concatenate((d_sh, d_sg, d_lam, d_mu), axis=1))
 
-        w_h = st.lam / st.slack_h
-        w_g = st.mu / st.slack_g
-        reduced = np.diag(hess_diag) - jac_h.T @ (w_h[:, None] * jac_h)
-        reduced[:n_sub, :n_sub] -= w_g[0] + np.diag(w_g[1:])
-        rhs = (-r_stat + jac_h.T @ ((st.lam * r_ph - r_ch) / st.slack_h)
-               + _jac_g_transpose((st.mu * r_pg - r_cg) / st.slack_g))
-        try:
-            d_x = np.linalg.solve(reduced, rhs)
-        except np.linalg.LinAlgError:
-            d_x = None
-        if d_x is None or not np.isfinite(d_x).all():
-            raise OcdStepError(cell, "reduced Newton system singular")
-        d_sh = -r_ph - jac_h @ d_x
-        d_sg = -r_pg - np.append(d_x[:n_sub].sum(), -d_x[:n_sub])
-        d_lam = -(r_ch + st.lam * d_sh) / st.slack_h
-        d_mu = -(r_cg + st.mu * d_sg) / st.slack_g
-
-        alpha = min(_max_step(st.slack_h, d_sh), _max_step(st.slack_g, d_sg),
-                    _max_step(st.lam, d_lam), _max_step(st.mu, d_mu))
-
-        new_state = CellState(
-            power=st.power + alpha * d_x[:n_sub],
-            aux_rate=st.aux_rate + alpha * d_x[n_sub],
-            lam=st.lam + alpha * d_lam,
-            mu=st.mu + alpha * d_mu,
-            slack_h=st.slack_h + alpha * d_sh,
-            slack_g=st.slack_g + alpha * d_sg,
-            barrier=max(BARRIER_DECAY * st.barrier, BARRIER_FLOOR),
-        )
-        steps.append(NewtonStep(d_power=d_x[:n_sub], d_aux_rate=float(d_x[n_sub]),
-                                d_lam=d_lam, d_mu=d_mu, alpha=alpha, state=new_state))
-    return steps
+    step = alpha[:, None]
+    power_new, mu_new = power + step * d_power, mu + step * d_mu
+    lam_new = lam + step * d_lam
+    slack_h_new, slack_g_new = slack_h + step * d_sh, slack_g + step * d_sg
+    d_aux, alphas = d_x[:, n_sub].tolist(), alpha.tolist()
+    aux_new = (aux + alpha * d_x[:, n_sub]).tolist()
+    barrier_new = np.maximum(BARRIER_DECAY * barrier[:, 0], BARRIER_FLOOR).tolist()
+    return [NewtonStep(
+        d_power=d_power[m], d_aux_rate=d_aux[m], d_lam=d_lam[m, :k], d_mu=d_mu[m],
+        alpha=alphas[m],
+        state=CellState(power=power_new[m], aux_rate=aux_new[m], lam=lam_new[m, :k],
+                        mu=mu_new[m], slack_h=slack_h_new[m, :k],
+                        slack_g=slack_g_new[m], barrier=barrier_new[m]))
+        for m, k in enumerate(scenario.users_per_cell)]
 
 
 def _cell_states(scenario: Scenario, power: np.ndarray,
@@ -408,8 +525,9 @@ def cell_kkt_residual(scenario: Scenario, assignment: np.ndarray, cell: int,
 def stacked_cell_residuals(scenario: Scenario, assignment: np.ndarray,
                            states: list[CellState]) -> KktResidual:
     """Concatenate every cell's subproblem residual blocks in cell order."""
-    blocks = [_residual_blocks(st, terms, scenario.p_max) for st, terms in
-              zip(states, _subproblem_terms(scenario, assignment, states))]
+    terms = _subproblem_terms(scenario, assignment, states)
+    blocks = [_residual_blocks(st, terms[cell], scenario.p_max)
+              for cell, st in enumerate(states)]
     stat, primal, comp = zip(*blocks)
     return KktResidual(stationarity=np.concatenate(stat),
                        primal=np.concatenate(primal),

@@ -89,25 +89,36 @@ def validate_assignment(scenario: Scenario, assignment: np.ndarray, *,
     want = (scenario.num_cells, scenario.max_users, scenario.num_subcarriers)
     if a.shape != want:
         raise AssignmentValidationError(f"assignment: expected shape {want}, got {a.shape}")
-    if not np.isin(a, (0, 1)).all():
-        m, u, n = np.argwhere(~np.isin(a, (0, 1)))[0]
+    binary = (a == 0) | (a == 1)
+    if not binary.all():
+        m, u, n = np.argwhere(~binary)[0]
         raise AssignmentValidationError(
             f"assignment[{m},{u},{n}] must be 0 or 1, got {a[m, u, n]!r}")
-    for m, k_m in enumerate(scenario.users_per_cell):
-        if a[m, k_m:, :].any():
+    # Per cell, in the order each cell is checked: padded rows, then
+    # exclusivity, then completeness; the first cell failing any check names
+    # the error.
+    padded = np.arange(a.shape[1]) >= np.array(scenario.users_per_cell)[:, None]
+    uses_padded = (a.any(axis=2) & padded).any(axis=1)
+    per_sub = a.sum(axis=1)      # padded rows count only where they fail first
+    shared = (per_sub > 1).any(axis=1)
+    failing = uses_padded | shared
+    if require_complete:
+        failing |= (per_sub != 1).any(axis=1)
+    if failing.any():
+        m = int(np.argmax(failing))
+        k_m = scenario.users_per_cell[m]
+        if uses_padded[m]:
             raise AssignmentValidationError(
                 f"assignment cell {m} uses padded user rows >= {k_m}")
-        per_sub = a[m, :k_m, :].sum(axis=0)
-        if (per_sub > 1).any():
-            n = int(np.argmax(per_sub > 1))
+        if shared[m]:
+            n = int(np.argmax(per_sub[m] > 1))
             raise AssignmentValidationError(
-                f"cell {m} subcarrier {n} assigned to {per_sub[n]} users; "
+                f"cell {m} subcarrier {n} assigned to {per_sub[m, n]} users; "
                 f"at most one allowed")
-        if require_complete and (per_sub != 1).any():
-            n = int(np.argmax(per_sub != 1))
-            raise AssignmentValidationError(
-                f"cell {m} subcarrier {n} is unassigned but a complete "
-                f"assignment was required")
+        n = int(np.argmax(per_sub[m] != 1))
+        raise AssignmentValidationError(
+            f"cell {m} subcarrier {n} is unassigned but a complete "
+            f"assignment was required")
 
 
 def sinr(scenario: Scenario, power: np.ndarray, u: int, m: int, n: int) -> float:

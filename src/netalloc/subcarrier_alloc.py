@@ -52,8 +52,7 @@ def _checked(table: np.ndarray) -> np.ndarray:
 
 def _column_order(table: np.ndarray) -> list[int]:
     # Decreasing best-user value; ties by ascending subcarrier index.
-    best = table.max(axis=0)
-    return sorted(range(table.shape[1]), key=lambda n: (-best[n], n))
+    return np.argsort(-table.max(axis=0), kind="stable").tolist()
 
 
 def solve_greedy(table: np.ndarray) -> AssignmentResult:

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,102 @@ def test_newton_step_solves_linearized_kkt():
         assert states[0].barrier == ocd_module.BARRIER_FLOOR
 
 
+def dense_sweep(s, assignment, states):
+    """The per-cell route the batched sweep replaced: per cell, assemble the
+    dense (N+1)x(N+1) reduced matrix and LU-solve it."""
+    n = s.num_subcarriers
+    terms = ocd_module._subproblem_terms(s, assignment, states)
+    steps = []
+    for cell, st in enumerate(states):
+        _, grad, curv, h, jac_h, curv_h = terms[cell]
+        g = ocd_module._local_constraints(st.power, s.p_max)
+        hess = np.zeros(n + 1)
+        hess[:n] = np.minimum(curv[:n] - st.lam @ curv_h, -ocd_module.REGULARIZATION)
+        r_stat = grad - jac_h.T @ st.lam - ocd_module._jac_g_transpose(st.mu)
+        r_ph, r_pg = h + st.slack_h, g + st.slack_g
+        r_ch = st.lam * st.slack_h - st.barrier
+        r_cg = st.mu * st.slack_g - st.barrier
+        w_h, w_g = st.lam / st.slack_h, st.mu / st.slack_g
+        reduced = np.diag(hess) - jac_h.T @ (w_h[:, None] * jac_h)
+        reduced[:n, :n] -= w_g[0] + np.diag(w_g[1:])
+        rhs = (-r_stat + jac_h.T @ ((st.lam * r_ph - r_ch) / st.slack_h)
+               + ocd_module._jac_g_transpose((st.mu * r_pg - r_cg) / st.slack_g))
+        d_x = np.linalg.solve(reduced, rhs)
+        d_sh = -r_ph - jac_h @ d_x
+        d_sg = -r_pg - np.append(d_x[:n].sum(), -d_x[:n])
+        d_lam = -(r_ch + st.lam * d_sh) / st.slack_h
+        d_mu = -(r_cg + st.mu * d_sg) / st.slack_g
+        alpha = 1.0
+        for values, directions in ((st.slack_h, d_sh), (st.slack_g, d_sg),
+                                   (st.lam, d_lam), (st.mu, d_mu)):
+            shrink = directions < 0.0
+            if shrink.any():
+                alpha = min(alpha, float((ocd_module.FRACTION_TO_BOUNDARY * (
+                    -values[shrink] / directions[shrink])).min()))
+        steps.append(ocd_module.NewtonStep(
+            d_power=d_x[:n], d_aux_rate=float(d_x[n]), d_lam=d_lam, d_mu=d_mu,
+            alpha=alpha, state=ocd_module.CellState(
+                power=st.power + alpha * d_x[:n], aux_rate=st.aux_rate + alpha * d_x[n],
+                lam=st.lam + alpha * d_lam, mu=st.mu + alpha * d_mu,
+                slack_h=st.slack_h + alpha * d_sh, slack_g=st.slack_g + alpha * d_sg,
+                barrier=max(ocd_module.BARRIER_DECAY * st.barrier,
+                            ocd_module.BARRIER_FLOOR))))
+    return steps
+
+
+def assert_states_close(s, got, want):
+    """Powers within 1e-11 p_max, multipliers within 1e-11 of the largest
+    weight and aux rates (a rate, not a multiplier) within 1e-11 of the
+    largest aux rate."""
+    aux_scale = max(abs(st.aux_rate) for st in want)
+    for g, w in zip(got, want, strict=True):
+        assert np.abs(g.power - w.power).max() <= 1e-11 * s.p_max
+        assert abs(g.aux_rate - w.aux_rate) <= 1e-11 * aux_scale
+        assert np.abs(g.lam - w.lam).max() <= 1e-11 * max(s.weights)
+
+
+def test_sweep_matches_dense_reference():
+    # The batched capacitance solve against the per-cell dense solve: step
+    # by step from the same snapshot, and as two independent trajectories.
+    # Both sit at the rounding floor of systems whose condition number
+    # reaches 1e7-1e11; without refinement the powers drift by ~0.1 p_max.
+    wide = make_scenario(cells=7, subcarriers=16, users=2, seed=0)
+    uniform = np.full((7, 16), wide.p_max / 16)
+    for s, assignment, power in (
+            desk_instance(), desk_instance(users=(1, 2, 3)),
+            (wide, solve_all_cells(wide, uniform, mode="greedy"), uniform)):
+        batched = dense = init_cell_states(s, assignment, power)
+        for _ in range(60):
+            steps = newton_step(s, assignment, batched)
+            reference = dense_sweep(s, assignment, batched)
+            assert_states_close(s, [step.state for step in steps],
+                                [step.state for step in reference])
+            batched = [step.state for step in steps]
+            dense = [step.state for step in dense_sweep(s, assignment, dense)]
+            assert_states_close(s, batched, dense)
+
+
+def test_zero_multiplier_user_is_dropped_from_the_solve():
+    # A multiplier can underflow to exactly 0.0 after many damped steps.
+    # That user's rate row carries no weight in the reduced matrix, so the
+    # capacitance solve must drop it instead of forming slack / 0.
+    s, assignment, power = desk_instance(users=(1, 2, 3))
+    states = init_cell_states(s, assignment, power)
+    for _ in range(5):
+        states = [step.state for step in newton_step(s, assignment, states)]
+    lam = states[2].lam.copy()
+    lam[1] = 0.0
+    states[2] = dataclasses.replace(states[2], lam=lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        steps = newton_step(s, assignment, states)
+    for step in steps:
+        assert np.isfinite(step.d_power).all() and np.isfinite(step.d_aux_rate)
+        assert np.isfinite(step.d_lam).all() and np.isfinite(step.d_mu).all()
+    assert_states_close(s, [step.state for step in steps],
+                        [step.state for step in dense_sweep(s, assignment, states)])
+
+
 def test_solver_converges_and_traces():
     s, assignment, power = desk_instance()
     result = ocd_solve(s, assignment, power, psi=0.1, max_iters=200)
@@ -389,6 +486,20 @@ def test_singular_system_raises_with_cell_index():
             newton_step(s, assignment, states)
         assert excinfo.value.cell == cell
         assert "singular" in str(excinfo.value)
+
+
+def test_singular_capacitance_names_first_failing_cell():
+    # With every multiplier of a cell at 0 its aux column is empty: the
+    # reduced system is singular though every slack is positive.  The
+    # batched solve fails as a whole; the error names the first such cell.
+    s, assignment, power = desk_instance()
+    states = init_cell_states(s, assignment, power)
+    for cell in (2, 1):
+        states[cell] = dataclasses.replace(states[cell], lam=np.zeros(2))
+        with pytest.raises(OcdStepError) as excinfo:
+            newton_step(s, assignment, states)
+        assert excinfo.value.cell == cell
+        assert "reduced Newton system singular" in str(excinfo.value)
 
 
 def test_solver_enriches_step_errors(monkeypatch):
