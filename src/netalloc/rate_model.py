@@ -99,7 +99,8 @@ def validate_assignment(scenario: Scenario, assignment: np.ndarray, *,
     # the error.
     padded = np.arange(a.shape[1]) >= np.array(scenario.users_per_cell)[:, None]
     uses_padded = (a.any(axis=2) & padded).any(axis=1)
-    per_sub = a.sum(axis=1)      # padded rows count only where they fail first
+    # Summed over padded rows too: a cell using them fails on them first.
+    per_sub = a.sum(axis=1)
     shared = (per_sub > 1).any(axis=1)
     failing = uses_padded | shared
     if require_complete:
