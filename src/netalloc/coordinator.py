@@ -157,7 +157,9 @@ def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
             best_power = power.copy()
             best_assignment = assignment.copy()
 
-        assignment = solve_all_cells(scenario, power, mode=config.subcarrier_mode)
+        # The held assignment warm-starts the exact solve; the result is the same.
+        assignment = solve_all_cells(scenario, power, mode=config.subcarrier_mode,
+                                     current=assignment.argmax(axis=1))
         after_sub = wsmr(scenario, power, assignment)
         trace.append(TraceRow(
             round=round_index, phase="subcarrier", iteration=1,

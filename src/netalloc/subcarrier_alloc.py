@@ -9,6 +9,16 @@ rate table.
 Two solvers: an exact depth-first branch and bound and a one-pass greedy.
 Both are deterministic, including tie handling, so repeated runs give
 byte-identical results.
+
+The exact search prunes a branch whose upper bound does not beat the
+incumbent (seeded by greedy).  Given the assignment a cell already holds,
+it also prunes below that assignment's value on the new table (a floor
+shrunk by a relative `FLOOR_MARGIN`).  After a power phase the held
+assignment is usually within a few percent of the optimum, far closer than
+greedy, so the floor cuts most of the tree.  It never cuts an ancestor of
+the first optimal leaf in branching order, and the incumbent still moves
+only on strict improvement, so the result does not depend on the held
+assignment.
 """
 
 from __future__ import annotations
@@ -21,16 +31,22 @@ from .rate_model import link_rates
 from .scenario import Scenario
 
 
+# Relative shrink of the held assignment's value before it prunes the search.
+FLOOR_MARGIN = 1e-12
+
+
 class RateTableError(ValueError):
-    """Rate table is empty, misshapen, or has invalid entries."""
+    """Rate table or held assignment is empty, misshapen, or invalid."""
 
 
 @dataclass(frozen=True)
 class AssignmentResult:
-    """assignment[n] is the user index owning subcarrier n."""
+    """assignment[n] is the user index owning subcarrier n; `nodes` counts
+    the search nodes visited (0 for greedy)."""
 
     assignment: np.ndarray
     min_rate: float
+    nodes: int
 
 
 def rate_table(scenario: Scenario, power: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -66,13 +82,32 @@ def solve_greedy(table: np.ndarray) -> AssignmentResult:
     totals = [0.0] * k
     assign = np.zeros(n_sub, dtype=np.int64)
     for n in _column_order(table):
-        u = min(range(k), key=lambda i: (totals[i], i))
+        u = totals.index(min(totals))
         assign[n] = u
         totals[u] += table[u, n]
-    return AssignmentResult(assignment=assign, min_rate=min(totals))
+    return AssignmentResult(assignment=assign, min_rate=min(totals), nodes=0)
 
 
-def solve_exact(table: np.ndarray) -> AssignmentResult:
+def _held_floor(table: np.ndarray, current) -> float:
+    """Prune floor from the assignment a cell already holds: its value on
+    `table`, shrunk by `FLOOR_MARGIN`; minus infinity without one."""
+    if current is None:
+        return -np.inf
+    k, n_sub = table.shape
+    raw = np.asarray(current)
+    if raw.shape != (n_sub,):
+        raise RateTableError(
+            f"current must be a ({n_sub},) user-index vector, got shape {raw.shape}")
+    if not np.issubdtype(raw.dtype, np.integer):
+        raise RateTableError(
+            f"current must hold integer user indices, got dtype {raw.dtype}")
+    if ((raw < 0) | (raw >= k)).any():
+        raise RateTableError(f"current has a user index outside 0..{k - 1}")
+    held = np.bincount(raw, weights=table[raw, np.arange(n_sub)], minlength=k)
+    return float(held.min()) * (1.0 - FLOOR_MARGIN)
+
+
+def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
     """Max-min optimal assignment by branch and bound.
 
     Subcarriers are branched in decreasing best-rate order; at each node the
@@ -80,66 +115,104 @@ def solve_exact(table: np.ndarray) -> AssignmentResult:
     upper bound on its best reachable minimum fails to exceed the incumbent.
     The greedy solution seeds the incumbent and incumbents move only on
     strict improvement, so the returned assignment is a deterministic
-    function of the table.
+    function of the table: the first leaf in branching order that reaches
+    the optimum, or greedy's when greedy is already optimal.
+
+    `current`, a (N,) user-index vector such as the assignment the cell
+    already holds, only speeds the search up.  Its value on `table`, shrunk
+    by a relative `FLOOR_MARGIN`, is a prune floor: a branch whose bound is
+    below it holds no optimal leaf, so it is cut too.  The first optimal
+    leaf's ancestors all have bounds at or above the optimum, which is at or
+    above the held value, so the floor never cuts them, and the result is
+    the same with or without `current`.  The margin keeps rounding in the
+    differently ordered sums of the bound and the held value from ever
+    cutting such an ancestor.
+
+    The search is an explicit stack, so its depth is not limited by
+    Python's recursion limit; `nodes` counts the nodes it visits.
     """
     table = _checked(table)
     k, n_sub = table.shape
+    floor = _held_floor(table, current)
     order = _column_order(table)
+    # cols[d][u]: user u's rate on the subcarrier branched at depth d.
+    cols = table[:, order].T.tolist()
 
-    # rest[u][d]: what user u could still gain from subcarriers order[d:].
+    # rest[d][u]: what user u could still gain from subcarriers order[d:].
     # rest_best[d]: same with the per-subcarrier best user, for an average bound.
-    rest = [[0.0] * (n_sub + 1) for _ in range(k)]
+    rest = [[0.0] * k for _ in range(n_sub + 1)]
     rest_best = [0.0] * (n_sub + 1)
-    col_max = table.max(axis=0)
     for d in range(n_sub - 1, -1, -1):
-        n = order[d]
-        for u in range(k):
-            rest[u][d] = rest[u][d + 1] + table[u, n]
-        rest_best[d] = rest_best[d + 1] + col_max[n]
+        rest[d] = [r + c for r, c in zip(rest[d + 1], cols[d])]
+        rest_best[d] = rest_best[d + 1] + max(cols[d])
 
     greedy = solve_greedy(table)
     best_min = greedy.min_rate
-    best_assign = greedy.assignment.copy()
-    totals = [0.0] * k
-    partial = np.zeros(n_sub, dtype=np.int64)
+    best_picks = None
+    # totals[d]: the users' totals after the picks at depths 0..d-1;
+    # picks[d]: the user currently tried at depth d.
+    totals = [[0.0] * k for _ in range(n_sub + 1)]
+    picks = [-1] * n_sub
+    nodes = 0
+    depth = 0
+    entering = True
+    while depth >= 0:
+        if entering:
+            nodes += 1
+            here = totals[depth]
+            if depth == n_sub:
+                low = min(here)
+                if low > best_min:
+                    best_min = low
+                    best_picks = picks[:]
+                depth -= 1
+                entering = False
+                continue
+            # Bound 1: every user can at best collect all remaining subcarriers.
+            bound = min(t + r for t, r in zip(here, rest[depth]))
+            # Bound 2: the minimum never exceeds the average of the totals.
+            avg = (sum(here) + rest_best[depth]) / k
+            if avg < bound:
+                bound = avg
+            if bound <= best_min or bound < floor:
+                depth -= 1
+                entering = False
+                continue
+            picks[depth] = -1
+        u = picks[depth] + 1
+        if u == k:
+            depth -= 1
+            continue
+        picks[depth] = u
+        child = totals[depth + 1]
+        child[:] = totals[depth]
+        child[u] += cols[depth][u]
+        depth += 1
+        entering = True
 
-    def descend(depth: int) -> None:
-        nonlocal best_min, best_assign
-        if depth == n_sub:
-            low = min(totals)
-            if low > best_min:
-                best_min = low
-                best_assign = partial.copy()
-            return
-        # Bound 1: every user can at best collect all remaining subcarriers.
-        bound = min(totals[u] + rest[u][depth] for u in range(k))
-        # Bound 2: the minimum never exceeds the average of the totals.
-        avg = (sum(totals) + rest_best[depth]) / k
-        if avg < bound:
-            bound = avg
-        if bound <= best_min:
-            return
-        n = order[depth]
-        for u in range(k):
-            totals[u] += table[u, n]
-            partial[n] = u
-            descend(depth + 1)
-            totals[u] -= table[u, n]
-        partial[n] = 0
-
-    descend(0)
-    return AssignmentResult(assignment=best_assign, min_rate=best_min)
+    if best_picks is None:
+        best_assign = greedy.assignment
+    else:
+        best_assign = np.empty(n_sub, dtype=np.int64)
+        best_assign[order] = best_picks
+    return AssignmentResult(assignment=best_assign, min_rate=best_min, nodes=nodes)
 
 
 def solve_all_cells(scenario: Scenario, power: np.ndarray, *,
-                    mode: str = "exact") -> np.ndarray:
-    """Assign every cell's subcarriers; returns the full 0/1 tensor."""
+                    mode: str = "exact", current=None) -> np.ndarray:
+    """Assign every cell's subcarriers; returns the full 0/1 tensor.
+
+    `current[m]`, cell m's (N,) user-index vector, warm-starts the exact
+    solve (see `solve_exact`); greedy has no use for it.
+    """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
-    solver = solve_exact if mode == "exact" else solve_greedy
     out = np.zeros((scenario.num_cells, scenario.max_users,
                     scenario.num_subcarriers), dtype=np.int8)
     for m, table in enumerate(rate_table(scenario, power)):
-        result = solver(table)
+        if mode == "greedy":
+            result = solve_greedy(table)
+        else:
+            result = solve_exact(table, None if current is None else current[m])
         out[m, result.assignment, np.arange(scenario.num_subcarriers)] = 1
     return out

@@ -191,6 +191,27 @@ def test_oracle_assignment_check(capsys):
     assert gap <= 1e-12
 
 
+def test_oracle_assignment_check_covers_the_warm_path(monkeypatch, capsys):
+    # Each trial solves cold and warm-started; a wrong warm result fails it.
+    import netalloc.experiment_cli as cli
+    real, held = cli.solve_exact, []
+
+    def wrong_when_warm(table, current=None):
+        held.append(current)
+        result = real(table, current)
+        if current is None:
+            return result
+        return type(result)(result.assignment, result.min_rate * 1.01, result.nodes)
+
+    monkeypatch.setattr(cli, "solve_exact", wrong_when_warm)
+    code = main(["oracle", "--check", "assignment", "--trials", "3",
+                 "--users-per-cell", "2", "--subcarriers", "5", "--seed", "2"])
+    assert code == 1
+    assert "verdict: FAIL" in capsys.readouterr().out
+    assert sum(current is None for current in held) == 3
+    assert sum(current is not None for current in held) == 3
+
+
 def test_oracle_power_check(capsys):
     code = main(["oracle", "--check", "power", "--trials", "2",
                  "--grid", "80", "--seed", "3"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import netalloc.coordinator as coord_module
+import netalloc.subcarrier_alloc as alloc_module
 from netalloc import (CoordinatorAbort, LrDivergenceError, MessageBus,
                       OcdStepError, PhaseError, RunConfig, initial_point, relay,
                       run, validate_assignment, validate_power, wsmr)
@@ -292,3 +293,28 @@ def test_run_respects_round_budget():
     s = desk_scenario(seed=7)
     result = run(s, RunConfig(psi=0.05, max_rounds=2, wsmr_tol=0.0))
     assert result.rounds == 2
+
+
+def run_fingerprint(result):
+    """Every byte of a RunResult except the wall-clock times in its trace."""
+    fields = dataclasses.asdict(dataclasses.replace(
+        result, trace=[dataclasses.replace(row, elapsed_s=0.0) for row in result.trace]))
+    return repr({key: value.tobytes() if isinstance(value, np.ndarray) else value
+                 for key, value in fields.items()})
+
+
+def test_exact_run_is_unchanged_without_the_warm_start(monkeypatch):
+    s = make_scenario(cells=3, subcarriers=10, users=(2, 3, 2), seed=11)
+    config = RunConfig(psi=0.05, max_rounds=4, wsmr_tol=0.0)
+    warm = run(s, config)
+    real = alloc_module.solve_exact
+    held = []
+
+    def cold(table, current=None):
+        held.append(current)
+        return real(table)
+
+    monkeypatch.setattr(alloc_module, "solve_exact", cold)
+    assert run_fingerprint(run(s, config)) == run_fingerprint(warm)
+    assert len(held) == 3 * warm.rounds
+    assert all(current is not None for current in held)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,18 @@ from netalloc import (RateTableError, cell_user_rates, exhaustive_min_rate,
                       solve_greedy, validate_assignment, wsmr)
 
 from conftest import make_scenario
+
+MAX_MAPS = 4096     # exhaustive_min_rate's default limit on K^N
+
+
+def random_tables(seed, count):
+    """Seeded exponential tables, K in 1..4, N <= 12, small enough to enumerate."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(1, 5))
+        n_max = 12 if k == 1 else min(12, int(np.log(MAX_MAPS) / np.log(k) + 1e-9))
+        n = int(rng.integers(1, n_max + 1))
+        yield rng, rng.exponential(size=(k, n))
 
 
 def test_two_by_two_diagonal():
@@ -156,3 +170,95 @@ def test_more_users_than_subcarriers_allowed():
     result = solve_exact(table)
     assert result.min_rate == 0.0
     assert result.assignment.shape == (1,)
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # Greedy splits 3,3 | 2,2,2 as 3+2+2 vs 3+2 (min 5); the optimum 3+3 vs
+    # 2+2+2 (min 6) is a leaf the search must reach, through 150 trailing
+    # zero columns, below a recursion limit far smaller than N.
+    table = np.zeros((2, 155))
+    table[:, :5] = [3.0, 3.0, 2.0, 2.0, 2.0]
+    assert solve_greedy(table).min_rate == 5.0
+    limit = sys.getrecursionlimit()
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    sys.setrecursionlimit(depth + 50)
+    try:
+        result = solve_exact(table)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.min_rate == 6.0
+    assert result.nodes > table.shape[1]
+    assert sorted(result.assignment[:5].tolist()) == [0, 0, 1, 1, 1]
+
+
+def test_node_counts():
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        table = rng.exponential(size=(int(rng.integers(1, 4)),
+                                      int(rng.integers(1, 10))))
+        assert solve_greedy(table).nodes == 0
+        cold = solve_exact(table)
+        assert cold.nodes >= 1       # the root is always visited
+        for current in (cold.assignment, solve_greedy(table).assignment,
+                        rng.integers(0, table.shape[0], table.shape[1])):
+            assert solve_exact(table, current).nodes <= cold.nodes
+    # Held optimum: the search proves it in fewer nodes than from greedy.
+    table = np.random.default_rng(5).exponential(size=(2, 16))
+    cold = solve_exact(table)
+    assert solve_exact(table, cold.assignment).nodes < cold.nodes
+
+
+def test_warm_start_changes_nothing_in_the_result():
+    for rng, table in random_tables(41, 120):
+        k, n = table.shape
+        cold = solve_exact(table)
+        best = exhaustive_min_rate(table)
+        assert cold.min_rate == pytest.approx(best, abs=1e-12)
+        for current in (cold.assignment, solve_greedy(table).assignment,
+                        rng.integers(0, k, n), rng.integers(0, k, n)):
+            warm = solve_exact(table, current)
+            assert warm.assignment.tobytes() == cold.assignment.tobytes()
+            assert warm.min_rate == cold.min_rate
+
+
+def test_warm_start_with_tied_optima_keeps_the_cold_choice():
+    # Every split of two equal columns is optimal; the held one must not win.
+    table = np.ones((2, 4))
+    cold = solve_exact(table)
+    for current in ([1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 0]):
+        warm = solve_exact(table, np.array(current))
+        assert warm.assignment.tobytes() == cold.assignment.tobytes()
+
+
+def test_warm_start_survives_rounding_in_the_held_value():
+    # The held optimum sums to 1.4000000000000001 in index order, one ulp
+    # above the root's bound of 1.4; an unshrunk floor would cut the root
+    # and return greedy's 0.7.
+    table = np.array([[0.1, 0.3, 0.4, 1.1], [0.3, 0.4, 1.1, 0.4]])
+    cold = solve_exact(table)
+    assert cold.min_rate == pytest.approx(1.4, rel=1e-15)
+    warm = solve_exact(table, cold.assignment)
+    assert warm.assignment.tobytes() == cold.assignment.tobytes()
+    assert warm.min_rate == cold.min_rate
+
+
+def test_rejects_bad_current():
+    table = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
+    for bad, words in ((np.array([0, 1]), "shape"),
+                       (np.array([[0, 1, 0]]), "shape"),
+                       (np.array([0, 2, 1]), "outside"),
+                       (np.array([0, -1, 1]), "outside"),
+                       (np.array([0.0, 1.0, 0.0]), "integer")):
+        with pytest.raises(RateTableError, match=words):
+            solve_exact(table, bad)
+    assert solve_exact(table, [0, 1, 1]).min_rate == 3.0
+
+
+def test_solve_all_cells_warm_start_matches_cold():
+    s = make_scenario(cells=3, subcarriers=8, users=(1, 2, 3), seed=43)
+    power = np.full((3, 8), s.p_max / 8)
+    held = np.array([np.arange(8) % k for k in s.users_per_cell])
+    warm = solve_all_cells(s, power, current=held)
+    assert warm.tobytes() == solve_all_cells(s, power).tobytes()
