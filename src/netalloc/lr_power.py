@@ -9,7 +9,15 @@ objective over its power budget, then the multipliers take a projected
 subgradient step that shifts weight toward users below their cell's average
 rate.  With interference frozen, the dualized objective is a weighted sum of
 ln(1 + c_n p_n) over the cell's subcarriers, so the best response is exact
-weighted water-filling (Palomar & Fonollosa, IEEE TSP 2005).
+weighted water-filling (Palomar & Fonollosa, IEEE TSP 2005), and the
+multiplier step is a sort-based simplex projection (Duchi et al., ICML 2008).
+
+One sweep is one array pass over all cells: one `link_terms` call gives
+every cell's coefficients, then one call each of the row-wise
+`best_response`, `wsmr` and `update_multipliers` (multipliers padded to the
+largest cell) does the rest.  Rows repeat the per-cell arithmetic bit for
+bit, except a cell's average rate once rows have 8 or more user slots:
+numpy's pairwise summation blocks a padded row sum differently.
 
 Both methods run in the same loop, `bus.relay`: same Jacobi information
 pattern, exchange and stop test as the decomposed method, so iteration
@@ -43,20 +51,32 @@ class LrResult:
     iterations: int
 
 
-def project_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) = total}."""
-    if total < 0.0:
-        raise ValueError(f"simplex total must be nonnegative, got {total!r}")
+def project_simplex(v: np.ndarray, total, real: np.ndarray | bool) -> np.ndarray:
+    """Euclidean projection of each row's real slots onto {x >= 0, sum(x) = total}.
+
+    Works row-wise on the last axis of a 1-D or 2-D `v`; `total` holds one
+    nonnegative total per row and `real` (broadcast to `v`, so `True` marks
+    every slot) the slots that exist.  Padded slots are masked, never
+    computed with, and come out zero, as does every row of total zero.
+    Each row sorts its real values in decreasing order ahead of its padded
+    slots and keeps the longest prefix that stays above its shift (Duchi et
+    al., ICML 2008).
+    """
     v = np.asarray(v, dtype=float)
-    if total == 0.0:
-        return np.zeros_like(v)
-    dropped = np.sort(v)[::-1]
-    cumulative = np.cumsum(dropped) - total
-    ranks = np.arange(1, v.size + 1)
-    valid = dropped - cumulative / ranks > 0.0
-    rho = int(np.nonzero(valid)[0][-1])
-    shift = cumulative[rho] / (rho + 1.0)
-    return np.maximum(v - shift, 0.0)
+    total = np.asarray(total, dtype=float).reshape(-1, 1)
+    if total.min() < 0.0:
+        raise ValueError(f"simplex total must be nonnegative, got {total.ravel()!r}")
+    real = (np.zeros(v.shape, dtype=bool) | real).reshape(-1, v.shape[-1])
+    vals = np.where(real, v.reshape(real.shape), 0.0)
+    rows = np.arange(len(vals))[:, None]
+    ranks = np.arange(1, vals.shape[-1] + 1)
+    order = np.lexsort((-vals, ~real), axis=-1)
+    dropped = vals[rows, order]
+    cumulative = np.add.accumulate(dropped, axis=-1) - total
+    valid = real[rows, order] & (dropped - cumulative / ranks > 0.0)
+    rho = np.maximum.reduce(valid * ranks, axis=-1, keepdims=True, initial=1) - 1
+    shift = cumulative[rows, rho] / (rho + 1.0)
+    return np.where(real & (total > 0.0), np.maximum(vals - shift, 0.0), 0.0).reshape(v.shape)
 
 
 def dual_step_size(t: int) -> float:
@@ -64,63 +84,59 @@ def dual_step_size(t: int) -> float:
     return ALPHA0 / (1.0 + BETA * t)
 
 
-def update_multipliers(lam: list[np.ndarray], residuals: list[np.ndarray],
-                       weights, t: int) -> list[np.ndarray]:
-    """Projected subgradient step on every cell's multiplier block.
+def update_multipliers(lam: np.ndarray, residuals: np.ndarray, weights, t: int,
+                       real: np.ndarray) -> np.ndarray:
+    """Projected subgradient step on every cell's multiplier row at once.
 
-    `residuals[m][u]` should be positive when user u lags its cell (here:
-    cell average rate minus the user's rate).  Each block steps by
-    `dual_step_size(t)` times its residual and is projected back onto the
-    simplex summing to the cell weight.
+    `lam` and `residuals` hold one row per cell, padded to the largest cell,
+    with `real` marking the user slots that exist.  `residuals[m, u]` should
+    be positive when user u lags its cell (here: cell average rate minus the
+    user's rate).  Every row steps by `dual_step_size(t)` times its residual
+    and is projected back onto the simplex summing to the cell weight.
     """
     step = dual_step_size(t)
-    return [project_simplex(lam_m + step * res_m, w_m)
-            for lam_m, res_m, w_m in zip(lam, residuals, weights)]
+    return project_simplex(np.asarray(lam) + step * np.asarray(residuals),
+                           weights, real)
 
 
 def best_response(coeff: np.ndarray, weight: np.ndarray,
                   budget: float) -> np.ndarray:
     """Maximize sum_n weight[n] * ln(1 + coeff[n] * p[n]) over the budget set.
 
-    Exact weighted water-filling: p_n = max(0, weight[n] / nu - 1 / coeff[n]),
-    with the level nu set so the budget is spent.  Subcarriers enter the
-    active set in decreasing order of weight[n] * coeff[n], and the level of
-    the first k of them is sum(weight) / (budget + sum(1 / coeff)); the active
-    set is the longest prefix whose last entry still lies above its level.
-    Entries with zero weight or zero coefficient get no power.
+    Works row-wise on the last axis of nonnegative 1-D or 2-D inputs, every
+    row with the same budget.  Exact weighted water-filling: p_n = max(0,
+    weight[n] / nu - 1 / coeff[n]), with the level nu set so the budget is
+    spent.  Subcarriers enter the active set in decreasing order of
+    weight[n] * coeff[n] (a stable sort, so ties keep index order), and the
+    level of the first k of them is sum(weight) / (budget + sum(1 / coeff));
+    the active set is the longest prefix whose last entry still lies above
+    its level.  Entries with zero weight or zero coefficient get no power.
+    Each row repeats the arithmetic of its own 1-D call bit for bit.
     """
     coeff = np.asarray(coeff, dtype=float)
     weight = np.asarray(weight, dtype=float)
     gain = weight * coeff
-    p = np.zeros_like(gain)
-    order = np.argsort(-gain, kind="stable")
-    order = order[gain[order] > 0.0]
-    if order.size == 0 or budget <= 0.0:
-        return p
-    inv = 1.0 / coeff[order]
-    levels = np.cumsum(weight[order]) / (budget + np.cumsum(inv))
-    above = np.nonzero(gain[order] > levels)[0]
-    k = int(above[-1]) + 1 if above.size else 1
-    active = order[:k]
-    p[active] = np.maximum(weight[active] / levels[k - 1] - inv[:k], 0.0)
-    total = float(p.sum())
-    if total > budget:
-        p *= budget / total      # rounding only; keeps the result feasible
-    return p
-
-
-def _cell_best_response(scenario: Scenario, assignment: np.ndarray, m: int,
-                        denom: np.ndarray, lam_m: np.ndarray) -> np.ndarray:
-    """Best response of cell m to the link denominators `denom` of `link_terms`.
-
-    Each own subcarrier gets the coefficient gain / denom and the multiplier
-    of the user it is assigned to; unassigned subcarriers get neither.
-    """
-    k_m = scenario.users_per_cell[m]
-    own = np.asarray(assignment)[m, :k_m] == 1
-    coeff = np.where(own, scenario.gains[m, m, :k_m] / denom[m, :k_m], 0.0).sum(axis=0)
-    weight = np.where(own, lam_m[:, None], 0.0).sum(axis=0)
-    return best_response(coeff, weight, scenario.p_max)
+    if budget <= 0.0 or gain.size == 0:
+        return np.zeros_like(gain)
+    shape = gain.shape
+    coeff, weight, gain = (x.reshape(-1, shape[-1]) for x in (coeff, weight, gain))
+    rows = np.arange(len(gain))[:, None]
+    ranks = np.arange(1, shape[-1] + 1)
+    order = np.argsort(-gain, axis=-1, kind="stable")
+    gain, weight = gain[rows, order], weight[rows, order]
+    on = gain > 0.0                       # a prefix of every sorted row
+    inv = np.divide(1.0, coeff[rows, order], out=np.zeros_like(gain), where=on)
+    levels = np.add.accumulate(weight, axis=-1) / (budget + np.add.accumulate(inv, axis=-1))
+    # Past the prefix gain <= 0 <= levels, so k is the last entry of the
+    # prefix above its level, or 1.
+    k = np.maximum.reduce((gain > levels) * ranks, axis=-1, keepdims=True, initial=1)
+    filled = np.divide(weight, levels[rows, k - 1], out=np.zeros_like(gain),
+                       where=on & (ranks <= k))
+    p = np.empty_like(gain)
+    p[rows, order] = np.maximum(filled - inv, 0.0)
+    total = p.sum(axis=-1, keepdims=True)
+    p *= budget / np.maximum(total, budget)   # rounding only; keeps p feasible
+    return p.reshape(shape)
 
 
 def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarray,
@@ -137,24 +153,32 @@ def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarr
     validate_assignment(scenario, assignment, require_complete=True)
     validate_power(scenario, initial_power)
     report_sizes = [scenario.num_subcarriers + k for k in scenario.users_per_cell]
-    lam = [np.full(k, w / k) for k, w in
-           zip(scenario.users_per_cell, scenario.weights)]
+    real = scenario.real_users
+    counts = np.array(scenario.users_per_cell)
+    weights = np.array(scenario.weights, dtype=float)
+    # Each subcarrier's user: the assignment is complete, so a gather at
+    # `user` is every cell's masked reduction over its users.
+    user = (np.asarray(assignment) == 1).argmax(axis=1)
+    cells, subcarriers = np.ogrid[:scenario.num_cells, :scenario.num_subcarriers]
+    own_gain = scenario.gains[cells, cells, user, subcarriers]
+    lam = np.where(real, (weights / counts)[:, None], 0.0)
 
     def sweep(iteration, power):
         nonlocal lam
         _, denom = link_terms(scenario, power)
-        power_now = np.vstack([
-            _cell_best_response(scenario, assignment, m, denom, lam[m])
-            for m in range(scenario.num_cells)])
+        coeff = own_gain / denom[cells, user, subcarriers]
+        power_now = best_response(coeff, lam[cells, user], scenario.p_max)
         if not np.isfinite(power_now).all():
             raise LrDivergenceError("power iterate is not finite")
         reported = wsmr(scenario, power_now, assignment)
-        residuals = [r.mean() - r for r in reported.user_rates]
-        lam = update_multipliers(lam, residuals, scenario.weights, iteration - 1)
+        rates = np.zeros(real.shape)
+        rates[real] = np.concatenate(reported.user_rates)
+        residuals = (rates.sum(axis=1) / counts)[:, None] - rates
+        lam = update_multipliers(lam, residuals, weights, iteration - 1, real)
         return power_now, reported
 
     power, trace, converged = relay(
         sweep, np.asarray(initial_power, dtype=float), report_sizes,
         psi=psi, max_iters=max_iters, bus=bus)
-    return LrResult(power=power, lam=lam, trace=trace,
-                    converged=converged, iterations=len(trace))
+    return LrResult(power=power, lam=[lam[m, :k] for m, k in enumerate(counts)],
+                    trace=trace, converged=converged, iterations=len(trace))

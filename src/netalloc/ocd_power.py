@@ -200,7 +200,7 @@ def _subproblem_terms(scenario: Scenario, assignment: np.ndarray,
     n_sub = scenario.num_subcarriers
     cells = np.arange(scenario.num_cells)
     a = np.asarray(assignment) == 1
-    real = np.arange(scenario.max_users) < np.array(scenario.users_per_cell)[:, None]
+    real = scenario.real_users
     weights = np.asarray(scenario.weights, dtype=float)
     aux = np.array([st.aux_rate for st in states])
     lam_bar = _stack([st.lam for st in states], scenario.max_users, 0.0)

@@ -97,7 +97,7 @@ def validate_assignment(scenario: Scenario, assignment: np.ndarray, *,
     # Per cell, in the order each cell is checked: padded rows, then
     # exclusivity, then completeness; the first cell failing any check names
     # the error.
-    padded = np.arange(a.shape[1]) >= np.array(scenario.users_per_cell)[:, None]
+    padded = ~scenario.real_users
     uses_padded = (a.any(axis=2) & padded).any(axis=1)
     # Summed over padded rows too: a cell using them fails on them first.
     per_sub = a.sum(axis=1)
@@ -162,12 +162,12 @@ def link_rates(scenario: Scenario, power: np.ndarray) -> np.ndarray:
 
 def cell_user_rates(scenario: Scenario, power: np.ndarray,
                     assignment: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per cell, the K_m users' rates summed over their assigned subcarriers,
-    all from one `link_rates` call."""
+    """Per cell, the K_m users' rates summed over their assigned subcarriers:
+    views into one (cell, max_users) array of sums from one `link_rates`
+    call and one masked reduction."""
     rates = link_rates(scenario, power)
-    a = np.asarray(assignment)
-    return tuple((rates[m, :k_m] * a[m, :k_m]).sum(axis=1)
-                 for m, k_m in enumerate(scenario.users_per_cell))
+    sums = np.where(np.asarray(assignment) == 1, rates, 0.0).sum(axis=2)
+    return tuple(sums[m, :k_m] for m, k_m in enumerate(scenario.users_per_cell))
 
 
 @dataclass(frozen=True)
@@ -186,12 +186,17 @@ class WsmrResult:
 def wsmr(scenario: Scenario, power: np.ndarray, assignment: np.ndarray) -> WsmrResult:
     """Network objective: sum over cells of weight * worst own-user rate.
 
-    Ties in the per-cell minimum resolve to the lowest user index.
+    Ties in the per-cell minimum resolve to the lowest user index: the
+    minimum is taken over the padded (cell, max_users) sums with padded
+    slots at +inf, which sort after every real user.
     """
     validate_assignment(scenario, assignment)
     user_rates = cell_user_rates(scenario, power, assignment)
-    argmins = tuple(int(np.argmin(r)) for r in user_rates)
-    mins = tuple(float(r[i]) for r, i in zip(user_rates, argmins))
+    real = scenario.real_users
+    padded = np.full(real.shape, np.inf)
+    padded[real] = np.concatenate(user_rates)
+    argmins = tuple(padded.argmin(axis=1).tolist())
+    mins = tuple(padded.min(axis=1).tolist())
     value = float(np.dot(scenario.weights, mins))
     return WsmrResult(value=value, min_rates=mins, argmin_users=argmins,
                       user_rates=user_rates)

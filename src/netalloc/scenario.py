@@ -129,9 +129,9 @@ class Scenario:
     gains[l, m, u, n] is the channel power gain from station l to user u of
     cell m on subcarrier n.  The user axis is padded to the largest cell;
     entries at u >= users_per_cell[m] are filler (set to 1.0): they are
-    computed over by `rate_model.link_terms` and masked by every consumer,
-    so no result depends on them.  noise has axes (cell, user, subcarrier)
-    with the same padding.
+    computed over by `rate_model.link_terms` and masked by every consumer
+    (`real_users` marks the slots that exist), so no result depends on them.
+    noise has axes (cell, user, subcarrier) with the same padding.
     """
 
     params: ScenarioParams
@@ -155,6 +155,10 @@ class Scenario:
     @property
     def max_users(self) -> int:
         return max(self.params.users_per_cell)
+
+    @property
+    def real_users(self) -> np.ndarray:
+        return np.arange(self.max_users) < np.array(self.users_per_cell)[:, None]
 
     @property
     def weights(self) -> tuple[float, ...]:

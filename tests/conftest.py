@@ -46,6 +46,22 @@ def fd_rate_gradient(scenario, power, u, m, n):
     return grad
 
 
+def per_cell_wsmr(scenario, power, assignment):
+    """`wsmr` cell by cell from `link_rates`: each cell's K_m rows summed over
+    the subcarriers, then the first minimum of each cell; the reference the
+    padded all-cell route must equal bit for bit."""
+    from netalloc import WsmrResult, link_rates
+
+    rates = link_rates(scenario, power)
+    a = np.asarray(assignment)
+    user_rates = tuple((rates[m, :k_m] * a[m, :k_m]).sum(axis=1)
+                       for m, k_m in enumerate(scenario.users_per_cell))
+    argmins = tuple(int(np.argmin(r)) for r in user_rates)
+    mins = tuple(float(r[i]) for r, i in zip(user_rates, argmins))
+    return WsmrResult(value=float(np.dot(scenario.weights, mins)), min_rates=mins,
+                      argmin_users=argmins, user_rates=user_rates)
+
+
 @pytest.fixture
 def small_scenario():
     return make_scenario(cells=3, subcarriers=4, users=2, seed=11)

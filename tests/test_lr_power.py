@@ -3,10 +3,11 @@ import pytest
 
 import netalloc.lr_power as lr_module
 from netalloc import (LrDivergenceError, MessageBus, best_response,
-                      dual_step_size, lr_solve, project_simplex,
+                      dual_step_size, link_terms, lr_solve, project_simplex,
                       solve_all_cells, update_multipliers, wsmr)
+from netalloc.bus import relay
 
-from conftest import hand_scenario, make_scenario
+from conftest import hand_scenario, make_scenario, per_cell_wsmr
 
 
 def desk_instance(seed=0):
@@ -49,13 +50,13 @@ def water_filling_by_bisection(coeff, weight, budget):
 
 
 def test_simplex_projection_examples():
-    assert project_simplex(np.array([0.5, 0.5]), 1.0) == \
+    assert project_simplex(np.array([0.5, 0.5]), 1.0, True) == \
         pytest.approx([0.5, 0.5], abs=1e-15)
-    assert project_simplex(np.array([2.0, 0.0]), 1.0) == \
+    assert project_simplex(np.array([2.0, 0.0]), 1.0, True) == \
         pytest.approx([1.0, 0.0], abs=1e-15)
-    assert (project_simplex(np.array([3.0, -1.0]), 0.0) == 0.0).all()
+    assert (project_simplex(np.array([3.0, -1.0]), 0.0, True) == 0.0).all()
     with pytest.raises(ValueError):
-        project_simplex(np.array([1.0]), -0.5)
+        project_simplex(np.array([1.0]), -0.5, True)
 
 
 def test_simplex_projection_matches_bisection():
@@ -64,7 +65,7 @@ def test_simplex_projection_matches_bisection():
         n = int(rng.integers(1, 9))
         v = rng.normal(scale=2.0, size=n)
         total = float(rng.uniform(0.1, 3.0))
-        fast = project_simplex(v, total)
+        fast = project_simplex(v, total, True)
         slow = simplex_by_bisection(v, total)
         assert np.abs(fast - slow).max() < 1e-9
         assert fast.sum() == pytest.approx(total, rel=1e-10)
@@ -81,14 +82,14 @@ def test_dual_step_size_schedule():
 def test_update_multipliers_plain_step():
     lam = [np.array([0.6, 0.4])]
     residuals = [np.array([0.2, -0.2])]
-    out = update_multipliers(lam, residuals, (1.0,), 10)
+    out = update_multipliers(lam, residuals, (1.0,), 10, True)
     assert out[0] == pytest.approx([0.7, 0.3], abs=1e-15)
 
 
 def test_update_multipliers_zero_residual_fixed_point():
     lam = [np.array([0.25, 0.75]), np.array([1.5, 0.5])]
     residuals = [np.zeros(2), np.zeros(2)]
-    out = update_multipliers(lam, residuals, (1.0, 2.0), 3)
+    out = update_multipliers(lam, residuals, (1.0, 2.0), 3, True)
     for before, after in zip(lam, out):
         assert after == pytest.approx(before, abs=1e-15)
 
@@ -96,10 +97,10 @@ def test_update_multipliers_zero_residual_fixed_point():
 def test_update_multipliers_shifts_toward_lagging_user():
     rng = np.random.default_rng(9)
     for _ in range(20):
-        lam = [project_simplex(rng.uniform(size=3), 1.0)]
+        lam = [project_simplex(rng.uniform(size=3), 1.0, True)]
         res = rng.normal(size=3)
         res -= res.mean()
-        out = update_multipliers(lam, [res], (1.0,), int(rng.integers(50)))
+        out = update_multipliers(lam, [res], (1.0,), int(rng.integers(50)), True)
         assert out[0].sum() == pytest.approx(1.0, rel=1e-10)
         assert (out[0] >= 0.0).all()
         worst = int(np.argmax(res))
@@ -231,17 +232,147 @@ def test_input_validation():
 
 def test_divergence_error_carries_partial_trace(monkeypatch):
     s, assignment, power = desk_instance()
-    real = lr_module._cell_best_response
+    real = lr_module.best_response
     calls = {"count": 0}
 
-    def flaky(scenario, assignment_, m, denom, lam_m):
+    def flaky(coeff, weight, budget):
         calls["count"] += 1
-        if calls["count"] > scenario.num_cells:
-            return np.full(scenario.num_subcarriers, np.nan)
-        return real(scenario, assignment_, m, denom, lam_m)
+        if calls["count"] > 1:
+            return np.full(np.shape(coeff), np.nan)
+        return real(coeff, weight, budget)
 
-    monkeypatch.setattr(lr_module, "_cell_best_response", flaky)
+    monkeypatch.setattr(lr_module, "best_response", flaky)
     with pytest.raises(LrDivergenceError) as excinfo:
         lr_module.lr_solve(s, assignment, power, psi=1e-12, max_iters=10)
     assert excinfo.value.iteration == 2
     assert len(excinfo.value.trace) == 1
+
+
+# The per-cell LR route the batched sweep replaced: one water-filling and one
+# simplex projection per cell, each on a 1-D row.  The batched route must
+# repeat its arithmetic bit for bit.
+
+def best_response_per_row(coeff, weight, budget):
+    gain = weight * coeff
+    p = np.zeros_like(gain)
+    order = np.argsort(-gain, kind="stable")
+    order = order[gain[order] > 0.0]
+    if order.size == 0 or budget <= 0.0:
+        return p
+    inv = 1.0 / coeff[order]
+    levels = np.cumsum(weight[order]) / (budget + np.cumsum(inv))
+    above = np.nonzero(gain[order] > levels)[0]
+    k = int(above[-1]) + 1 if above.size else 1
+    active = order[:k]
+    p[active] = np.maximum(weight[active] / levels[k - 1] - inv[:k], 0.0)
+    total = float(p.sum())
+    if total > budget:
+        p *= budget / total
+    return p
+
+
+def project_simplex_per_row(v, total):
+    if total == 0.0:
+        return np.zeros_like(v)
+    dropped = np.sort(v)[::-1]
+    cumulative = np.cumsum(dropped) - total
+    ranks = np.arange(1, v.size + 1)
+    valid = dropped - cumulative / ranks > 0.0
+    rho = int(np.nonzero(valid)[0][-1])
+    shift = cumulative[rho] / (rho + 1.0)
+    return np.maximum(v - shift, 0.0)
+
+
+def per_cell_lr(s, assignment, power, *, psi, max_iters):
+    """`lr_solve` cell by cell; returns (power, lam, trace)."""
+    a = np.asarray(assignment)
+    lam = [np.full(k, w / k) for k, w in zip(s.users_per_cell, s.weights)]
+
+    def sweep(iteration, power):
+        nonlocal lam
+        _, denom = link_terms(s, power)
+        rows = []
+        for m, k_m in enumerate(s.users_per_cell):
+            own = a[m, :k_m] == 1
+            coeff = np.where(own, s.gains[m, m, :k_m] / denom[m, :k_m], 0.0).sum(axis=0)
+            weight = np.where(own, lam[m][:, None], 0.0).sum(axis=0)
+            rows.append(best_response_per_row(coeff, weight, s.p_max))
+        power_now = np.vstack(rows)
+        reported = per_cell_wsmr(s, power_now, assignment)
+        step = dual_step_size(iteration - 1)
+        lam = [project_simplex_per_row(lam_m + step * (r.mean() - r), w_m)
+               for lam_m, r, w_m in zip(lam, reported.user_rates, s.weights)]
+        return power_now, reported
+
+    sizes = [s.num_subcarriers + k for k in s.users_per_cell]
+    power, trace, _ = relay(sweep, power, sizes, psi=psi, max_iters=max_iters)
+    return power, lam, trace
+
+
+def trace_key(row):
+    return (row.iteration, row.wsmr, row.delta_p_norm, row.min_rates,
+            row.messages, row.bytes)
+
+
+@pytest.mark.parametrize("case", ["desk", "unequal", "zero_weight"])
+def test_lr_solve_matches_per_cell_route_bit_for_bit(case):
+    if case == "desk":
+        s, assignment, power = desk_instance()
+    else:
+        kw = ({"users": (1, 2, 3), "seed": 4} if case == "unequal"
+              else {"users": 2, "seed": 1, "weights": (0.0, 1.0, 1.0)})
+        s = make_scenario(cells=3, subcarriers=6, **kw)
+        power = np.full((3, 6), s.p_max / 6)
+        assignment = solve_all_cells(s, power)
+    result = lr_solve(s, assignment, power, psi=1e-12, max_iters=200)
+    ref_power, ref_lam, ref_trace = per_cell_lr(s, assignment, power,
+                                                psi=1e-12, max_iters=200)
+    assert result.power.tobytes() == ref_power.tobytes()
+    assert [lam.tobytes() for lam in result.lam] == [lam.tobytes() for lam in ref_lam]
+    assert [trace_key(r) for r in result.trace] == [trace_key(r) for r in ref_trace]
+
+
+def test_row_wise_best_response_matches_rows():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        rows, n = int(rng.integers(1, 7)), int(rng.integers(1, 65))
+        if rng.uniform() < 0.5:
+            # Exact ties in weight * coeff from different factors, in rows
+            # long enough that an unstable sort reorders them.
+            weight = rng.choice([0.25, 0.5, 1.0, 2.0], size=(rows, n))
+            coeff = rng.choice([1.0, 3.0, 5.0], size=(rows, n)) / weight
+        else:
+            weight = rng.uniform(size=(rows, n))
+            coeff = 10.0 ** rng.uniform(-2.0, 6.0, size=(rows, n))
+        weight[rng.uniform(size=(rows, n)) < 0.2] = 0.0
+        coeff[rng.uniform(size=(rows, n)) < 0.1] = 0.0
+        weight[rng.uniform(size=rows) < 0.1] = 0.0
+        coeff[rng.uniform(size=rows) < 0.1] = 0.0
+        budget = float(10.0 ** rng.uniform(-2.0, 1.0))
+        batched = best_response(coeff, weight, budget)
+        assert batched.shape == (rows, n)
+        for r in range(rows):
+            want = best_response_per_row(coeff[r], weight[r], budget).tobytes()
+            assert batched[r].tobytes() == want
+            assert best_response(coeff[r], weight[r], budget).tobytes() == want
+
+
+def test_row_wise_project_simplex_matches_rows():
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        rows, width = int(rng.integers(1, 7)), int(rng.integers(1, 25))
+        sizes = rng.integers(1, width + 1, size=rows)
+        real = np.arange(width) < sizes[:, None]
+        v = rng.normal(scale=2.0, size=(rows, width))
+        ties = rng.uniform(size=(rows, width)) < 0.3
+        v[ties] = np.round(v[ties])
+        v[~real] = np.nan        # padded slots must never be read
+        total = rng.uniform(0.1, 3.0, size=rows)
+        total[rng.uniform(size=rows) < 0.2] = 0.0
+        batched = project_simplex(v, total, real)
+        assert (batched[~real] == 0.0).all()
+        for r in range(rows):
+            k = sizes[r]
+            want = project_simplex_per_row(v[r, :k], total[r]).tobytes()
+            assert batched[r, :k].tobytes() == want
+            assert project_simplex(v[r, :k], total[r], True).tobytes() == want

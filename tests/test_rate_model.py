@@ -6,7 +6,7 @@ from netalloc import (AssignmentValidationError, PowerValidationError,
                       rate_subcarrier, sinr, solve_all_cells,
                       validate_assignment, validate_power, wsmr)
 
-from conftest import fd_rate_gradient, hand_scenario, make_scenario
+from conftest import fd_rate_gradient, hand_scenario, make_scenario, per_cell_wsmr
 
 # Frozen reference values, computed independently at high precision:
 #   ln(1 + 1*1e-4 / (1e-6*1))            for the interference-free link
@@ -157,6 +157,53 @@ def test_wsmr_subcarrier_relabel_invariance():
     a = wsmr(s, power, assignment).value
     b = wsmr(permuted, power[:, perm], assignment[:, :, perm]).value
     assert b == pytest.approx(a, rel=1e-12)
+
+
+def poison_padding(s):
+    """The scenario with every padded gain and noise entry set to NaN."""
+    import dataclasses
+    gains, noise = s.gains.copy(), s.noise.copy()
+    for m, k_m in enumerate(s.users_per_cell):
+        gains[:, m, k_m:, :] = np.nan
+        noise[m, k_m:, :] = np.nan
+    return dataclasses.replace(s, gains=gains, noise=noise)
+
+
+def assert_same_wsmr(got, want):
+    assert got.value == want.value
+    assert got.min_rates == want.min_rates
+    assert got.argmin_users == want.argmin_users
+    assert [r.tobytes() for r in got.user_rates] == \
+        [r.tobytes() for r in want.user_rates]
+
+
+def test_wsmr_matches_per_cell_formula_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for seed in range(10):
+        s = poison_padding(make_scenario(cells=3, subcarriers=6, users=(1, 2, 3),
+                                         seed=seed, weights=(0.5, 1.0, 2.0)))
+        power = rng.uniform(0.0, s.p_max / 6, size=(3, 6))
+        for assignment in (solve_all_cells(s, power, mode="greedy"),
+                           np.zeros((3, 3, 6), dtype=np.int8)):
+            got = wsmr(s, power, assignment)
+            assert_same_wsmr(got, per_cell_wsmr(s, power, assignment))
+            assert all(u < k for u, k in zip(got.argmin_users, s.users_per_cell))
+
+
+def test_wsmr_ties_go_to_lowest_real_user():
+    # Equal gains and powers give every subcarrier the same rate, so users
+    # with equally many subcarriers tie; cell 1's padded row is NaN.
+    s = poison_padding(hand_scenario(np.full((2, 2, 3, 8), 1e-4), users_per_cell=(3, 2)))
+    power = np.full((2, 8), s.p_max / 8)
+    assignment = np.zeros((2, 3, 8), dtype=np.int8)
+    for n, u in enumerate([0, 0, 0, 0, 1, 1, 2, 2]):
+        assignment[0, u, n] = 1
+    assignment[1, np.arange(8) % 2, np.arange(8)] = 1
+    got = wsmr(s, power, assignment)
+    assert_same_wsmr(got, per_cell_wsmr(s, power, assignment))
+    assert got.user_rates[0][1] == got.user_rates[0][2]
+    assert got.user_rates[1][0] == got.user_rates[1][1]
+    assert got.argmin_users == (1, 0)
 
 
 def test_gradient_at_zero_power_equals_gain_over_noise():
