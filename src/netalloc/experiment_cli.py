@@ -307,9 +307,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         for _ in range(args.trials):
             table = rng.exponential(1.0, size=(users, args.subcarriers))
             slow = exhaustive_min_rate(table)
-            # Cold, and warm-started from the greedy assignment.
+            # Cold, and warm-started from the greedy assignment and from a
+            # random one, which the local search has to polish from far off.
             held = solve_greedy(table).assignment
-            for fast in (solve_exact(table), solve_exact(table, current=held)):
+            scattered = rng.integers(0, users, args.subcarriers)
+            for fast in (solve_exact(table), solve_exact(table, current=held),
+                         solve_exact(table, current=scattered)):
                 worst_assignment = max(worst_assignment, abs(fast.min_rate - slow)
                                        / max(abs(slow), 1e-15))
         print(f"assignment: trials={args.trials} "

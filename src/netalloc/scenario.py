@@ -19,6 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -156,9 +157,13 @@ class Scenario:
     def max_users(self) -> int:
         return max(self.params.users_per_cell)
 
-    @property
+    @cached_property
     def real_users(self) -> np.ndarray:
-        return np.arange(self.max_users) < np.array(self.users_per_cell)[:, None]
+        """(cell, max_users) mask of the user slots that exist: built once
+        per scenario and read-only, because every caller shares it."""
+        mask = np.arange(self.max_users) < np.array(self.users_per_cell)[:, None]
+        mask.flags.writeable = False
+        return mask
 
     @property
     def weights(self) -> tuple[float, ...]:

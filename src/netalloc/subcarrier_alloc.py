@@ -12,17 +12,21 @@ byte-identical results.
 
 The exact search prunes a branch whose upper bound does not beat the
 incumbent (seeded by greedy).  Given the assignment a cell already holds,
-it also prunes below that assignment's value on the new table (a floor
-shrunk by a relative `FLOOR_MARGIN`).  After a power phase the held
-assignment is usually within a few percent of the optimum, far closer than
-greedy, so the floor cuts most of the tree.  It never cuts an ancestor of
-the first optimal leaf in branching order, and the incumbent still moves
-only on strict improvement, so the result does not depend on the held
-assignment.
+it first polishes that assignment by a local search towards the worst user,
+then also prunes below the better of the held and polished values on the
+new table (a floor shrunk by a relative `FLOOR_MARGIN`).  After a power
+phase the held assignment is usually within a few percent of the optimum,
+far closer than greedy, and the polished one is closer still, so the floor
+cuts most of the tree.  Both are feasible assignments, so the floor is at
+most the optimum and never cuts an ancestor of the first optimal leaf in
+branching order.  The incumbent is still greedy's and still moves only on
+strict improvement, so the result depends neither on the held assignment
+nor on the local search.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,19 +82,89 @@ def solve_greedy(table: np.ndarray) -> AssignmentResult:
     lowest user index on ties.
     """
     table = _checked(table)
-    k, n_sub = table.shape
-    totals = [0.0] * k
-    assign = np.zeros(n_sub, dtype=np.int64)
-    for n in _column_order(table):
+    order = _column_order(table)
+    return _greedy(order, table[:, order].T.tolist())
+
+
+def _greedy(order: list, cols: list) -> AssignmentResult:
+    # cols[d][u]: user u's rate on subcarrier order[d].
+    totals = [0.0] * len(cols[0])
+    picks = []
+    for col in cols:
         u = totals.index(min(totals))
-        assign[n] = u
-        totals[u] += table[u, n]
+        picks.append(u)
+        totals[u] += col[u]
+    assign = np.empty(len(order), dtype=np.int64)
+    assign[order] = picks
     return AssignmentResult(assignment=assign, min_rate=min(totals), nodes=0)
 
 
-def _held_floor(table: np.ndarray, current) -> float:
-    """Prune floor from the assignment a cell already holds: its value on
-    `table`, shrunk by `FLOOR_MARGIN`; minus infinity without one."""
+def _polish(cols: list, picks: list) -> list:
+    """Local search towards the worst user; `picks` is improved in place.
+
+    cols[d][u] is user u's rate on subcarrier d, and picks[d] is the user
+    holding it.  Each step gives the worst user (lowest index on ties) a
+    subcarrier another user holds: as a move, or, only when no move helps,
+    as a swap for one of the worst user's own subcarriers.  The step taken
+    is the one that leaves the lower of the two changed totals highest, and
+    only if both end strictly above the old worst total, so the sorted
+    totals rise with every step and the search ends.
+    """
+    totals = [0.0] * len(cols[0])
+    for col, u in zip(cols, picks):
+        totals[u] += col[u]
+    while True:
+        low = min(totals)
+        w = totals.index(low)
+        # Each subcarrier d another user v holds: w's rate on it, and v's
+        # total without it.
+        theirs = [(d, v, cols[d][w], totals[v] - cols[d][v])
+                  for d, v in enumerate(picks) if v != w]
+        best, step = low, None
+        for d, v, gain, left in theirs:
+            new_w = low + gain
+            worse = left if left < new_w else new_w
+            if worse > best:
+                best, step = worse, (d, -1, left, new_w)
+        if step is None:
+            for e, owner in enumerate(picks):
+                if owner != w:
+                    continue
+                back = cols[e]
+                base = low - back[w]
+                for d, v, gain, left in theirs:
+                    new_v, new_w = left + back[v], base + gain
+                    worse = new_v if new_v < new_w else new_w
+                    if worse > best:
+                        best, step = worse, (d, e, new_v, new_w)
+        if step is None:
+            return picks
+        d, e, new_v, new_w = step
+        v = picks[d]
+        totals[v], totals[w] = new_v, new_w
+        picks[d] = w
+        if e >= 0:
+            picks[e] = v
+
+
+def _value(table: np.ndarray, assignment: np.ndarray) -> float:
+    """Worst user total of a complete `assignment` on `table`."""
+    k, n_sub = table.shape
+    totals = np.bincount(assignment, weights=table[assignment, np.arange(n_sub)],
+                         minlength=k)
+    return float(totals.min())
+
+
+def _held_floor(table: np.ndarray, current, order: list, cols: list) -> float:
+    """Prune floor from the assignment a cell already holds; minus infinity
+    without one.
+
+    `_polish` improves the held assignment on the search's own `cols`
+    (subcarriers in branching `order`).  The floor is the better of the
+    held and polished values, both valued on `table` by one `bincount`
+    each and shrunk by `FLOOR_MARGIN`.  Both are feasible assignments, so
+    neither value exceeds the optimum, whatever the local search does.
+    """
     if current is None:
         return -np.inf
     k, n_sub = table.shape
@@ -101,10 +175,16 @@ def _held_floor(table: np.ndarray, current) -> float:
     if not np.issubdtype(raw.dtype, np.integer):
         raise RateTableError(
             f"current must hold integer user indices, got dtype {raw.dtype}")
-    if ((raw < 0) | (raw >= k)).any():
+    held = raw[order].tolist()
+    if min(held) < 0 or max(held) >= k:
         raise RateTableError(f"current has a user index outside 0..{k - 1}")
-    held = np.bincount(raw, weights=table[raw, np.arange(n_sub)], minlength=k)
-    return float(held.min()) * (1.0 - FLOOR_MARGIN)
+    picks = _polish(cols, held[:])
+    value = _value(table, raw)
+    if picks != held:
+        polished = np.empty(n_sub, dtype=np.int64)
+        polished[order] = picks
+        value = max(value, _value(table, polished))
+    return value * (1.0 - FLOOR_MARGIN)
 
 
 def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
@@ -119,13 +199,15 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
     the optimum, or greedy's when greedy is already optimal.
 
     `current`, a (N,) user-index vector such as the assignment the cell
-    already holds, only speeds the search up.  Its value on `table`, shrunk
-    by a relative `FLOOR_MARGIN`, is a prune floor: a branch whose bound is
-    below it holds no optimal leaf, so it is cut too.  The first optimal
-    leaf's ancestors all have bounds at or above the optimum, which is at or
-    above the held value, so the floor never cuts them, and the result is
+    already holds, only speeds the search up.  A local search first
+    polishes it towards the worst user; the better of the held and polished
+    values on `table`, shrunk by a relative `FLOOR_MARGIN`, is a prune
+    floor: a branch whose bound is below it holds no optimal leaf, so it is
+    cut too.  Both values belong to feasible assignments, so they are at
+    most the optimum.  The first optimal leaf's ancestors all have bounds at
+    or above the optimum, so the floor never cuts them, and the result is
     the same with or without `current`.  The margin keeps rounding in the
-    differently ordered sums of the bound and the held value from ever
+    differently ordered sums of the bound and the floor's value from ever
     cutting such an ancestor.
 
     The search is an explicit stack, so its depth is not limited by
@@ -133,10 +215,10 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
     """
     table = _checked(table)
     k, n_sub = table.shape
-    floor = _held_floor(table, current)
     order = _column_order(table)
     # cols[d][u]: user u's rate on the subcarrier branched at depth d.
     cols = table[:, order].T.tolist()
+    floor = _held_floor(table, current, order, cols)
 
     # rest[d][u]: what user u could still gain from subcarriers order[d:].
     # rest_best[d]: same with the per-subcarrier best user, for an average bound.
@@ -146,7 +228,7 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
         rest[d] = [r + c for r, c in zip(rest[d + 1], cols[d])]
         rest_best[d] = rest_best[d + 1] + max(cols[d])
 
-    greedy = solve_greedy(table)
+    greedy = _greedy(order, cols)
     best_min = greedy.min_rate
     best_picks = None
     # totals[d]: the users' totals after the picks at depths 0..d-1;
@@ -169,7 +251,7 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
                 entering = False
                 continue
             # Bound 1: every user can at best collect all remaining subcarriers.
-            bound = min(t + r for t, r in zip(here, rest[depth]))
+            bound = min(map(operator.add, here, rest[depth]))
             # Bound 2: the minimum never exceeds the average of the totals.
             avg = (sum(here) + rest_best[depth]) / k
             if avg < bound:

@@ -192,7 +192,8 @@ def test_oracle_assignment_check(capsys):
 
 
 def test_oracle_assignment_check_covers_the_warm_path(monkeypatch, capsys):
-    # Each trial solves cold and warm-started; a wrong warm result fails it.
+    # Each trial solves cold and warm-started from greedy and from a random
+    # assignment; a wrong warm result fails it.
     import netalloc.experiment_cli as cli
     real, held = cli.solve_exact, []
 
@@ -209,7 +210,31 @@ def test_oracle_assignment_check_covers_the_warm_path(monkeypatch, capsys):
     assert code == 1
     assert "verdict: FAIL" in capsys.readouterr().out
     assert sum(current is None for current in held) == 3
-    assert sum(current is not None for current in held) == 3
+    assert sum(current is not None for current in held) == 6
+
+
+def test_oracle_warm_starts_from_a_seeded_random_assignment(monkeypatch, capsys):
+    # The third solve of every trial starts from a seeded random assignment,
+    # not greedy's; a wrong result from that start alone fails the check.
+    import netalloc.experiment_cli as cli
+    real, starts = cli.solve_exact, []
+
+    def wrong_when_random(table, current=None):
+        result = real(table, current)
+        if current is None or (current == cli.solve_greedy(table).assignment).all():
+            return result
+        starts.append(current.tolist())
+        return type(result)(result.assignment, result.min_rate * 1.01, result.nodes)
+
+    monkeypatch.setattr(cli, "solve_exact", wrong_when_random)
+    args = ["oracle", "--check", "assignment", "--trials", "4",
+            "--users-per-cell", "3", "--subcarriers", "6", "--seed", "5"]
+    assert main(args) == 1
+    assert "verdict: FAIL" in capsys.readouterr().out
+    first, starts[:] = starts[:], []
+    assert len(first) == 4
+    assert main(args) == 1
+    assert starts == first
 
 
 def test_oracle_power_check(capsys):

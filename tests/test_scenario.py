@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -188,3 +189,20 @@ def test_heterogeneous_cells_roundtrip(tmp_path):
     path = tmp_path / "hetero.json"
     save_scenario(s, path)
     assert scenarios_equal(s, load_scenario(path))
+
+
+def test_real_users_mask_is_cached_and_read_only():
+    s = make_scenario(cells=3, subcarriers=4, users=(2, 3, 1), seed=21)
+    mask = s.real_users
+    assert mask is s.real_users
+    assert mask.tolist() == [[True, True, False], [True, True, True],
+                             [True, False, False]]
+    with pytest.raises(ValueError):
+        mask[0, 2] = True
+    # A replaced scenario builds its own mask from its own parameters.
+    swapped = dataclasses.replace(
+        s, params=dataclasses.replace(s.params, users_per_cell=(3, 1, 2)))
+    assert swapped.real_users is not mask
+    assert swapped.real_users.tolist() == [[True, True, True], [True, False, False],
+                                           [True, True, False]]
+    assert mask.tolist()[0] == [True, True, False]

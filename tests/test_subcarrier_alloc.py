@@ -5,7 +5,7 @@ import pytest
 
 from netalloc import (RateTableError, cell_user_rates, exhaustive_min_rate,
                       link_rates, rate_table, solve_all_cells, solve_exact,
-                      solve_greedy, validate_assignment, wsmr)
+                      solve_greedy, subcarrier_alloc, validate_assignment, wsmr)
 
 from conftest import make_scenario
 
@@ -20,6 +20,22 @@ def random_tables(seed, count):
         n_max = 12 if k == 1 else min(12, int(np.log(MAX_MAPS) / np.log(k) + 1e-9))
         n = int(rng.integers(1, n_max + 1))
         yield rng, rng.exponential(size=(k, n))
+
+
+def perturbed(rng, assignment, k):
+    """`assignment` with one or two subcarriers moved to another user."""
+    moved = np.array(assignment)
+    if k > 1:
+        picks = rng.choice(moved.size, size=min(moved.size, int(rng.integers(1, 3))),
+                           replace=False)
+        moved[picks] = (moved[picks] + rng.integers(1, k, picks.size)) % k
+    return moved
+
+
+def bincount_value(table, assignment):
+    k, n = table.shape
+    return np.bincount(assignment, weights=table[assignment, np.arange(n)],
+                       minlength=k).min()
 
 
 def test_two_by_two_diagonal():
@@ -48,6 +64,31 @@ def test_zero_rate_column_still_assigned():
     result = solve_exact(table)
     assert set(result.assignment.tolist()) <= {0, 1}
     assert result.assignment.shape == (2,)
+
+
+def reference_greedy(table):
+    """Greedy straight from its definition, on the numpy table."""
+    totals = [0.0] * table.shape[0]
+    assign = np.zeros(table.shape[1], dtype=np.int64)
+    for n in np.argsort(-table.max(axis=0), kind="stable"):
+        u = totals.index(min(totals))
+        assign[n] = u
+        totals[u] += table[u, n]
+    return assign, min(totals)
+
+
+def test_greedy_matches_its_definition_bit_for_bit():
+    rng = np.random.default_rng(67)
+    tables = [rng.exponential(size=(int(rng.integers(1, 6)), int(rng.integers(1, 70))))
+              for _ in range(100)]
+    # Small integers: ties in the column order and in the running totals.
+    tables += [rng.integers(0, 3, size=(3, 7)).astype(float) for _ in range(50)]
+    for table in tables:
+        assign, low = reference_greedy(table)
+        result = solve_greedy(table)
+        assert result.assignment.tobytes() == assign.tobytes()
+        assert np.float64(result.min_rate).tobytes() == np.float64(low).tobytes()
+    assert solve_greedy(np.ones((3, 4))).assignment.tolist() == [0, 1, 2, 0]
 
 
 def test_greedy_never_beats_exact():
@@ -211,13 +252,16 @@ def test_node_counts():
 
 
 def test_warm_start_changes_nothing_in_the_result():
+    moves = np.random.default_rng(43)
     for rng, table in random_tables(41, 120):
         k, n = table.shape
         cold = solve_exact(table)
         best = exhaustive_min_rate(table)
         assert cold.min_rate == pytest.approx(best, abs=1e-12)
         for current in (cold.assignment, solve_greedy(table).assignment,
-                        rng.integers(0, k, n), rng.integers(0, k, n)):
+                        rng.integers(0, k, n), rng.integers(0, k, n),
+                        perturbed(moves, cold.assignment, k),
+                        perturbed(moves, cold.assignment, k)):
             warm = solve_exact(table, current)
             assert warm.assignment.tobytes() == cold.assignment.tobytes()
             assert warm.min_rate == cold.min_rate
@@ -227,9 +271,21 @@ def test_warm_start_with_tied_optima_keeps_the_cold_choice():
     # Every split of two equal columns is optimal; the held one must not win.
     table = np.ones((2, 4))
     cold = solve_exact(table)
-    for current in ([1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 0]):
+    for current in ([1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 0], [1, 1, 1, 0]):
         warm = solve_exact(table, np.array(current))
         assert warm.assignment.tobytes() == cold.assignment.tobytes()
+    # Small integer tables: tied optima are common and every sum is exact,
+    # so the value matches enumeration bit for bit.
+    rng = np.random.default_rng(59)
+    for _ in range(40):
+        table = rng.integers(0, 4, size=(int(rng.integers(1, 5)), 6)).astype(float)
+        k = table.shape[0]
+        cold = solve_exact(table)
+        assert cold.min_rate == exhaustive_min_rate(table)
+        for _ in range(3):
+            warm = solve_exact(table, perturbed(rng, cold.assignment, k))
+            assert warm.assignment.tobytes() == cold.assignment.tobytes()
+            assert warm.min_rate == cold.min_rate
 
 
 def test_warm_start_survives_rounding_in_the_held_value():
@@ -239,9 +295,10 @@ def test_warm_start_survives_rounding_in_the_held_value():
     table = np.array([[0.1, 0.3, 0.4, 1.1], [0.3, 0.4, 1.1, 0.4]])
     cold = solve_exact(table)
     assert cold.min_rate == pytest.approx(1.4, rel=1e-15)
-    warm = solve_exact(table, cold.assignment)
-    assert warm.assignment.tobytes() == cold.assignment.tobytes()
-    assert warm.min_rate == cold.min_rate
+    for current in (cold.assignment, 1 - cold.assignment, [0, 0, 1, 1]):
+        warm = solve_exact(table, np.array(current))
+        assert warm.assignment.tobytes() == cold.assignment.tobytes()
+        assert warm.min_rate == cold.min_rate
 
 
 def test_rejects_bad_current():
@@ -262,3 +319,47 @@ def test_solve_all_cells_warm_start_matches_cold():
     held = np.array([np.arange(8) % k for k in s.users_per_cell])
     warm = solve_all_cells(s, power, current=held)
     assert warm.tobytes() == solve_all_cells(s, power).tobytes()
+
+
+def test_local_search_polishes_without_losing_value():
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        k, n = int(rng.integers(1, 5)), int(rng.integers(1, 33))
+        table = rng.exponential(size=(k, n))
+        start = rng.integers(0, k, n)
+        polished = np.array(subcarrier_alloc._polish(table.T.tolist(), start.tolist()))
+        assert polished.shape == (n,)
+        assert ((polished >= 0) & (polished < k)).all()
+        assert bincount_value(table, polished) >= bincount_value(table, start)
+        again = subcarrier_alloc._polish(table.T.tolist(), start.tolist())
+        assert again == polished.tolist()
+
+
+def test_local_search_moves_then_swaps():
+    # User 0 holds nothing: two moves hand it subcarriers 0 and 2, the best
+    # move each time, and the optimum (min 3) is reached.
+    table = np.array([[2.0, 0.5, 1.5], [1.0, 3.0, 3.0]])
+    assert subcarrier_alloc._polish(table.T.tolist(), [1, 1, 1]) == [0, 1, 0]
+    assert subcarrier_alloc._polish(table.T.tolist(), [0, 1, 0]) == [0, 1, 0]
+    # Both users on their worse subcarrier: no move helps, a swap does.
+    table = np.array([[1.0, 5.0], [5.0, 1.0]])
+    assert subcarrier_alloc._polish(table.T.tolist(), [0, 1]) == [1, 0]
+    # Users 0 and 2 tie at zero; the lower index is served first.
+    table = np.array([[3.0, 3.0], [0.0, 1.0], [2.0, 0.0]])
+    assert subcarrier_alloc._polish(table.T.tolist(), [1, 1]) == [0, 1]
+
+
+def test_local_search_floor_shrinks_the_search(monkeypatch):
+    rng = np.random.default_rng(61)
+    starts = []
+    for _ in range(12):
+        table = rng.exponential(size=(2, 32))
+        cold = solve_exact(table)
+        starts.append((table, perturbed(rng, cold.assignment, 2), cold))
+    polished = [solve_exact(table, start) for table, start, _ in starts]
+    monkeypatch.setattr(subcarrier_alloc, "_polish", lambda cols, picks: picks)
+    plain = [solve_exact(table, start) for table, start, _ in starts]
+    for (_, _, cold), fast, slow in zip(starts, polished, plain):
+        assert fast.assignment.tobytes() == slow.assignment.tobytes() \
+            == cold.assignment.tobytes()
+    assert sum(r.nodes for r in polished) < sum(r.nodes for r in plain)
