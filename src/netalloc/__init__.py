@@ -15,14 +15,15 @@ from .lr_power import (LrDivergenceError, LrResult, best_response,
                        dual_step_size, lr_solve, project_simplex,
                        update_multipliers)
 from .ocd_power import (CellState, KktResidual, NewtonStep, OcdResult,
-                        OcdStepError, cell_kkt_residual, constraint_residuals,
+                        OcdStepError, constraint_residuals,
                         global_kkt_residual, init_cell_states, local_objective,
                         newton_step, ocd_solve, project_power,
                         stacked_cell_residuals, states_from_point)
 from .oracles import (GridOptimum, OracleSizeError, exhaustive_min_rate,
                       grid_power_optimum)
-from .rate_model import (AssignmentValidationError, PowerValidationError,
-                         WsmrResult, cell_user_rates, link_rates, link_terms,
+from .rate_model import (AssignedLinks, AssignmentValidationError,
+                         PowerValidationError, WsmrResult, assigned_links,
+                         cell_user_rates, link_rates, link_terms,
                          rate_gradient, rate_subcarrier, sinr,
                          validate_assignment, validate_power, wsmr)
 from .scenario import (Scenario, ScenarioFormatError, ScenarioParams,

@@ -80,12 +80,7 @@ def _scenario_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _params_from_flags(args: argparse.Namespace) -> ScenarioParams:
-    users = args.users_per_cell
-    if len(users) == 1:
-        users = users[0]
-    weights = args.weights
-    if len(weights) == 1:
-        weights = weights[0]
+    users, weights = (v[0] if len(v) == 1 else v for v in (args.users_per_cell, args.weights))
     return ScenarioParams(
         num_cells=args.cells, num_subcarriers=args.subcarriers,
         users_per_cell=users, cell_radius=args.radius, p_max=args.pmax,

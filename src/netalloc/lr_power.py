@@ -12,11 +12,11 @@ ln(1 + c_n p_n) over the cell's subcarriers, so the best response is exact
 weighted water-filling (Palomar & Fonollosa, IEEE TSP 2005), and the
 multiplier step is a sort-based simplex projection (Duchi et al., ICML 2008).
 
-One sweep is one array pass over all cells: one `link_terms` call gives
-every cell's coefficients, then one call each of the row-wise
-`best_response`, `wsmr` and `update_multipliers` (multipliers padded to the
-largest cell) does the rest.  Rows repeat the per-cell arithmetic bit for
-bit, except a cell's average rate once rows have 8 or more user slots:
+One sweep is one array pass over all cells: one `link_terms` call on the
+phase's `AssignedLinks` view gives every cell's coefficients, then the
+row-wise `best_response`, `wsmr` and `update_multipliers` (multipliers padded
+to the largest cell) do the rest.  Rows repeat the per-cell arithmetic bit
+for bit, except a cell's average rate once rows have 8 or more user slots:
 numpy's pairwise summation blocks a padded row sum differently.
 
 Both methods run in the same loop, `bus.relay`: same Jacobi information
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bus import MessageBus, PhaseError, TraceRow, relay
-from .rate_model import link_terms, validate_assignment, validate_power, wsmr
+from .rate_model import assigned_links, link_terms, validate_power, wsmr
 from .scenario import Scenario
 
 ALPHA0 = 1.0
@@ -150,27 +150,24 @@ def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarr
     like the decomposed method: stacked power movement below `psi`, or
     `max_iters` outer iterations.
     """
-    validate_assignment(scenario, assignment, require_complete=True)
+    links = assigned_links(scenario, assignment, require_complete=True)
     validate_power(scenario, initial_power)
     report_sizes = [scenario.num_subcarriers + k for k in scenario.users_per_cell]
     real = scenario.real_users
     counts = np.array(scenario.users_per_cell)
     weights = np.array(scenario.weights, dtype=float)
-    # Each subcarrier's user: the assignment is complete, so a gather at
-    # `user` is every cell's masked reduction over its users.
-    user = (np.asarray(assignment) == 1).argmax(axis=1)
-    cells, subcarriers = np.ogrid[:scenario.num_cells, :scenario.num_subcarriers]
-    own_gain = scenario.gains[cells, cells, user, subcarriers]
+    cells = np.arange(scenario.num_cells)
+    own_gain = links.gains[cells, cells]
     lam = np.where(real, (weights / counts)[:, None], 0.0)
 
     def sweep(iteration, power):
         nonlocal lam
-        _, denom = link_terms(scenario, power)
-        coeff = own_gain / denom[cells, user, subcarriers]
-        power_now = best_response(coeff, lam[cells, user], scenario.p_max)
+        _, denom = link_terms(links, power)
+        power_now = best_response(own_gain / denom, lam[cells[:, None], links.user],
+                                  scenario.p_max)
         if not np.isfinite(power_now).all():
             raise LrDivergenceError("power iterate is not finite")
-        reported = wsmr(scenario, power_now, assignment)
+        reported = wsmr(scenario, power_now, links)
         rates = np.zeros(real.shape)
         rates[real] = np.concatenate(reported.user_rates)
         residuals = (rates.sum(axis=1) / counts)[:, None] - rates

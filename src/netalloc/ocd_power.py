@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bus import MessageBus, PhaseError, TraceRow, relay
-from .rate_model import (cell_user_rates, link_terms, rate_gradient,
-                         validate_assignment, validate_power, wsmr)
+from .rate_model import (assigned_links, cell_user_rates, link_terms,
+                         rate_gradient, validate_power, wsmr)
 from .scenario import Scenario
 
 FRACTION_TO_BOUNDARY = 0.995
@@ -122,9 +122,8 @@ class KktResidual:
 
     @property
     def max_abs(self) -> float:
-        return max(float(np.abs(self.stationarity).max()),
-                   float(np.abs(self.primal).max()),
-                   float(np.abs(self.complementarity).max()))
+        return max(float(np.abs(block).max()) for block in
+                   (self.stationarity, self.primal, self.complementarity))
 
 
 @dataclass(frozen=True)
@@ -182,45 +181,40 @@ class SubproblemTerms:
                 self.h[cell, :k], self.jac_h[cell, :k], self.curv_h[cell, :k])
 
 
-def _subproblem_terms(scenario: Scenario, assignment: np.ndarray,
+def _subproblem_terms(scenario: Scenario, assignment,
                       states: list[CellState]) -> SubproblemTerms:
     """Value, derivatives and own constraints of every cell's subproblem.
 
-    The snapshot is the (M, N) power matrix of `states`, whose row m is cell
-    m's own power, so one `link_terms` call gives the denominators of every
-    link for every cell: own users see the snapshot's interference, and a
-    foreign user's denominator already holds cell m's interference at its
-    own power.  Foreign users (o, u) enter cell m's objective weighted by
-    their frozen multipliers through station m's gain into them, so every
-    cell's coupling gradient and curvature come from one contraction over
-    `gains` with each cell's own block zeroed.  Every link term is masked
-    with `np.where` on the assignment, so filler in padded user rows never
-    enters, not even multiplied by zero.
+    Only the held links (m, user[m, n], n) enter, through an `AssignedLinks`
+    view, so padded user rows are never read.  Row m of the snapshot is cell
+    m's own power, so one `link_terms` call gives every cell's denominators.
+    Foreign links enter cell m's objective weighted by their holders' frozen
+    multipliers through station m's gain into them: one contraction over the
+    held links' gains, each cell's own block zeroed.
     """
+    links = assigned_links(scenario, assignment)
     n_sub = scenario.num_subcarriers
     cells = np.arange(scenario.num_cells)
-    a = np.asarray(assignment) == 1
     real = scenario.real_users
     weights = np.asarray(scenario.weights, dtype=float)
     aux = np.array([st.aux_rate for st in states])
     lam_bar = _stack([st.lam for st in states], scenario.max_users, 0.0)
-    signal, denom = link_terms(scenario, np.array([st.power for st in states]))
+    signal, denom = link_terms(links, np.array([st.power for st in states]))
     full = denom + signal
-    rate_sums = np.where(a, np.log1p(signal / denom), 0.0).sum(axis=2)
-    d_rate = np.where(a, scenario.gains[cells, cells] / full, 0.0)
+    rate_sums = links.per_user(np.log1p(signal / denom)).sum(axis=2)
+    d_rate = links.per_user(links.gains[cells, cells] / full)
 
-    # into[m, o, u, n]: station m's gap-scaled gain into foreign user (o, u).
-    into = np.where(a, scenario.gains, 0.0)
+    # into[m, o, n]: station m's gap-scaled gain into cell o's held link on n.
+    into = links.gains * links.snr_gap
     into[cells, cells] = 0.0
-    into *= scenario.snr_gap
-    weighted = np.where(a, lam_bar[:, :, None] * (1.0 / full - 1.0 / denom), 0.0)
-    weighted_sq = np.where(a, lam_bar[:, :, None]
-                           * (1.0 / (denom * denom) - 1.0 / (full * full)), 0.0)
+    lam_held = lam_bar[cells[:, None], links.user]
+    weighted = lam_held * (1.0 / full - 1.0 / denom)
+    weighted_sq = lam_held * (1.0 / (denom * denom) - 1.0 / (full * full))
     grad = np.empty((scenario.num_cells, n_sub + 1))
-    grad[:, :n_sub] = np.einsum("mokn,okn->mn", into, weighted)
+    grad[:, :n_sub] = np.einsum("mon,on->mn", into, weighted)
     grad[:, n_sub] = weights
     curv = np.zeros_like(grad)
-    curv[:, :n_sub] = np.einsum("mokn,mokn,okn->mn", into, into, weighted_sq)
+    curv[:, :n_sub] = np.einsum("mon,mon,on->mn", into, into, weighted_sq)
 
     # phi_m = w_m aux_m + the sum over other cells o of their lam-weighted
     # constraint slack, sum_u lam_ou (rate_ou - aux_o).
@@ -441,7 +435,7 @@ def _cell_states(scenario: Scenario, power: np.ndarray,
     return states
 
 
-def init_cell_states(scenario: Scenario, assignment: np.ndarray,
+def init_cell_states(scenario: Scenario, assignment,
                      power: np.ndarray) -> list[CellState]:
     """Strictly interior starting point around the given power matrix.
 
@@ -451,12 +445,18 @@ def init_cell_states(scenario: Scenario, assignment: np.ndarray,
     cell still starts strictly interior, and at one for the local
     constraints; slacks match the constraint values up to a small floor.
     """
-    rates = cell_user_rates(scenario, power, assignment)
+    # Lift powers a damped step could take below 0 to min(SLACK_FLOOR, p_max/N^2);
+    # a row lifted over budget pays from its largest entry.
+    lifted = np.maximum(power, min(SLACK_FLOOR, scenario.p_max / scenario.num_subcarriers ** 2))
+    excess = np.minimum((lifted - power).sum(axis=1), lifted.sum(axis=1) - scenario.p_max)
+    rows = np.flatnonzero(excess > 0.0)
+    lifted[rows, lifted[rows].argmax(axis=1)] -= excess[rows]
+    rates = cell_user_rates(scenario, lifted, assignment)
     aux = [AUX_RATE_INIT_FACTOR * float(r.min()) for r in rates]
     lam = [np.full(k_m, max(w / k_m, SLACK_FLOOR))
            for w, k_m in zip(scenario.weights, scenario.users_per_cell)]
     mu = np.ones((scenario.num_cells, 1 + scenario.num_subcarriers))
-    return _cell_states(scenario, power, rates, aux, lam, mu, BARRIER_INIT)
+    return _cell_states(scenario, lifted, rates, aux, lam, mu, BARRIER_INIT)
 
 
 def ocd_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarray,
@@ -471,17 +471,17 @@ def ocd_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndar
     `max_iters` iterations.  The reported and returned powers are projected
     onto the feasible box and budgets; the stop test uses the raw iterates.
     """
-    validate_assignment(scenario, assignment, require_complete=True)
+    links = assigned_links(scenario, assignment, require_complete=True)
     validate_power(scenario, initial_power)
     report_sizes = [scenario.num_subcarriers + 1 + k for k in scenario.users_per_cell]
-    states = init_cell_states(scenario, assignment, initial_power)
+    states = init_cell_states(scenario, links, initial_power)
 
     def sweep(iteration, power):
         nonlocal states
-        states = [step.state for step in newton_step(scenario, assignment, states)]
+        states = [step.state for step in newton_step(scenario, links, states)]
         power_now = np.vstack([st.power for st in states])
         return power_now, wsmr(scenario, project_power(power_now, scenario.p_max),
-                               assignment)
+                               links)
 
     power, trace, converged = relay(
         sweep, np.asarray(initial_power, dtype=float), report_sizes,
@@ -508,18 +508,6 @@ def _residual_blocks(st: CellState, terms: tuple, p_max: float):
     return (grad - jac_h.T @ st.lam - _jac_g_transpose(st.mu),
             np.concatenate((np.maximum(h, 0.0), np.maximum(g, 0.0))),
             np.concatenate((st.lam * h, st.mu * g)))
-
-
-def cell_kkt_residual(scenario: Scenario, assignment: np.ndarray, cell: int,
-                      states: list[CellState]):
-    """One cell's first-order residual blocks at the joint state.
-
-    Uses the subproblem route: the cell's own gradient with frozen foreign
-    multipliers, evaluated at the snapshot formed by the states themselves.
-    Returns (stationarity, primal, complementarity) for this cell.
-    """
-    terms = _subproblem_terms(scenario, assignment, states)[cell]
-    return _residual_blocks(states[cell], terms, scenario.p_max)
 
 
 def stacked_cell_residuals(scenario: Scenario, assignment: np.ndarray,

@@ -11,16 +11,15 @@ sum over the subcarriers its own cell assigned to it; the network objective is
 the weighted sum over cells of each cell's worst user rate.
 
 Cells couple only through that noise-plus-interference term, so one kernel,
-`link_terms`, computes it for every link at once: it returns the received
-signal and the gap-scaled denominator over (cell, user, subcarrier), padded
-user rows included.  Every rate consumer (`link_rates`, `wsmr`, the
-subcarrier rate tables and both power methods) reads those two arrays and
-slices or masks away the padded rows.  `sinr`, `rate_subcarrier` and
-`rate_gradient` compute single links on their own, as independent checks of
-the kernel.
+`link_terms`, computes it for a whole link set: a scenario's (cell, user,
+subcarrier) links, padded rows included, for the subcarrier rate tables, or
+the (cell, subcarrier) links an assignment holds, gathered once per power
+phase into an `AssignedLinks` view on which the power path never reads a
+padded row.  `sinr`, `rate_subcarrier` and `rate_gradient` compute single
+links on their own, as independent checks of the kernel.
 
 Everything here takes the full (num_cells, num_subcarriers) power matrix P and
-the (num_cells, max_users, num_subcarriers) 0/1 assignment tensor A.
+the (num_cells, max_users, num_subcarriers) 0/1 assignment A or its view.
 """
 
 from __future__ import annotations
@@ -138,35 +137,63 @@ def rate_subcarrier(scenario: Scenario, power: np.ndarray, u: int, m: int, n: in
     return float(np.log1p(sinr(scenario, power, u, m, n)))
 
 
-def link_terms(scenario: Scenario, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(signal, denom) of every link, each over (cell, max_users, subcarrier).
+@dataclass(frozen=True)
+class AssignedLinks:
+    """The links an assignment (mask `held`) holds, user[m, n] on subcarrier n of
+    cell m: gains[l, m, n] = gains[l, m, user[m, n], n] (0 if none), noise[m, n]."""
 
-    signal[m, u, n] = gains[m, m, u, n] * P[m, n] is what user (m, u) receives
-    from its own station; denom[m, u, n] is its noise plus the power of every
-    other station on subcarrier n, times the SNR gap.  Padded user rows are
-    computed over filler and must be sliced or masked away by the caller.
-    """
+    held: np.ndarray
+    user: np.ndarray
+    gains: np.ndarray
+    noise: np.ndarray
+    snr_gap: float
+
+    def per_user(self, values: np.ndarray) -> np.ndarray:
+        """(cell, subcarrier) link values put at their users' slots, else 0."""
+        return np.where(self.held, values[:, None, :], 0.0)
+
+
+def assigned_links(scenario: Scenario, assignment, *,
+                   require_complete: bool = False) -> AssignedLinks:
+    """The validated `AssignedLinks` of `assignment`; a view is checked only as complete."""
+    if isinstance(assignment, AssignedLinks):
+        if require_complete and not assignment.held.any(axis=1).all():
+            validate_assignment(scenario, assignment.held, require_complete=True)
+        return assignment
+    validate_assignment(scenario, assignment, require_complete=require_complete)
+    held = np.asarray(assignment) == 1
+    user = held.argmax(axis=1)
+    at = np.arange(scenario.num_cells)[:, None], user, np.arange(scenario.num_subcarriers)
+    gains = np.where(held.any(axis=1), scenario.gains[(slice(None), *at)], 0.0)
+    return AssignedLinks(held, user, gains, scenario.noise[at], scenario.snr_gap)
+
+
+def link_terms(scenario: Scenario | AssignedLinks,
+               power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(signal, denom) of every link of a scenario or an `AssignedLinks` view:
+    signal = gains[m, m, ..., n] * P[m, n] from the own station, denom the
+    noise plus every other station's signal, times the SNR gap."""
     power = np.asarray(power, dtype=float)
-    cells = np.arange(scenario.num_cells)
-    signal = scenario.gains[cells, cells] * power[:, None, :]
-    total = (scenario.gains * power[:, None, None, :]).sum(axis=0)
+    gains = scenario.gains
+    cells = np.arange(len(gains))
+    own_power = power.reshape((len(power),) + (1,) * (gains.ndim - 3) + power.shape[1:])
+    signal = gains[cells, cells] * own_power
+    total = (gains * own_power[:, None]).sum(axis=0)
     denom = (scenario.noise + (total - signal)) * scenario.snr_gap
     return signal, denom
 
 
-def link_rates(scenario: Scenario, power: np.ndarray) -> np.ndarray:
-    """Rate of every user on every subcarrier, over (cell, max_users, subcarrier)."""
+def link_rates(scenario: Scenario | AssignedLinks, power: np.ndarray) -> np.ndarray:
+    """Rate of every link of a scenario or an `AssignedLinks` view."""
     signal, denom = link_terms(scenario, power)
     return np.log1p(signal / denom)
 
 
 def cell_user_rates(scenario: Scenario, power: np.ndarray,
-                    assignment: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per cell, the K_m users' rates summed over their assigned subcarriers:
-    views into one (cell, max_users) array of sums from one `link_rates`
-    call and one masked reduction."""
-    rates = link_rates(scenario, power)
-    sums = np.where(np.asarray(assignment) == 1, rates, 0.0).sum(axis=2)
+                    assignment) -> tuple[np.ndarray, ...]:
+    """Per cell, the K_m users' rates summed over their assigned subcarriers."""
+    links = assigned_links(scenario, assignment)
+    sums = links.per_user(link_rates(links, power)).sum(axis=2)
     return tuple(sums[m, :k_m] for m, k_m in enumerate(scenario.users_per_cell))
 
 
@@ -183,23 +210,21 @@ class WsmrResult:
     user_rates: tuple[np.ndarray, ...]
 
 
-def wsmr(scenario: Scenario, power: np.ndarray, assignment: np.ndarray) -> WsmrResult:
+def wsmr(scenario: Scenario, power: np.ndarray, assignment) -> WsmrResult:
     """Network objective: sum over cells of weight * worst own-user rate.
 
     Ties in the per-cell minimum resolve to the lowest user index: the
     minimum is taken over the padded (cell, max_users) sums with padded
     slots at +inf, which sort after every real user.
     """
-    validate_assignment(scenario, assignment)
-    user_rates = cell_user_rates(scenario, power, assignment)
-    real = scenario.real_users
-    padded = np.full(real.shape, np.inf)
-    padded[real] = np.concatenate(user_rates)
-    argmins = tuple(padded.argmin(axis=1).tolist())
+    links = assigned_links(scenario, assignment)
+    sums = links.per_user(link_rates(links, power)).sum(axis=2)
+    padded = np.where(scenario.real_users, sums, np.inf)
     mins = tuple(padded.min(axis=1).tolist())
-    value = float(np.dot(scenario.weights, mins))
-    return WsmrResult(value=value, min_rates=mins, argmin_users=argmins,
-                      user_rates=user_rates)
+    return WsmrResult(value=float(np.dot(scenario.weights, mins)), min_rates=mins,
+                      argmin_users=tuple(padded.argmin(axis=1).tolist()),
+                      user_rates=tuple(sums[m, :k_m] for m, k_m
+                                       in enumerate(scenario.users_per_cell)))
 
 
 def rate_gradient(scenario: Scenario, power: np.ndarray, u: int, m: int, n: int) -> np.ndarray:
@@ -217,8 +242,7 @@ def rate_gradient(scenario: Scenario, power: np.ndarray, u: int, m: int, n: int)
     cross = scenario.gains[:, m, u, n] * power[:, n]
     denom = (scenario.noise[m, u, n] + cross.sum() - cross[m]) * gap
     signal = power[m, n] * own_gain
-    grad = np.empty(scenario.num_cells)
     # d/dP_l of ln(1 + s/D) with D linear in P_l: -(g_l*gap) * s / (D*(D+s))
-    grad[:] = -(scenario.gains[:, m, u, n] * gap) * signal / (denom * (denom + signal))
+    grad = -(scenario.gains[:, m, u, n] * gap) * signal / (denom * (denom + signal))
     grad[m] = own_gain / (denom + signal)
     return grad

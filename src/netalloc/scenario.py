@@ -129,9 +129,10 @@ class Scenario:
     gains has axes (transmitter station l, cell m, user u, subcarrier n):
     gains[l, m, u, n] is the channel power gain from station l to user u of
     cell m on subcarrier n.  The user axis is padded to the largest cell;
-    entries at u >= users_per_cell[m] are filler (set to 1.0): they are
-    computed over by `rate_model.link_terms` and masked by every consumer
-    (`real_users` marks the slots that exist), so no result depends on them.
+    entries at u >= users_per_cell[m] are filler (set to 1.0; `real_users`
+    marks the slots that exist).  The power path reads only held links
+    (`rate_model.AssignedLinks`) and the rate tables slice filler off, so no
+    result depends on it.
     noise has axes (cell, user, subcarrier) with the same padding.
     """
 
@@ -304,16 +305,10 @@ def validate_scenario(scenario: Scenario) -> None:
 
 def scenarios_equal(a: Scenario, b: Scenario) -> bool:
     """Bit-exact equality of parameters, geometry and channel data."""
-    if a.params != b.params:
-        return False
-    if not np.array_equal(a.bs_positions, b.bs_positions):
-        return False
-    if len(a.user_positions) != len(b.user_positions):
-        return False
-    for pa, pb in zip(a.user_positions, b.user_positions):
-        if not np.array_equal(pa, pb):
-            return False
-    return np.array_equal(a.gains, b.gains) and np.array_equal(a.noise, b.noise)
+    return (a.params == b.params and np.array_equal(a.bs_positions, b.bs_positions)
+            and len(a.user_positions) == len(b.user_positions)
+            and all(map(np.array_equal, a.user_positions, b.user_positions))
+            and np.array_equal(a.gains, b.gains) and np.array_equal(a.noise, b.noise))
 
 
 def save_scenario(scenario: Scenario, path: str | os.PathLike) -> None:

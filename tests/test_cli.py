@@ -1,10 +1,13 @@
 import csv
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import netalloc
 from netalloc import (ScenarioParams, generate_scenario, initial_point,
                       load_scenario, scenarios_equal, wsmr)
 from netalloc.experiment_cli import ENSEMBLE_HEADER, TRACE_HEADER, main
@@ -257,7 +260,12 @@ def test_oracle_refuses_oversized_instances(capsys):
 
 
 def test_console_entry_point_runs():
+    # The subprocess does not see pytest's `pythonpath` setting, so it gets
+    # the directory holding the imported package on its own path.
+    root = str(Path(netalloc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "netalloc.experiment_cli",
-                           "--help"], capture_output=True, text=True)
+                           "--help"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "generate" in proc.stdout and "montecarlo" in proc.stdout

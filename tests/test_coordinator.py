@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 import netalloc.coordinator as coord_module
+import netalloc.lr_power as lr_module
+import netalloc.ocd_power as ocd_module
+import netalloc.rate_model as rate_module
 import netalloc.subcarrier_alloc as alloc_module
-from netalloc import (CoordinatorAbort, LrDivergenceError, MessageBus,
-                      OcdStepError, PhaseError, RunConfig, initial_point, relay,
+from netalloc import (AssignmentValidationError, CoordinatorAbort,
+                      LrDivergenceError, MessageBus, OcdStepError, PhaseError,
+                      RunConfig, initial_point, lr_solve, ocd_solve, relay,
                       run, validate_assignment, validate_power, wsmr)
 
 from conftest import make_scenario
@@ -236,6 +240,54 @@ def test_ocd_run_with_zero_weight_cell():
         validate_assignment(s, result.best_assignment, require_complete=True)
         assert np.isfinite(result.best_wsmr)
         assert result.best_wsmr >= start
+
+
+@pytest.mark.parametrize("field", [{"pathloss_exponent": 0.1}, {"cell_radius": 1.01}])
+def test_ocd_restarts_from_near_zero_powers(field):
+    # At psi 1e-9 round 0 leaves some powers at 4e-16 to 7e-16.  Round 1
+    # used to start them far below their floored slacks, a damped step took
+    # one negative, and log1p warned before the next system went NaN.
+    s = make_scenario(cells=3, subcarriers=8, users=2, seed=0, **field)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run(s, RunConfig(psi=1e-9, max_power_iters=2000, max_rounds=2,
+                                  power_method="ocd"))
+    assert result.rounds == 2
+    assert np.isfinite(result.best_wsmr)
+    validate_power(s, result.best_power)
+    validate_assignment(s, result.best_assignment, require_complete=True)
+
+
+@pytest.mark.parametrize("solve", [ocd_solve, lr_solve])
+def test_solvers_reject_an_incomplete_held_link_view(solve):
+    # A view passed in place of the assignment is still held to the
+    # complete assignment a power phase needs.
+    s = desk_scenario()
+    power, assignment = initial_point(s)
+    assignment[1, :, 2] = 0
+    links = rate_module.assigned_links(s, assignment)
+    with pytest.raises(AssignmentValidationError, match="cell 1 subcarrier 2"):
+        solve(s, links, power)
+
+
+@pytest.mark.parametrize("solve", [ocd_solve, lr_solve])
+def test_each_power_phase_validates_its_assignment_once(monkeypatch, solve):
+    # A phase validates its assignment when it builds its held-link view,
+    # not again on every sweep's objective evaluation.
+    s = desk_scenario()
+    power, assignment = initial_point(s)
+    real = rate_module.validate_assignment
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("require_complete", False))
+        return real(*args, **kwargs)
+
+    for module in (rate_module, ocd_module, lr_module):
+        monkeypatch.setattr(module, "validate_assignment", counted, raising=False)
+    result = solve(s, assignment, power, psi=1e-12, max_iters=10)
+    assert result.iterations == 10
+    assert calls == [True]
 
 
 def test_unequal_cells_never_read_padded_rows():

@@ -12,7 +12,7 @@ from netalloc import (AssignmentValidationError, MessageBus, OcdStepError,
                       grid_power_optimum, init_cell_states, local_objective,
                       newton_step, ocd_solve, project_power, rate_subcarrier,
                       solve_all_cells, stacked_cell_residuals,
-                      states_from_point, wsmr)
+                      states_from_point, validate_power, wsmr)
 
 from conftest import hand_scenario, make_scenario
 
@@ -152,6 +152,35 @@ def test_init_states_structure():
         assert st.lam == pytest.approx(np.full(2, s.weights[m] / 2))
         assert st.mu.shape == (5,)
         assert (st.slack_h > 0.0).all() and (st.slack_g > 0.0).all()
+
+
+def test_init_states_lift_near_zero_powers_within_budget():
+    # A phase that ends with powers at rounding level must restart strictly
+    # inside: those powers are lifted to the slack floor, a row the lift
+    # pushes over budget gives the excess back from its largest entry, and
+    # rows with nothing to lift are untouched.
+    s, assignment, power = desk_instance()
+    power = power.copy()
+    power[0] = [s.p_max - 3e-16, 4e-16, 0.0, 1e-16]
+    power[1, 2] = 5e-7
+    power[1, 3] -= 5e-7 + 1e-3
+    lifted = np.array([st.power for st in init_cell_states(s, assignment, power)])
+    validate_power(s, lifted)
+    assert lifted.min() >= ocd_module.SLACK_FLOOR
+    assert lifted[0, 1:].tolist() == [ocd_module.SLACK_FLOOR] * 3
+    assert lifted[0].sum() == pytest.approx(s.p_max, abs=1e-15)
+    assert lifted[1].tolist() == [power[1, 0], power[1, 1], ocd_module.SLACK_FLOOR,
+                                  power[1, 3]]
+    assert lifted[2].tobytes() == power[2].tobytes()
+    # A budget below N^2 * SLACK_FLOOR caps the floor at p_max / N^2, so the
+    # largest entry still pays the excess and stays above it.
+    tiny = make_scenario(cells=3, subcarriers=4, users=2, seed=0, p_max=1e-9)
+    power = np.zeros((3, 4))
+    power[:, 0] = tiny.p_max
+    lifted = np.array([st.power for st in init_cell_states(tiny, assignment, power)])
+    validate_power(tiny, lifted)
+    assert lifted.min() == tiny.p_max / 16
+    assert lifted[:, 0] == pytest.approx(tiny.p_max * 13 / 16, rel=1e-12)
 
 
 def test_states_own_their_multipliers():
@@ -416,6 +445,21 @@ def test_cell_and_global_residual_routes_agree():
     result = ocd_solve(s, assignment, power, psi=1e-3, max_iters=200)
     a = stacked_cell_residuals(s, assignment, result.states)
     b = global_kkt_residual(s, assignment, *point_of(result.states))
+    assert np.abs(a.stationarity - b.stationarity).max() <= 1e-12
+    assert np.abs(a.primal - b.primal).max() <= 1e-12
+    assert np.abs(a.complementarity - b.complementarity).max() <= 1e-12
+
+
+def test_residual_routes_agree_on_an_incomplete_assignment():
+    # A subcarrier nobody holds carries no rate and no coupling: the
+    # held-link route gives it zero gains, the global route skips it.
+    s, assignment, power = desk_instance()
+    states = ocd_solve(s, assignment, power, psi=1e-3, max_iters=200).states
+    partial = assignment.copy()
+    partial[0, :, 1] = 0
+    partial[2, :, 3] = 0
+    a = stacked_cell_residuals(s, partial, states)
+    b = global_kkt_residual(s, partial, *point_of(states))
     assert np.abs(a.stationarity - b.stationarity).max() <= 1e-12
     assert np.abs(a.primal - b.primal).max() <= 1e-12
     assert np.abs(a.complementarity - b.complementarity).max() <= 1e-12

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from netalloc import (AssignmentValidationError, PowerValidationError,
-                      cell_user_rates, link_rates, rate_gradient,
-                      rate_subcarrier, sinr, solve_all_cells,
+                      assigned_links, cell_user_rates, link_rates, link_terms,
+                      rate_gradient, rate_subcarrier, sinr, solve_all_cells,
                       validate_assignment, validate_power, wsmr)
 
 from conftest import fd_rate_gradient, hand_scenario, make_scenario, per_cell_wsmr
@@ -188,6 +188,24 @@ def test_wsmr_matches_per_cell_formula_bit_for_bit():
             got = wsmr(s, power, assignment)
             assert_same_wsmr(got, per_cell_wsmr(s, power, assignment))
             assert all(u < k for u, k in zip(got.argmin_users, s.users_per_cell))
+
+
+def test_held_link_kernel_matches_the_full_link_set_bit_for_bit():
+    # The view gathers each subcarrier's user once; the kernel on it equals
+    # the full kernel gathered at that user, and never reads the NaN filler.
+    rng = np.random.default_rng(5)
+    cells, subcarriers = np.ogrid[:3, :6]
+    for seed in range(4):
+        s = poison_padding(make_scenario(cells=3, subcarriers=6, users=(1, 2, 3),
+                                         seed=seed))
+        power = rng.uniform(0.0, s.p_max / 6, size=(3, 6))
+        assignment = solve_all_cells(s, power, mode="greedy")
+        links = assigned_links(s, assignment, require_complete=True)
+        assert assigned_links(s, links) is links
+        user = assignment.argmax(axis=1)
+        for got, full in zip(link_terms(links, power), link_terms(s, power)):
+            assert got.shape == (3, 6)
+            assert got.tobytes() == full[cells, user, subcarriers].tobytes()
 
 
 def test_wsmr_ties_go_to_lowest_real_user():
