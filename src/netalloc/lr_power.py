@@ -12,12 +12,19 @@ ln(1 + c_n p_n) over the cell's subcarriers, so the best response is exact
 weighted water-filling (Palomar & Fonollosa, IEEE TSP 2005), and the
 multiplier step is a sort-based simplex projection (Duchi et al., ICML 2008).
 
-One sweep is one array pass over all cells: one `link_terms` call on the
-phase's `AssignedLinks` view gives every cell's coefficients, then the
-row-wise `best_response`, `wsmr` and `update_multipliers` (multipliers padded
-to the largest cell) do the rest.  Rows repeat the per-cell arithmetic bit
-for bit, except a cell's average rate once rows have 8 or more user slots:
-numpy's pairwise summation blocks a padded row sum differently.
+`lr_solve` builds, once per phase, everything that stays fixed while the
+phase runs: the `AssignedLinks` view, a `WaterFillingPlan` for the (cell,
+subcarrier) rows at p_max, a `SimplexPlan` for the multiplier rows (padded to
+the largest cell) and the first denominators.  A sweep is then one array pass
+over all cells with one link evaluation: water-filling against the
+denominators the previous sweep's rate evaluation left, one `link_terms` call
+at the new powers (this sweep's rates and the next sweep's denominators),
+the objective from the padded per-user rate sums
+(`rate_model.wsmr_from_sums`) and the multiplier step.  The public
+`best_response`, `project_simplex` and `update_multipliers` build a plan and
+call it.  Rows repeat the per-cell arithmetic bit for bit, except a cell's
+average rate once rows have 8 or more user slots: numpy's pairwise summation
+blocks a padded row sum differently.
 
 Both methods run in the same loop, `bus.relay`: same Jacobi information
 pattern, exchange and stop test as the decomposed method, so iteration
@@ -31,7 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bus import MessageBus, PhaseError, TraceRow, relay
-from .rate_model import assigned_links, link_terms, validate_power, wsmr
+# `wsmr` is not called here (a sweep builds its `WsmrResult` from the rate
+# sums it already has); the name stays bound because perfbench's tracer
+# rebinds `wsmr` in every power module and its tests expect it here.
+from .rate_model import (assigned_links, link_terms, validate_power,  # noqa: F401
+                         wsmr, wsmr_from_sums)
 from .scenario import Scenario
 
 ALPHA0 = 1.0
@@ -51,32 +62,60 @@ class LrResult:
     iterations: int
 
 
+class SimplexPlan:
+    """Row-wise Euclidean projection onto {x >= 0, sum(x) = total}, set up
+    once for fixed totals and real slots and then called on any number of
+    value arrays of `shape`.
+
+    `total` holds one nonnegative total per row (checked here) and `real`
+    (broadcast to `shape`, so `True` marks every slot) the slots that exist.
+    Padded slots are masked, never computed with, and come out zero, as does
+    every row of total zero.  Each row sorts its real values in decreasing
+    order ahead of its padded slots and keeps the longest prefix that stays
+    above its shift (Duchi et al., ICML 2008).
+    """
+
+    def __init__(self, total, real: np.ndarray | bool, shape: tuple[int, ...]):
+        total = np.asarray(total, dtype=float).reshape(-1, 1)
+        if total.min() < 0.0:
+            raise ValueError(f"simplex total must be nonnegative, got {total.ravel()!r}")
+        width = shape[-1]
+        self.shape, self.total = shape, total
+        self.real = (np.zeros(shape, dtype=bool) | real).reshape(-1, width)
+        self.live = self.real & (total > 0.0)
+        # Sort keys are -value on real slots and +inf on padded ones, so real
+        # slots fill each row's prefix, in decreasing order of value.
+        self.pad_key = np.where(self.real, 0.0, np.inf)
+        self.ranks = np.arange(1, width + 1)
+        self.first = self.ranks <= self.real.sum(axis=-1, keepdims=True)
+        self.offsets = np.arange(len(self.real))[:, None] * width
+        self.before = self.offsets - 1     # before + rank: flat index of that rank
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        vals = np.where(self.real, v.reshape(self.real.shape), 0.0)
+        at = (self.pad_key - vals).argsort(axis=-1, kind="stable")
+        at += self.offsets
+        dropped = vals.take(at)
+        cumulative = np.add.accumulate(dropped, axis=-1) - self.total
+        valid = self.first & (dropped - cumulative / self.ranks > 0.0)
+        rank = np.maximum.reduce(valid * self.ranks, axis=-1, keepdims=True, initial=1)
+        shift = cumulative.take(self.before + rank) / rank
+        return np.where(self.live, np.maximum(vals - shift, 0.0), 0.0).reshape(self.shape)
+
+    def step(self, lam: np.ndarray, residuals: np.ndarray, t: int) -> np.ndarray:
+        """Projected subgradient step of size `dual_step_size(t)`."""
+        return self(lam + dual_step_size(t) * residuals)
+
+
 def project_simplex(v: np.ndarray, total, real: np.ndarray | bool) -> np.ndarray:
     """Euclidean projection of each row's real slots onto {x >= 0, sum(x) = total}.
 
     Works row-wise on the last axis of a 1-D or 2-D `v`; `total` holds one
     nonnegative total per row and `real` (broadcast to `v`, so `True` marks
-    every slot) the slots that exist.  Padded slots are masked, never
-    computed with, and come out zero, as does every row of total zero.
-    Each row sorts its real values in decreasing order ahead of its padded
-    slots and keeps the longest prefix that stays above its shift (Duchi et
-    al., ICML 2008).
+    every slot) the slots that exist.  See `SimplexPlan`.
     """
     v = np.asarray(v, dtype=float)
-    total = np.asarray(total, dtype=float).reshape(-1, 1)
-    if total.min() < 0.0:
-        raise ValueError(f"simplex total must be nonnegative, got {total.ravel()!r}")
-    real = (np.zeros(v.shape, dtype=bool) | real).reshape(-1, v.shape[-1])
-    vals = np.where(real, v.reshape(real.shape), 0.0)
-    rows = np.arange(len(vals))[:, None]
-    ranks = np.arange(1, vals.shape[-1] + 1)
-    order = np.lexsort((-vals, ~real), axis=-1)
-    dropped = vals[rows, order]
-    cumulative = np.add.accumulate(dropped, axis=-1) - total
-    valid = real[rows, order] & (dropped - cumulative / ranks > 0.0)
-    rho = np.maximum.reduce(valid * ranks, axis=-1, keepdims=True, initial=1) - 1
-    shift = cumulative[rows, rho] / (rho + 1.0)
-    return np.where(real & (total > 0.0), np.maximum(vals - shift, 0.0), 0.0).reshape(v.shape)
+    return SimplexPlan(total, real, v.shape)(v)
 
 
 def dual_step_size(t: int) -> float:
@@ -94,9 +133,55 @@ def update_multipliers(lam: np.ndarray, residuals: np.ndarray, weights, t: int,
     user's rate).  Every row steps by `dual_step_size(t)` times its residual
     and is projected back onto the simplex summing to the cell weight.
     """
-    step = dual_step_size(t)
-    return project_simplex(np.asarray(lam) + step * np.asarray(residuals),
-                           weights, real)
+    lam = np.asarray(lam, dtype=float)
+    return SimplexPlan(weights, real, lam.shape).step(lam, np.asarray(residuals), t)
+
+
+class WaterFillingPlan:
+    """Row-wise exact weighted water-filling, set up once for a `shape` and a
+    budget shared by every row, then called on any number of inputs.
+
+    A call maximizes sum_n weight[n] * ln(1 + coeff[n] * p[n]) over each
+    row's budget set: p_n = max(0, weight[n] / nu - 1 / coeff[n]), with the
+    level nu set so the budget is spent.  Subcarriers enter the active set in
+    decreasing order of weight[n] * coeff[n] (a stable sort, so ties keep
+    index order), and the level of the first k of them is sum(weight) /
+    (budget + sum(1 / coeff)); the active set is the longest prefix whose
+    last entry still lies above its level.  Entries with zero weight or zero
+    coefficient get no power, and nothing gets power at a budget of zero.
+    """
+
+    def __init__(self, shape: tuple[int, ...], budget: float):
+        width = shape[-1]
+        self.shape, self.budget = shape, budget
+        self.rows = (int(np.prod(shape[:-1])), width)
+        self.dry = budget <= 0.0 or 0 in self.rows
+        self.ranks = np.arange(1, width + 1)
+        self.offsets = np.arange(self.rows[0])[:, None] * width
+        self.before = self.offsets - 1     # before + rank: flat index of that rank
+
+    def __call__(self, coeff: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        gain = (weight * coeff).reshape(self.rows)
+        if self.dry:
+            return np.zeros(self.shape)
+        at = (-gain).argsort(axis=-1, kind="stable")
+        at += self.offsets
+        gain, weight = gain.take(at), weight.take(at)
+        on = gain > 0.0                       # a prefix of every sorted row
+        inv = np.divide(1.0, coeff.take(at), out=np.zeros(self.rows), where=on)
+        levels = (np.add.accumulate(weight, axis=-1)
+                  / (self.budget + np.add.accumulate(inv, axis=-1)))
+        # Past the prefix gain <= 0 <= levels, so k is the last entry of the
+        # prefix above its level, or 1.
+        k = np.maximum.reduce((gain > levels) * self.ranks, axis=-1, keepdims=True,
+                              initial=1)
+        filled = np.divide(weight, levels.take(self.before + k), out=np.zeros(self.rows),
+                           where=on & (self.ranks <= k))
+        p = np.empty(self.rows)
+        p.put(at, np.maximum(filled - inv, 0.0))
+        # Rounding only; keeps p feasible.
+        p *= self.budget / np.maximum(np.add.reduce(p, axis=-1, keepdims=True), self.budget)
+        return p.reshape(self.shape)
 
 
 def best_response(coeff: np.ndarray, weight: np.ndarray,
@@ -104,39 +189,13 @@ def best_response(coeff: np.ndarray, weight: np.ndarray,
     """Maximize sum_n weight[n] * ln(1 + coeff[n] * p[n]) over the budget set.
 
     Works row-wise on the last axis of nonnegative 1-D or 2-D inputs, every
-    row with the same budget.  Exact weighted water-filling: p_n = max(0,
-    weight[n] / nu - 1 / coeff[n]), with the level nu set so the budget is
-    spent.  Subcarriers enter the active set in decreasing order of
-    weight[n] * coeff[n] (a stable sort, so ties keep index order), and the
-    level of the first k of them is sum(weight) / (budget + sum(1 / coeff));
-    the active set is the longest prefix whose last entry still lies above
-    its level.  Entries with zero weight or zero coefficient get no power.
-    Each row repeats the arithmetic of its own 1-D call bit for bit.
+    row with the same budget, by exact weighted water-filling (see
+    `WaterFillingPlan`).  Each row repeats the arithmetic of its own 1-D call
+    bit for bit.
     """
     coeff = np.asarray(coeff, dtype=float)
     weight = np.asarray(weight, dtype=float)
-    gain = weight * coeff
-    if budget <= 0.0 or gain.size == 0:
-        return np.zeros_like(gain)
-    shape = gain.shape
-    coeff, weight, gain = (x.reshape(-1, shape[-1]) for x in (coeff, weight, gain))
-    rows = np.arange(len(gain))[:, None]
-    ranks = np.arange(1, shape[-1] + 1)
-    order = np.argsort(-gain, axis=-1, kind="stable")
-    gain, weight = gain[rows, order], weight[rows, order]
-    on = gain > 0.0                       # a prefix of every sorted row
-    inv = np.divide(1.0, coeff[rows, order], out=np.zeros_like(gain), where=on)
-    levels = np.add.accumulate(weight, axis=-1) / (budget + np.add.accumulate(inv, axis=-1))
-    # Past the prefix gain <= 0 <= levels, so k is the last entry of the
-    # prefix above its level, or 1.
-    k = np.maximum.reduce((gain > levels) * ranks, axis=-1, keepdims=True, initial=1)
-    filled = np.divide(weight, levels[rows, k - 1], out=np.zeros_like(gain),
-                       where=on & (ranks <= k))
-    p = np.empty_like(gain)
-    p[rows, order] = np.maximum(filled - inv, 0.0)
-    total = p.sum(axis=-1, keepdims=True)
-    p *= budget / np.maximum(total, budget)   # rounding only; keeps p feasible
-    return p.reshape(shape)
+    return WaterFillingPlan(coeff.shape, budget)(coeff, weight)
 
 
 def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarray,
@@ -158,21 +217,23 @@ def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarr
     weights = np.array(scenario.weights, dtype=float)
     cells = np.arange(scenario.num_cells)
     own_gain = links.gains[cells, cells]
+    held_slot = cells[:, None] * scenario.max_users + links.user   # flat index into lam
     lam = np.where(real, (weights / counts)[:, None], 0.0)
+    water = WaterFillingPlan(own_gain.shape, scenario.p_max)
+    simplex = SimplexPlan(weights, real, lam.shape)
+    # The relay hands each sweep the iterate the previous one returned, so
+    # the denominators at it are the previous sweep's.
+    _, denom = link_terms(links, initial_power)
 
     def sweep(iteration, power):
-        nonlocal lam
-        _, denom = link_terms(links, power)
-        power_now = best_response(own_gain / denom, lam[cells[:, None], links.user],
-                                  scenario.p_max)
+        nonlocal lam, denom
+        power_now = water(own_gain / denom, lam.take(held_slot))
         if not np.isfinite(power_now).all():
             raise LrDivergenceError("power iterate is not finite")
-        reported = wsmr(scenario, power_now, links)
-        rates = np.zeros(real.shape)
-        rates[real] = np.concatenate(reported.user_rates)
-        residuals = (rates.sum(axis=1) / counts)[:, None] - rates
-        lam = update_multipliers(lam, residuals, weights, iteration - 1, real)
-        return power_now, reported
+        signal, denom = link_terms(links, power_now)
+        sums = links.per_user(np.log1p(signal / denom)).sum(axis=2)   # padded slots 0
+        lam = simplex.step(lam, (sums.sum(axis=1) / counts)[:, None] - sums, iteration - 1)
+        return power_now, wsmr_from_sums(scenario, sums)
 
     power, trace, converged = relay(
         sweep, np.asarray(initial_power, dtype=float), report_sizes,

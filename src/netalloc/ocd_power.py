@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bus import MessageBus, PhaseError, TraceRow, relay
-from .rate_model import (assigned_links, cell_user_rates, link_terms,
-                         rate_gradient, validate_power, wsmr)
+from .rate_model import (AssignedLinks, assigned_links, cell_user_rates,
+                         link_terms, rate_gradient, validate_power, wsmr)
 from .scenario import Scenario
 
 FRACTION_TO_BOUNDARY = 0.995
@@ -418,12 +418,21 @@ def newton_step(scenario: Scenario, assignment: np.ndarray,
         for m, k in enumerate(scenario.users_per_cell)]
 
 
+def _power_floor(scenario: Scenario) -> float:
+    """min(SLACK_FLOOR, p_max / N^2): the least starting power and the least
+    local-constraint slack.  A slack floored far above a tiny power starts
+    -p + s far from zero, and a damped step then takes the power negative."""
+    return min(SLACK_FLOOR, scenario.p_max / scenario.num_subcarriers ** 2)
+
+
 def _cell_states(scenario: Scenario, power: np.ndarray,
                  user_rates: tuple[np.ndarray, ...], aux_rates, lam, mu,
                  barrier: float) -> list[CellState]:
     """Per-cell states at `power` whose slacks match the constraint values
-    up to SLACK_FLOOR; each state holds its own copies of lam and mu."""
+    up to SLACK_FLOOR, or up to `_power_floor` for the local constraints;
+    each state holds its own copies of lam and mu."""
     power = np.asarray(power, dtype=float)
+    floor = _power_floor(scenario)
     states = []
     for m, rates in enumerate(user_rates):
         g = _local_constraints(power[m], scenario.p_max)
@@ -431,7 +440,7 @@ def _cell_states(scenario: Scenario, power: np.ndarray,
             power=power[m].copy(), aux_rate=float(aux_rates[m]),
             lam=np.array(lam[m], dtype=float), mu=np.array(mu[m], dtype=float),
             slack_h=np.maximum(rates - aux_rates[m], SLACK_FLOOR),
-            slack_g=np.maximum(-g, SLACK_FLOOR), barrier=barrier))
+            slack_g=np.maximum(-g, floor), barrier=barrier))
     return states
 
 
@@ -445,9 +454,9 @@ def init_cell_states(scenario: Scenario, assignment,
     cell still starts strictly interior, and at one for the local
     constraints; slacks match the constraint values up to a small floor.
     """
-    # Lift powers a damped step could take below 0 to min(SLACK_FLOOR, p_max/N^2);
-    # a row lifted over budget pays from its largest entry.
-    lifted = np.maximum(power, min(SLACK_FLOOR, scenario.p_max / scenario.num_subcarriers ** 2))
+    # Lift powers a damped step could take below 0 to the power floor; a row
+    # lifted over budget pays from its largest entry.
+    lifted = np.maximum(power, _power_floor(scenario))
     excess = np.minimum((lifted - power).sum(axis=1), lifted.sum(axis=1) - scenario.p_max)
     rows = np.flatnonzero(excess > 0.0)
     lifted[rows, lifted[rows].argmax(axis=1)] -= excess[rows]
@@ -530,13 +539,15 @@ def global_kkt_residual(scenario: Scenario, assignment: np.ndarray,
     Walks the full problem's Lagrangian constraint by constraint using the
     per-link rate gradients, deliberately not sharing code with the
     subproblem route, and emits blocks in the same per-cell layout as
-    `stacked_cell_residuals`.
+    `stacked_cell_residuals`.  Takes the assignment or its `AssignedLinks`
+    view.
     """
     power = np.asarray(power, dtype=float)
     n_sub = scenario.num_subcarriers
     stat_p = np.zeros((scenario.num_cells, n_sub))
     stat_aux = np.zeros(scenario.num_cells)
-    a = np.asarray(assignment)
+    # A view is read only through its mask: this route gathers its own links.
+    a = assignment.held if isinstance(assignment, AssignedLinks) else np.asarray(assignment)
 
     for m in range(scenario.num_cells):
         lam_m = np.asarray(lam[m], dtype=float)

@@ -213,15 +213,24 @@ class WsmrResult:
 def wsmr(scenario: Scenario, power: np.ndarray, assignment) -> WsmrResult:
     """Network objective: sum over cells of weight * worst own-user rate.
 
-    Ties in the per-cell minimum resolve to the lowest user index: the
-    minimum is taken over the padded (cell, max_users) sums with padded
-    slots at +inf, which sort after every real user.
+    Ties in the per-cell minimum resolve to the lowest user index; see
+    `wsmr_from_sums`.
     """
     links = assigned_links(scenario, assignment)
-    sums = links.per_user(link_rates(links, power)).sum(axis=2)
+    return wsmr_from_sums(scenario, links.per_user(link_rates(links, power)).sum(axis=2))
+
+
+def wsmr_from_sums(scenario: Scenario, sums: np.ndarray) -> WsmrResult:
+    """`wsmr` from the padded (cell, max_users) user-rate sums.
+
+    Ties in the per-cell minimum resolve to the lowest user index: the
+    minimum is taken with padded slots at +inf, which sort after every real
+    user.
+    """
     padded = np.where(scenario.real_users, sums, np.inf)
-    mins = tuple(padded.min(axis=1).tolist())
-    return WsmrResult(value=float(np.dot(scenario.weights, mins)), min_rates=mins,
+    mins = np.minimum.reduce(padded, axis=1)
+    return WsmrResult(value=float(np.dot(scenario.weights, mins)),
+                      min_rates=tuple(mins.tolist()),
                       argmin_users=tuple(padded.argmin(axis=1).tolist()),
                       user_rates=tuple(sums[m, :k_m] for m, k_m
                                        in enumerate(scenario.users_per_cell)))

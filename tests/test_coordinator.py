@@ -242,18 +242,23 @@ def test_ocd_run_with_zero_weight_cell():
         assert result.best_wsmr >= start
 
 
-@pytest.mark.parametrize("field", [{"pathloss_exponent": 0.1}, {"cell_radius": 1.01}])
+@pytest.mark.parametrize("field", [{"pathloss_exponent": 0.1}, {"cell_radius": 1.01},
+                                   {"p_max": 1e-9, "pathloss_exponent": 0.1}])
 def test_ocd_restarts_from_near_zero_powers(field):
     # At psi 1e-9 round 0 leaves some powers at 4e-16 to 7e-16.  Round 1
     # used to start them far below their floored slacks, a damped step took
-    # one negative, and log1p warned before the next system went NaN.
+    # one negative, and log1p warned before the next system went NaN.  At
+    # p_max 1e-9 the uniform start itself lay far below a slack floored at
+    # SLACK_FLOOR, with the same outcome in round 0.
     s = make_scenario(cells=3, subcarriers=8, users=2, seed=0, **field)
+    start = wsmr(s, *initial_point(s)).value
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         result = run(s, RunConfig(psi=1e-9, max_power_iters=2000, max_rounds=2,
                                   power_method="ocd"))
     assert result.rounds == 2
     assert np.isfinite(result.best_wsmr)
+    assert result.best_wsmr >= start
     validate_power(s, result.best_power)
     validate_assignment(s, result.best_assignment, require_complete=True)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import netalloc.lr_power as lr_module
+import netalloc.rate_model as rate_module
 from netalloc import (LrDivergenceError, MessageBus, best_response,
                       dual_step_size, link_terms, lr_solve, project_simplex,
                       solve_all_cells, update_multipliers, wsmr)
@@ -232,20 +233,38 @@ def test_input_validation():
 
 def test_divergence_error_carries_partial_trace(monkeypatch):
     s, assignment, power = desk_instance()
-    real = lr_module.best_response
+    real = lr_module.WaterFillingPlan.__call__
     calls = {"count": 0}
 
-    def flaky(coeff, weight, budget):
+    def flaky(plan, coeff, weight):
         calls["count"] += 1
         if calls["count"] > 1:
             return np.full(np.shape(coeff), np.nan)
-        return real(coeff, weight, budget)
+        return real(plan, coeff, weight)
 
-    monkeypatch.setattr(lr_module, "best_response", flaky)
+    monkeypatch.setattr(lr_module.WaterFillingPlan, "__call__", flaky)
     with pytest.raises(LrDivergenceError) as excinfo:
         lr_module.lr_solve(s, assignment, power, psi=1e-12, max_iters=10)
     assert excinfo.value.iteration == 2
     assert len(excinfo.value.trace) == 1
+
+
+def test_one_link_evaluation_per_sweep(monkeypatch):
+    # A sweep's rate evaluation gives the next sweep's interference, so a
+    # phase evaluates the link kernel once at its start and once per sweep.
+    s, assignment, power = desk_instance()
+    real = rate_module.link_terms
+    calls = {"count": 0}
+
+    def counted(*args):
+        calls["count"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(rate_module, "link_terms", counted)
+    monkeypatch.setattr(lr_module, "link_terms", counted)
+    result = lr_solve(s, assignment, power, psi=1e-12, max_iters=25)
+    assert result.iterations == 25
+    assert calls["count"] == result.iterations + 1
 
 
 # The per-cell LR route the batched sweep replaced: one water-filling and one
@@ -376,3 +395,53 @@ def test_row_wise_project_simplex_matches_rows():
             want = project_simplex_per_row(v[r, :k], total[r]).tobytes()
             assert batched[r, :k].tobytes() == want
             assert project_simplex(v[r, :k], total[r], True).tobytes() == want
+
+
+def test_plans_match_rows_on_edge_cases():
+    rng = np.random.default_rng(41)
+    coeff = 10.0 ** rng.uniform(-2.0, 4.0, size=(4, 8))
+    weight = rng.uniform(size=(4, 8))
+    weight[0, :3] = 0.0
+    coeff[1, 2:5] = 0.0
+    weight[2] = 0.0
+    coeff[3] = 0.0
+    for budget in (0.0, 1.5):
+        rows = lr_module.WaterFillingPlan(coeff.shape, budget)(coeff, weight)
+        for r in range(len(coeff)):
+            want = best_response_per_row(coeff[r], weight[r], budget).tobytes()
+            assert rows[r].tobytes() == want
+            one = lr_module.WaterFillingPlan(coeff[r].shape, budget)(coeff[r], weight[r])
+            assert one.shape == coeff[r].shape and one.tobytes() == want
+
+    sizes = (1, 2, 3)
+    real = np.arange(3) < np.array(sizes)[:, None]
+    total = np.array([0.7, 0.0, 2.0])
+    plan = lr_module.SimplexPlan(total, real, real.shape)
+    for _ in range(20):
+        v = rng.normal(scale=2.0, size=real.shape)
+        v[~real] = np.nan        # padded slots must never be read
+        got = plan(v)
+        assert (got[~real] == 0.0).all()
+        for r, k in enumerate(sizes):
+            assert got[r, :k].tobytes() == project_simplex_per_row(v[r, :k], total[r]).tobytes()
+        flat = v[2]
+        one = lr_module.SimplexPlan(1.3, True, flat.shape)(flat)
+        assert one.shape == flat.shape
+        assert one.tobytes() == project_simplex_per_row(flat, 1.3).tobytes()
+
+
+def test_plan_outputs_own_their_memory():
+    rng = np.random.default_rng(43)
+    real = np.arange(3) < np.array([1, 2, 3])[:, None]
+    water = lr_module.WaterFillingPlan((3, 6), 1.0)
+    simplex = lr_module.SimplexPlan([1.0, 0.5, 2.0], real, real.shape)
+    for plan, args in ((water, lambda: (rng.uniform(size=(3, 6)), rng.uniform(size=(3, 6)))),
+                       (simplex, lambda: (rng.normal(size=(3, 3)),))):
+        first = plan(*args())
+        kept = first.copy()
+        second = plan(*args())
+        assert first.tobytes() == kept.tobytes()
+        held = [x for x in vars(plan).values() if isinstance(x, np.ndarray)]
+        for out in (first, second):
+            assert not any(np.shares_memory(out, x) for x in held)
+        assert not np.shares_memory(first, second)

@@ -465,6 +465,20 @@ def test_residual_routes_agree_on_an_incomplete_assignment():
     assert np.abs(a.complementarity - b.complementarity).max() <= 1e-12
 
 
+def test_global_residual_takes_a_held_link_view():
+    # The verification route reads a view only through its mask, so the view
+    # and the assignment it was built from give the same residual.
+    s, assignment, power = desk_instance()
+    point = point_of(ocd_solve(s, assignment, power, psi=1e-3, max_iters=200).states)
+    partial = assignment.copy()
+    partial[1, :, 2] = 0
+    for held in (assignment, partial):
+        a = global_kkt_residual(s, held, *point)
+        b = global_kkt_residual(s, rate_module.assigned_links(s, held), *point)
+        for field in ("stationarity", "primal", "complementarity"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+
 def test_single_cell_symmetric_splits_evenly():
     gains = np.full((1, 1, 1, 2), 1e-4)
     s = hand_scenario(gains, users_per_cell=1)
