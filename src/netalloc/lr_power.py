@@ -216,7 +216,7 @@ def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarr
     counts = np.array(scenario.users_per_cell)
     weights = np.array(scenario.weights, dtype=float)
     cells = np.arange(scenario.num_cells)
-    own_gain = links.gains[cells, cells]
+    own_gain = links.own_gains
     held_slot = cells[:, None] * scenario.max_users + links.user   # flat index into lam
     lam = np.where(real, (weights / counts)[:, None], 0.0)
     water = WaterFillingPlan(own_gain.shape, scenario.p_max)

@@ -202,7 +202,7 @@ def _subproblem_terms(scenario: Scenario, assignment,
     signal, denom = link_terms(links, np.array([st.power for st in states]))
     full = denom + signal
     rate_sums = links.per_user(np.log1p(signal / denom)).sum(axis=2)
-    d_rate = links.per_user(links.gains[cells, cells] / full)
+    d_rate = links.per_user(links.own_gains / full)
 
     # into[m, o, n]: station m's gap-scaled gain into cell o's held link on n.
     into = links.gains * links.snr_gap

@@ -140,13 +140,15 @@ def rate_subcarrier(scenario: Scenario, power: np.ndarray, u: int, m: int, n: in
 @dataclass(frozen=True)
 class AssignedLinks:
     """The links an assignment (mask `held`) holds, user[m, n] on subcarrier n of
-    cell m: gains[l, m, n] = gains[l, m, user[m, n], n] (0 if none), noise[m, n]."""
+    cell m: gains[l, m, n] = gains[l, m, user[m, n], n] (0 if none), noise[m, n],
+    and the own-cell gains own_gains[m, n] = gains[m, m, n]."""
 
     held: np.ndarray
     user: np.ndarray
     gains: np.ndarray
     noise: np.ndarray
     snr_gap: float
+    own_gains: np.ndarray
 
     def per_user(self, values: np.ndarray) -> np.ndarray:
         """(cell, subcarrier) link values put at their users' slots, else 0."""
@@ -165,7 +167,9 @@ def assigned_links(scenario: Scenario, assignment, *,
     user = held.argmax(axis=1)
     at = np.arange(scenario.num_cells)[:, None], user, np.arange(scenario.num_subcarriers)
     gains = np.where(held.any(axis=1), scenario.gains[(slice(None), *at)], 0.0)
-    return AssignedLinks(held, user, gains, scenario.noise[at], scenario.snr_gap)
+    cells = np.arange(scenario.num_cells)
+    return AssignedLinks(held, user, gains, scenario.noise[at], scenario.snr_gap,
+                         gains[cells, cells])
 
 
 def link_terms(scenario: Scenario | AssignedLinks,
@@ -175,9 +179,13 @@ def link_terms(scenario: Scenario | AssignedLinks,
     noise plus every other station's signal, times the SNR gap."""
     power = np.asarray(power, dtype=float)
     gains = scenario.gains
-    cells = np.arange(len(gains))
+    if isinstance(scenario, AssignedLinks):
+        own_gains = scenario.own_gains
+    else:
+        cells = np.arange(len(gains))
+        own_gains = gains[cells, cells]
     own_power = power.reshape((len(power),) + (1,) * (gains.ndim - 3) + power.shape[1:])
-    signal = gains[cells, cells] * own_power
+    signal = own_gains * own_power
     total = (gains * own_power[:, None]).sum(axis=0)
     denom = (scenario.noise + (total - signal)) * scenario.snr_gap
     return signal, denom

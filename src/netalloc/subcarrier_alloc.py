@@ -11,32 +11,46 @@ Both are deterministic, including tie handling, so repeated runs give
 byte-identical results.
 
 The exact search prunes a branch whose upper bound does not beat the
-incumbent (seeded by greedy).  Given the assignment a cell already holds,
-it first polishes that assignment by a local search towards the worst user,
-then also prunes below the better of the held and polished values on the
-new table (a floor shrunk by a relative `FLOOR_MARGIN`).  After a power
-phase the held assignment is usually within a few percent of the optimum,
-far closer than greedy, and the polished one is closer still, so the floor
-cuts most of the tree.  Both are feasible assignments, so the floor is at
-most the optimum and never cuts an ancestor of the first optimal leaf in
-branching order.  The incumbent is still greedy's and still moves only on
-strict improvement, so the result depends neither on the held assignment
-nor on the local search.
+incumbent (seeded by greedy).  Its main bound is Lagrangian (Fisher, Mgmt.
+Sci. 1981): for any point y on the simplex, the y-weighted sum of the users'
+totals so far plus, for each remaining subcarrier, the largest y-weighted
+rate on it bounds the worst user total of every completion.  y is computed
+once per table, near the minimum of that bound at the root, which is the
+value of the LP relaxation; the bound then costs one add per node.  The
+second bound, each user's total plus all its remaining rates, catches what
+one fixed y misses deeper in the tree.
+
+Given the assignment a cell already holds, the search first polishes that
+assignment by a local search towards the worst user, then also prunes below
+the better of the held and polished values on the new table (a floor shrunk
+by a relative `FLOOR_MARGIN`).  After a power phase the held assignment is
+usually within a few percent of the optimum, far closer than greedy, and the
+polished one is closer still, so the floor cuts most of the tree.  Both are
+feasible assignments, so the floor is at most the optimum and never cuts an
+ancestor of the first optimal leaf in branching order.  The incumbent is
+still greedy's and still moves only on strict improvement, so the result
+depends neither on the held assignment, nor on the local search, nor on y.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
+from .lr_power import SimplexPlan
 from .rate_model import link_rates
 from .scenario import Scenario
 
 
 # Relative shrink of the held assignment's value before it prunes the search.
 FLOOR_MARGIN = 1e-12
+# Projected subgradient steps towards the dual point at K >= 3, and the
+# first step's length on the simplex (later ones shrink as 1 / sqrt(t + 1)).
+DUAL_STEPS = 20
+DUAL_STEP = 0.2
 
 
 class RateTableError(ValueError):
@@ -187,6 +201,61 @@ def _held_floor(table: np.ndarray, current, order: list, cols: list) -> float:
     return value * (1.0 - FLOOR_MARGIN)
 
 
+def _dual_point(cols: list) -> list:
+    """A simplex point y at or near the minimum of f(y) = sum_d max_u y_u * cols[d][u].
+
+    f is convex and piecewise linear, and its minimum is the value of the LP
+    relaxation of the max-min assignment.  At two users the minimum is exact:
+    a weighted median of the breakpoints.  From three users on, y is the best
+    of `DUAL_STEPS` projected subgradient steps.  Any y gives a valid bound,
+    so a poor one costs pruning, never a different result.
+    """
+    k = len(cols[0])
+    if k == 1:
+        return [1.0]
+    if k == 2:
+        # f(t, 1 - t) = sum_d max(t * a_d, (1 - t) * b_d) is convex in t, with
+        # slope -sum b at t = 0 rising by a_d + b_d at each b_d / (a_d + b_d).
+        need = 0.0
+        kinks = []
+        for a, b in cols:
+            need += b
+            if a + b > 0.0:
+                kinks.append((b / (a + b), a + b))
+        kinks.sort()
+        slope, t = 0.0, 0.5
+        for t, rise in kinks:
+            slope += rise
+            if slope >= need:
+                break
+        return [t, 1.0 - t]
+    table = np.array(cols).T
+    totals = table.sum(axis=1)
+    if not totals.all():
+        # A user with nothing to gain: y on it bounds every node by 0.
+        return np.eye(k)[totals.argmin()].tolist()
+    # Projected subgradient from y proportional to 1 / totals, the point
+    # that weighs every user's whole table equally; best point seen wins.
+    project = SimplexPlan(1.0, True, (k,))
+    y = totals.min() / totals
+    y /= y.sum()
+    at = np.arange(table.shape[1])
+    best_y, best_f = y, np.inf
+    for t in range(DUAL_STEPS):
+        weighted = y[:, None] * table
+        win = weighted.argmax(axis=0)
+        f = weighted[win, at].sum()
+        if f < best_f:
+            best_y, best_f = y, f
+        grad = np.bincount(win, weights=table[win, at], minlength=k)
+        grad -= grad.mean()
+        norm = np.sqrt(grad @ grad)
+        if norm == 0.0:
+            break
+        y = project(y - DUAL_STEP / np.sqrt(t + 1.0) * grad / norm)
+    return best_y.tolist()
+
+
 def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
     """Max-min optimal assignment by branch and bound.
 
@@ -197,6 +266,21 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
     strict improvement, so the returned assignment is a deterministic
     function of the table: the first leaf in branching order that reaches
     the optimum, or greedy's when greedy is already optimal.
+
+    Two bounds prune.  The Lagrangian bound at a point y computed once per
+    table (see `_dual_point`; nothing else about the search depends on y) is
+    the y-weighted sum of the totals so far plus a suffix sum, over the
+    remaining subcarriers, of the largest y-weighted rate: one add per node.
+    The per-user bound is each user's total plus all of its remaining
+    rates.  In exact arithmetic both are at least the worst user total of
+    every leaf below the node, so neither cuts an ancestor of the first
+    optimal leaf, and the result is the same for every y.  The Lagrangian
+    bound is inflated by `FLOOR_MARGIN` times the table's sum of
+    per-subcarrier best rates, an upper limit on every sum the search
+    forms, so that rounding in its differently ordered sums (and in y's own
+    sum) cannot cut such an ancestor either.  The per-user bound has no
+    margin, so that it still cuts at exact ties; its rounding can only cut
+    a leaf whose computed minimum is within an ulp or so of the incumbent.
 
     `current`, a (N,) user-index vector such as the assignment the cell
     already holds, only speeds the search up.  A local search first
@@ -221,19 +305,25 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
     floor = _held_floor(table, current, order, cols)
 
     # rest[d][u]: what user u could still gain from subcarriers order[d:].
-    # rest_best[d]: same with the per-subcarrier best user, for an average bound.
-    rest = [[0.0] * k for _ in range(n_sub + 1)]
-    rest_best = [0.0] * (n_sub + 1)
-    for d in range(n_sub - 1, -1, -1):
-        rest[d] = [r + c for r, c in zip(rest[d + 1], cols[d])]
-        rest_best[d] = rest_best[d + 1] + max(cols[d])
+    rest = [[0.0] * k]
+    for col in reversed(cols):
+        rest.append(list(map(operator.add, rest[-1], col)))
+    rest.reverse()
+    # The Lagrangian bound at the dual point y: ycols[d][u] = y_u * cols[d][u],
+    # and rest_y[d] sums max_u ycols[n][u] over n >= d, plus a slack for
+    # rounding: every sum the search forms is at most sum_n max_u cols[n][u].
+    y = _dual_point(cols)
+    ycols = [list(map(operator.mul, y, col)) for col in cols]
+    slack = FLOOR_MARGIN * sum(map(max, cols))
+    rest_y = list(accumulate(map(max, reversed(ycols)), initial=slack))[::-1]
 
     greedy = _greedy(order, cols)
     best_min = greedy.min_rate
     best_picks = None
-    # totals[d]: the users' totals after the picks at depths 0..d-1;
-    # picks[d]: the user currently tried at depth d.
+    # totals[d]: the users' totals after the picks at depths 0..d-1, and
+    # ytotals[d] their y-weighted sum; picks[d]: the user tried at depth d.
     totals = [[0.0] * k for _ in range(n_sub + 1)]
+    ytotals = [0.0] * (n_sub + 1)
     picks = [-1] * n_sub
     nodes = 0
     depth = 0
@@ -241,21 +331,19 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
     while depth >= 0:
         if entering:
             nodes += 1
-            here = totals[depth]
             if depth == n_sub:
-                low = min(here)
+                low = min(totals[depth])
                 if low > best_min:
                     best_min = low
                     best_picks = picks[:]
                 depth -= 1
                 entering = False
                 continue
-            # Bound 1: every user can at best collect all remaining subcarriers.
-            bound = min(map(operator.add, here, rest[depth]))
-            # Bound 2: the minimum never exceeds the average of the totals.
-            avg = (sum(here) + rest_best[depth]) / k
-            if avg < bound:
-                bound = avg
+            # The Lagrangian bound first, at one add; then the per-user bound:
+            # no user can gain more than all the remaining subcarriers.
+            bound = ytotals[depth] + rest_y[depth]
+            if bound > best_min and bound >= floor:
+                bound = min(map(operator.add, totals[depth], rest[depth]))
             if bound <= best_min or bound < floor:
                 depth -= 1
                 entering = False
@@ -269,6 +357,7 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
         child = totals[depth + 1]
         child[:] = totals[depth]
         child[u] += cols[depth][u]
+        ytotals[depth + 1] = ytotals[depth] + ycols[depth][u]
         depth += 1
         entering = True
 
