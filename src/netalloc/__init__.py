@@ -14,9 +14,8 @@ from .coordinator import (CoordinatorAbort, RunConfig, RunResult,
 from .lr_power import (LrDivergenceError, LrResult, best_response,
                        dual_step_size, lr_solve, project_simplex,
                        update_multipliers)
-from .ocd_power import (CellState, KktResidual, NewtonStep, OcdResult,
-                        OcdStepError, constraint_residuals,
-                        global_kkt_residual, init_cell_states, local_objective,
+from .ocd_power import (KktResidual, NewtonStep, OcdResult, OcdState,
+                        OcdStepError, global_kkt_residual, init_cell_states,
                         newton_step, ocd_solve, project_power,
                         stacked_cell_residuals, states_from_point)
 from .oracles import (GridOptimum, OracleSizeError, exhaustive_min_rate,

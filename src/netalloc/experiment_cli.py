@@ -10,7 +10,7 @@ Radio flags are the human-friendly dB variants (--noise-dbw, --snr-gap-db);
 conversion to linear happens once at parse time and files only ever hold
 linear values.  All floats are serialized with 12 digits after the mantissa
 point so CSVs are reproducible bit for bit.  Exit codes: 0 success, 1 solver
-abort, 2 usage or file errors.
+abort or oracle FAIL, 2 usage or file errors.
 """
 
 from __future__ import annotations
@@ -285,20 +285,55 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _oracle_usage_error(args: argparse.Namespace,
+                        checks: tuple[str, ...]) -> str | None:
+    """Why the oracle flags describe nothing it can check, or None."""
+    if args.trials < 1:
+        return f"--trials must be positive, got {args.trials}"
+    if "assignment" in checks:
+        users = max(args.users_per_cell)
+        if min(args.users_per_cell) < 1 or args.subcarriers < 1:
+            return (f"assignment oracle needs at least one user and one "
+                    f"subcarrier; got {args.users_per_cell} and {args.subcarriers}")
+        if users ** args.subcarriers > MAX_ASSIGNMENT_MAPS:
+            return (f"assignment oracle limited to K^N <= {MAX_ASSIGNMENT_MAPS}; "
+                    f"got {users}^{args.subcarriers}")
+    if "power" in checks:
+        if not 1 <= args.power_subcarriers <= MAX_GRID_SUBCARRIERS:
+            return (f"power grid oracle limited to 1 <= N <= "
+                    f"{MAX_GRID_SUBCARRIERS}; got {args.power_subcarriers}")
+        if args.grid < 2:
+            return f"--grid needs at least 2 points per axis, got {args.grid}"
+        try:
+            _power_oracle_params(args).validated()
+        except ScenarioValidationError as exc:
+            return str(exc)
+    return None
+
+
+def _power_oracle_params(args: argparse.Namespace) -> ScenarioParams:
+    """The power oracle's single-cell instance, before its per-trial users
+    and seed."""
+    return ScenarioParams(
+        num_cells=1, num_subcarriers=args.power_subcarriers, users_per_cell=1,
+        cell_radius=args.radius, p_max=args.pmax,
+        noise_power=db_to_linear(args.noise_dbw),
+        snr_gap=db_to_linear(args.snr_gap_db),
+        pathloss_exponent=args.pathloss_exponent)
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
-    users = args.users_per_cell[0] if len(args.users_per_cell) == 1 \
-        else max(args.users_per_cell)
+    users = max(args.users_per_cell)
     checks = ("assignment", "power") if args.check == "both" else (args.check,)
+    problem = _oracle_usage_error(args, checks)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     rng = np.random.default_rng(args.seed)
     worst_assignment = 0.0
     worst_power = 0.0
 
     if "assignment" in checks:
-        if users ** args.subcarriers > MAX_ASSIGNMENT_MAPS:
-            print(f"error: assignment oracle limited to K^N <= "
-                  f"{MAX_ASSIGNMENT_MAPS}; got {users}^{args.subcarriers}",
-                  file=sys.stderr)
-            return EXIT_USAGE
         for _ in range(args.trials):
             table = rng.exponential(1.0, size=(users, args.subcarriers))
             slow = exhaustive_min_rate(table)
@@ -314,20 +349,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
               f"max_relative_gap={_fmt(worst_assignment)}")
 
     if "power" in checks:
-        if args.power_subcarriers > MAX_GRID_SUBCARRIERS:
-            print(f"error: power grid oracle limited to N <= "
-                  f"{MAX_GRID_SUBCARRIERS}; got {args.power_subcarriers}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+        base = _power_oracle_params(args)
         for trial in range(args.trials):
-            params = ScenarioParams(
-                num_cells=1, num_subcarriers=args.power_subcarriers,
-                users_per_cell=1 + trial % 2, cell_radius=args.radius,
-                p_max=args.pmax, noise_power=db_to_linear(args.noise_dbw),
-                snr_gap=db_to_linear(args.snr_gap_db),
-                pathloss_exponent=args.pathloss_exponent,
-                seed=int(rng.integers(0, 2 ** 31)))
-            scenario = generate_scenario(params)
+            scenario = generate_scenario(replace(
+                base, users_per_cell=1 + trial % 2,
+                seed=int(rng.integers(0, 2 ** 31))))
             _, assignment = initial_point(scenario)
             solved = ocd_solve(scenario, assignment,
                                initial_point(scenario)[0], psi=1e-6,

@@ -9,25 +9,27 @@ cell: foreign rate constraints enter its objective weighted by the other
 cells' current multipliers.
 
 Per iteration every cell takes exactly one primal-dual interior-point Newton
-step on its subproblem, reading only the previous iteration's snapshot of all
-cells (a Jacobi sweep).  `newton_step` is that sweep and owns the snapshot:
-it evaluates the link kernel and every cell's subproblem terms once, as
-padded all-cell arrays, then steps all cells with one set of array
-operations.  A step eliminates slacks and multipliers in closed form,
-leaving a reduced (N+1)x(N+1) system in the cell's powers and aux rate.
-That matrix is a diagonal plus rank K + 1 (the K rate rows and the budget
-row), except that its aux diagonal entry is 0; bordering the aux coordinate
-with eps = mean of the power diagonal, once added and once subtracted as a
-row of its own, makes it a strictly negative diagonal plus rank K + 2.  So
-Woodbury (Golub & Van Loan, sec. 2.1.4) replaces the dense solve with one
-batched (K+2)x(K+2) capacitance solve over all cells, O(NK^2) per cell
-instead of O(N^3).  Near the barrier floor the multiplier/slack weights
-reach ~1e10 and the capacitance solve alone can lose most digits, so two
-steps of iterative refinement on the structured residual follow it; with
-them the step agrees with the dense solve to its own rounding floor.
-Each cell then reports (powers, auxiliary rate, multipliers) to
-the central agent (`bus.relay`), which rebroadcasts and checks whether the
-stacked power iterates moved less than psi in Euclidean norm.
+step on its subproblem, reading only the previous iteration's snapshot of
+all cells (a Jacobi sweep).  The iterate is one `OcdState` that holds every
+cell as a row, its user axis padded to the largest cell.  `newton_step` is
+the sweep and owns the snapshot: it evaluates the link kernel and every
+cell's subproblem terms once, as padded all-cell arrays, then steps all
+cells with one set of array operations and returns the next `OcdState`.  A
+step eliminates slacks and multipliers in closed form, leaving a reduced
+(N+1)x(N+1) system in the cell's powers and aux rate.  That matrix is a
+diagonal plus rank K + 1 (the K rate rows and the budget row), except that
+its aux diagonal entry is 0; bordering the aux coordinate with eps = mean of
+the power diagonal, once added and once subtracted as a row of its own,
+makes it a strictly negative diagonal plus rank K + 2.  So Woodbury (Golub &
+Van Loan, sec. 2.1.4) replaces the dense solve with one batched (K+2)x(K+2)
+capacitance solve over all cells, O(NK^2) per cell instead of O(N^3).  Near
+the barrier floor the multiplier/slack weights reach ~1e10 and the
+capacitance solve alone can lose most digits, so two steps of iterative
+refinement on the structured residual follow it; with them the step agrees
+with the dense solve to its own rounding floor.  Each cell then reports
+(powers, auxiliary rate, multipliers) to the central agent (`bus.relay`),
+which rebroadcasts and checks whether the stacked power iterates moved less
+than psi in Euclidean norm.
 
 Stacking each cell's first-order conditions reproduces the first-order
 conditions of the undecomposed problem.  `stacked_cell_residuals` (per-cell
@@ -77,16 +79,19 @@ class OcdStepError(PhaseError):
 
 
 @dataclass(frozen=True)
-class CellState:
-    """One cell's primal-dual iterate.
+class OcdState:
+    """Every cell's primal-dual iterate, one row per cell.
 
-    `mu` and `slack_g` cover the local constraints in a fixed order: entry 0
-    is the power budget, entries 1..N the per-subcarrier nonnegativity
-    bounds.  `lam` and `slack_h` cover the own-user minimum-rate constraints.
+    `power` is (M, N) and `aux_rate` (M,).  `mu` and `slack_g` (M, N + 1)
+    cover the local constraints in a fixed order: entry 0 is the power
+    budget, entries 1..N the per-subcarrier nonnegativity bounds.  `lam` and
+    `slack_h` (M, Kmax) cover the own-user minimum-rate constraints; the
+    slots of users a cell does not have hold exactly 0 and 1, which a step
+    leaves unchanged.  All cells share one barrier.
     """
 
     power: np.ndarray
-    aux_rate: float
+    aux_rate: np.ndarray
     lam: np.ndarray
     mu: np.ndarray
     slack_h: np.ndarray
@@ -96,14 +101,15 @@ class CellState:
 
 @dataclass(frozen=True)
 class NewtonStep:
-    """Raw Newton direction plus the damped updated state."""
+    """Every cell's raw Newton direction and step length, one row per cell,
+    plus the damped updated state."""
 
     d_power: np.ndarray
-    d_aux_rate: float
+    d_aux_rate: np.ndarray
     d_lam: np.ndarray
     d_mu: np.ndarray
-    alpha: float
-    state: CellState
+    alpha: np.ndarray
+    state: OcdState
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,7 @@ class KktResidual:
 @dataclass(frozen=True)
 class OcdResult:
     power: np.ndarray
-    states: list[CellState]
+    state: OcdState
     trace: list[TraceRow]
     converged: bool
     iterations: int
@@ -145,14 +151,6 @@ def project_power(power: np.ndarray, p_max: float) -> np.ndarray:
     return out
 
 
-def _stack(rows: list[np.ndarray], width: int, fill: float) -> np.ndarray:
-    """Rows of unequal length as one (len(rows), width) array, right-padded."""
-    out = np.full((len(rows), width), fill)
-    for i, row in enumerate(rows):
-        out[i, :row.size] = row
-    return out
-
-
 @dataclass(frozen=True)
 class SubproblemTerms:
     """Every cell's subproblem at one snapshot, as padded all-cell arrays.
@@ -163,8 +161,7 @@ class SubproblemTerms:
     user slots: each rate constraint's value, its Jacobian over the N + 1
     variables, and its diagonal second derivatives -(d2 rate) >= 0 over the
     powers.  `real` marks the user slots that exist; padded slots hold
-    zeros.  `terms[m]` is cell m's (phi, grad, curv, h, jac_h, curv_h) with
-    the padding sliced off.
+    zeros.
     """
 
     phi: np.ndarray
@@ -175,14 +172,9 @@ class SubproblemTerms:
     curv_h: np.ndarray
     real: np.ndarray
 
-    def __getitem__(self, cell: int) -> tuple:
-        k = int(self.real[cell].sum())
-        return (float(self.phi[cell]), self.grad[cell], self.curv[cell],
-                self.h[cell, :k], self.jac_h[cell, :k], self.curv_h[cell, :k])
-
 
 def _subproblem_terms(scenario: Scenario, assignment,
-                      states: list[CellState]) -> SubproblemTerms:
+                      state: OcdState) -> SubproblemTerms:
     """Value, derivatives and own constraints of every cell's subproblem.
 
     Only the held links (m, user[m, n], n) enter, through an `AssignedLinks`
@@ -197,9 +189,8 @@ def _subproblem_terms(scenario: Scenario, assignment,
     cells = np.arange(scenario.num_cells)
     real = scenario.real_users
     weights = np.asarray(scenario.weights, dtype=float)
-    aux = np.array([st.aux_rate for st in states])
-    lam_bar = _stack([st.lam for st in states], scenario.max_users, 0.0)
-    signal, denom = link_terms(links, np.array([st.power for st in states]))
+    aux, lam_bar = state.aux_rate, state.lam
+    signal, denom = link_terms(links, state.power)
     full = denom + signal
     rate_sums = links.per_user(np.log1p(signal / denom)).sum(axis=2)
     d_rate = links.per_user(links.own_gains / full)
@@ -247,19 +238,6 @@ def _jac_g_transpose(v: np.ndarray) -> np.ndarray:
     out = np.zeros_like(v)
     out[..., :-1] = v[..., :1] - v[..., 1:]
     return out
-
-
-def local_objective(scenario: Scenario, assignment: np.ndarray, cell: int,
-                    states: list[CellState]) -> float:
-    """This cell's subproblem objective at the given joint state."""
-    return float(_subproblem_terms(scenario, assignment, states).phi[cell])
-
-
-def constraint_residuals(scenario: Scenario, assignment: np.ndarray, cell: int,
-                         states: list[CellState]):
-    """(rate constraints h, local constraints g) of one cell, raw signed."""
-    h = _subproblem_terms(scenario, assignment, states)[cell][3]
-    return h, _local_constraints(states[cell].power, scenario.p_max)
 
 
 def _max_step(values: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -339,8 +317,8 @@ def _solve_reduced(d_pow: np.ndarray, rows: np.ndarray, mult: np.ndarray,
 
 
 def newton_step(scenario: Scenario, assignment: np.ndarray,
-                states: list[CellState]) -> list[NewtonStep]:
-    """One Jacobi sweep: every cell's Newton step against the snapshot `states`.
+                state: OcdState) -> NewtonStep:
+    """One Jacobi sweep: every cell's Newton step against the snapshot `state`.
 
     The sweep owns the snapshot: `_subproblem_terms` evaluates it once (one
     link-kernel call) for all cells.  Each cell linearizes the primal-dual
@@ -360,19 +338,13 @@ def newton_step(scenario: Scenario, assignment: np.ndarray,
     no regularization retry.
     """
     n_sub = scenario.num_subcarriers
-    k_max = scenario.max_users
-    lam = _stack([st.lam for st in states], k_max, 0.0)
-    slack_h = _stack([st.slack_h for st in states], k_max, 1.0)
-    mu = np.array([st.mu for st in states])
-    slack_g = np.array([st.slack_g for st in states])
+    power, aux, lam, mu = state.power, state.aux_rate, state.lam, state.mu
+    slack_h, slack_g, barrier = state.slack_h, state.slack_g, state.barrier
     positive = (slack_h > 0.0).all(axis=1) & (slack_g > 0.0).all(axis=1)
     if not positive.all():
         raise OcdStepError(int(np.argmin(positive)),
                            "Newton system singular: a slack is not strictly positive")
-    t = _subproblem_terms(scenario, assignment, states)
-    power = np.array([st.power for st in states])
-    aux = np.array([st.aux_rate for st in states])
-    barrier = np.array([st.barrier for st in states])[:, None]
+    t = _subproblem_terms(scenario, assignment, state)
 
     # Inertia safeguard: the coupling terms can turn single coordinates
     # convex, which makes pure Newton oscillate into the positivity
@@ -387,14 +359,16 @@ def newton_step(scenario: Scenario, assignment: np.ndarray,
     r_cg = mu * slack_g - barrier
     rhs = (-r_stat + np.einsum("mkj,mk->mj", t.jac_h, (lam * r_ph - r_ch) / slack_h)
            + _jac_g_transpose((mu * r_pg - r_cg) / slack_g))
-    budget = np.zeros((len(states), 1, n_sub + 1))
+    budget = np.zeros((scenario.num_cells, 1, n_sub + 1))
     budget[..., :n_sub] = 1.0
     d_x = _solve_reduced(
         hess - mu[:, 1:] / slack_g[:, 1:], np.concatenate((t.jac_h, budget), axis=1),
         np.concatenate((lam, mu[:, :1]), axis=1),
         np.concatenate((slack_h, slack_g[:, :1]), axis=1), rhs)
 
-    d_power = d_x[:, :n_sub]
+    # A padded user slot has a zero rate row and residuals, so its slack and
+    # multiplier directions are exact zeros: it keeps lam 0 and slack 1.
+    d_power, d_aux = d_x[:, :n_sub], d_x[:, n_sub]
     d_sh = -r_ph - np.einsum("mkj,mj->mk", t.jac_h, d_x)
     d_sg = -r_pg - np.concatenate((d_power.sum(axis=1, keepdims=True), -d_power), axis=1)
     d_lam = -(r_ch + lam * d_sh) / slack_h
@@ -403,19 +377,12 @@ def newton_step(scenario: Scenario, assignment: np.ndarray,
                       np.concatenate((d_sh, d_sg, d_lam, d_mu), axis=1))
 
     step = alpha[:, None]
-    power_new, mu_new = power + step * d_power, mu + step * d_mu
-    lam_new = lam + step * d_lam
-    slack_h_new, slack_g_new = slack_h + step * d_sh, slack_g + step * d_sg
-    d_aux, alphas = d_x[:, n_sub].tolist(), alpha.tolist()
-    aux_new = (aux + alpha * d_x[:, n_sub]).tolist()
-    barrier_new = np.maximum(BARRIER_DECAY * barrier[:, 0], BARRIER_FLOOR).tolist()
-    return [NewtonStep(
-        d_power=d_power[m], d_aux_rate=d_aux[m], d_lam=d_lam[m, :k], d_mu=d_mu[m],
-        alpha=alphas[m],
-        state=CellState(power=power_new[m], aux_rate=aux_new[m], lam=lam_new[m, :k],
-                        mu=mu_new[m], slack_h=slack_h_new[m, :k],
-                        slack_g=slack_g_new[m], barrier=barrier_new[m]))
-        for m, k in enumerate(scenario.users_per_cell)]
+    return NewtonStep(
+        d_power=d_power, d_aux_rate=d_aux, d_lam=d_lam, d_mu=d_mu, alpha=alpha,
+        state=OcdState(power=power + step * d_power, aux_rate=aux + alpha * d_aux,
+                       lam=lam + step * d_lam, mu=mu + step * d_mu,
+                       slack_h=slack_h + step * d_sh, slack_g=slack_g + step * d_sg,
+                       barrier=max(BARRIER_DECAY * barrier, BARRIER_FLOOR)))
 
 
 def _power_floor(scenario: Scenario) -> float:
@@ -425,27 +392,29 @@ def _power_floor(scenario: Scenario) -> float:
     return min(SLACK_FLOOR, scenario.p_max / scenario.num_subcarriers ** 2)
 
 
-def _cell_states(scenario: Scenario, power: np.ndarray,
-                 user_rates: tuple[np.ndarray, ...], aux_rates, lam, mu,
-                 barrier: float) -> list[CellState]:
-    """Per-cell states at `power` whose slacks match the constraint values
-    up to SLACK_FLOOR, or up to `_power_floor` for the local constraints;
-    each state holds its own copies of lam and mu."""
-    power = np.asarray(power, dtype=float)
-    floor = _power_floor(scenario)
-    states = []
-    for m, rates in enumerate(user_rates):
-        g = _local_constraints(power[m], scenario.p_max)
-        states.append(CellState(
-            power=power[m].copy(), aux_rate=float(aux_rates[m]),
-            lam=np.array(lam[m], dtype=float), mu=np.array(mu[m], dtype=float),
-            slack_h=np.maximum(rates - aux_rates[m], SLACK_FLOOR),
-            slack_g=np.maximum(-g, floor), barrier=barrier))
-    return states
+def _padded_users(scenario: Scenario, rows) -> np.ndarray:
+    """Per-cell user rows as one (M, Kmax) array; padded slots hold 0."""
+    out = np.zeros(scenario.real_users.shape)
+    out[scenario.real_users] = np.concatenate(rows)
+    return out
 
 
-def init_cell_states(scenario: Scenario, assignment,
-                     power: np.ndarray) -> list[CellState]:
+def _state_at(scenario: Scenario, power: np.ndarray, rates: np.ndarray,
+              aux_rate: np.ndarray, lam: np.ndarray, mu: np.ndarray,
+              barrier: float) -> OcdState:
+    """The state at `power`, with padded (M, Kmax) user `rates`, whose slacks
+    match the constraint values up to SLACK_FLOOR, or up to `_power_floor`
+    for the local constraints; padded user slots get slack 1."""
+    return OcdState(
+        power=power, aux_rate=aux_rate, lam=lam, mu=mu,
+        slack_h=np.where(scenario.real_users,
+                         np.maximum(rates - aux_rate[:, None], SLACK_FLOOR), 1.0),
+        slack_g=np.maximum(-_local_constraints(power, scenario.p_max),
+                           _power_floor(scenario)),
+        barrier=barrier)
+
+
+def init_cell_states(scenario: Scenario, assignment, power: np.ndarray) -> OcdState:
     """Strictly interior starting point around the given power matrix.
 
     The auxiliary rate starts just below the cell's achieved minimum so the
@@ -460,12 +429,13 @@ def init_cell_states(scenario: Scenario, assignment,
     excess = np.minimum((lifted - power).sum(axis=1), lifted.sum(axis=1) - scenario.p_max)
     rows = np.flatnonzero(excess > 0.0)
     lifted[rows, lifted[rows].argmax(axis=1)] -= excess[rows]
-    rates = cell_user_rates(scenario, lifted, assignment)
-    aux = [AUX_RATE_INIT_FACTOR * float(r.min()) for r in rates]
-    lam = [np.full(k_m, max(w / k_m, SLACK_FLOOR))
-           for w, k_m in zip(scenario.weights, scenario.users_per_cell)]
+    real = scenario.real_users
+    rates = _padded_users(scenario, cell_user_rates(scenario, lifted, assignment))
+    aux = AUX_RATE_INIT_FACTOR * np.where(real, rates, np.inf).min(axis=1)
+    per_user = np.asarray(scenario.weights) / np.asarray(scenario.users_per_cell)
+    lam = np.where(real, np.maximum(per_user, SLACK_FLOOR)[:, None], 0.0)
     mu = np.ones((scenario.num_cells, 1 + scenario.num_subcarriers))
-    return _cell_states(scenario, lifted, rates, aux, lam, mu, BARRIER_INIT)
+    return _state_at(scenario, lifted, rates, aux, lam, mu, BARRIER_INIT)
 
 
 def ocd_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarray,
@@ -483,52 +453,49 @@ def ocd_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndar
     links = assigned_links(scenario, assignment, require_complete=True)
     validate_power(scenario, initial_power)
     report_sizes = [scenario.num_subcarriers + 1 + k for k in scenario.users_per_cell]
-    states = init_cell_states(scenario, links, initial_power)
+    state = init_cell_states(scenario, links, initial_power)
 
     def sweep(iteration, power):
-        nonlocal states
-        states = [step.state for step in newton_step(scenario, links, states)]
-        power_now = np.vstack([st.power for st in states])
-        return power_now, wsmr(scenario, project_power(power_now, scenario.p_max),
-                               links)
+        nonlocal state
+        state = newton_step(scenario, links, state).state
+        return state.power, wsmr(scenario, project_power(state.power, scenario.p_max),
+                                 links)
 
     power, trace, converged = relay(
         sweep, np.asarray(initial_power, dtype=float), report_sizes,
         psi=psi, max_iters=max_iters, bus=bus)
-    return OcdResult(power=project_power(power, scenario.p_max), states=states,
+    return OcdResult(power=project_power(power, scenario.p_max), state=state,
                      trace=trace, converged=converged, iterations=len(trace))
 
 
 def states_from_point(scenario: Scenario, assignment: np.ndarray,
                       power: np.ndarray, aux_rates: np.ndarray,
-                      lam: list[np.ndarray], mu: list[np.ndarray]) -> list[CellState]:
-    """Wrap an arbitrary primal-dual point as per-cell states.
+                      lam: list[np.ndarray], mu: list[np.ndarray]) -> OcdState:
+    """Wrap an arbitrary primal-dual point, with cell m's multipliers
+    `lam[m]` and `mu[m]`, as a state that owns copies of them.
 
     Slacks are set consistent with the constraints (floored to stay
     positive); they do not affect the first-order residuals.
     """
-    return _cell_states(scenario, power, cell_user_rates(scenario, power, assignment),
-                        aux_rates, lam, mu, BARRIER_FLOOR)
-
-
-def _residual_blocks(st: CellState, terms: tuple, p_max: float):
-    _, grad, _, h, jac_h, _ = terms
-    g = _local_constraints(st.power, p_max)
-    return (grad - jac_h.T @ st.lam - _jac_g_transpose(st.mu),
-            np.concatenate((np.maximum(h, 0.0), np.maximum(g, 0.0))),
-            np.concatenate((st.lam * h, st.mu * g)))
+    power = np.array(power, dtype=float)
+    rates = _padded_users(scenario, cell_user_rates(scenario, power, assignment))
+    return _state_at(scenario, power, rates, np.array(aux_rates, dtype=float),
+                     _padded_users(scenario, lam), np.array(mu, dtype=float),
+                     BARRIER_FLOOR)
 
 
 def stacked_cell_residuals(scenario: Scenario, assignment: np.ndarray,
-                           states: list[CellState]) -> KktResidual:
-    """Concatenate every cell's subproblem residual blocks in cell order."""
-    terms = _subproblem_terms(scenario, assignment, states)
-    blocks = [_residual_blocks(st, terms[cell], scenario.p_max)
-              for cell, st in enumerate(states)]
-    stat, primal, comp = zip(*blocks)
-    return KktResidual(stationarity=np.concatenate(stat),
-                       primal=np.concatenate(primal),
-                       complementarity=np.concatenate(comp))
+                           state: OcdState) -> KktResidual:
+    """Concatenate every cell's subproblem residual blocks in cell order;
+    padded user slots are masked out."""
+    t = _subproblem_terms(scenario, assignment, state)
+    g = _local_constraints(state.power, scenario.p_max)
+    stat = t.grad - np.einsum("mkj,mk->mj", t.jac_h, state.lam) - _jac_g_transpose(state.mu)
+    kept = np.concatenate((t.real, np.ones(g.shape, dtype=bool)), axis=1)
+    return KktResidual(
+        stationarity=stat.ravel(),
+        primal=np.concatenate((np.maximum(t.h, 0.0), np.maximum(g, 0.0)), axis=1)[kept],
+        complementarity=np.concatenate((state.lam * t.h, state.mu * g), axis=1)[kept])
 
 
 def global_kkt_residual(scenario: Scenario, assignment: np.ndarray,

@@ -24,19 +24,18 @@ class OracleSizeError(ValueError):
     """Instance exceeds the oracle's hard size limits."""
 
 
-def exhaustive_min_rate(table: np.ndarray, *,
-                        max_maps: int = MAX_ASSIGNMENT_MAPS) -> float:
+def exhaustive_min_rate(table: np.ndarray) -> float:
     """Best achievable minimum user total over all complete assignments.
 
     Enumerates all K^N maps (vectorized over the whole enumeration), so the
-    table must satisfy K^N <= `max_maps`.
+    table must satisfy K^N <= MAX_ASSIGNMENT_MAPS.
     """
     table = np.asarray(table, dtype=float)
     k, n_sub = table.shape
     count = k ** n_sub
-    if count > max_maps:
-        raise OracleSizeError(
-            f"assignment oracle limited to K^N <= {max_maps}, got {k}^{n_sub} = {count}")
+    if count > MAX_ASSIGNMENT_MAPS:
+        raise OracleSizeError(f"assignment oracle limited to K^N <= "
+                              f"{MAX_ASSIGNMENT_MAPS}, got {k}^{n_sub} = {count}")
     totals = np.zeros((count, k))
     codes = np.arange(count)
     for n in range(n_sub):

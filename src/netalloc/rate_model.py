@@ -55,8 +55,7 @@ def _check_subcarrier(scenario: Scenario, n: int) -> None:
             f"subcarrier index {n} out of range [0, {scenario.num_subcarriers})")
 
 
-def validate_power(scenario: Scenario, power: np.ndarray, *,
-                   budget_tol: float = BUDGET_TOL) -> None:
+def validate_power(scenario: Scenario, power: np.ndarray) -> None:
     """Check shape, finiteness, nonnegativity and per-station budgets."""
     power = np.asarray(power)
     want = (scenario.num_cells, scenario.num_subcarriers)
@@ -65,11 +64,11 @@ def validate_power(scenario: Scenario, power: np.ndarray, *,
     if not np.isfinite(power).all():
         m, n = np.argwhere(~np.isfinite(power))[0]
         raise PowerValidationError(f"power[{m},{n}] is not finite: {power[m, n]!r}")
-    if (power < -budget_tol).any():
-        m, n = np.argwhere(power < -budget_tol)[0]
+    if (power < -BUDGET_TOL).any():
+        m, n = np.argwhere(power < -BUDGET_TOL)[0]
         raise PowerValidationError(f"power[{m},{n}] is negative: {power[m, n]!r}")
     sums = power.sum(axis=1)
-    over = sums > scenario.p_max + budget_tol
+    over = sums > scenario.p_max + BUDGET_TOL
     if over.any():
         m = int(np.argmax(over))
         raise PowerValidationError(

@@ -259,6 +259,25 @@ def test_oracle_refuses_oversized_instances(capsys):
     assert "limited to" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--check", "power", "--grid", "1"], "--grid"),
+    (["--check", "assignment", "--subcarriers", "0"], "one subcarrier"),
+    (["--check", "assignment", "--users-per-cell", "2,0"], "one user"),
+    (["--check", "power", "--power-subcarriers", "0"], "limited to 1 <= N"),
+    (["--check", "power", "--pmax", "0"], "p_max"),
+    (["--trials", "0"], "--trials"),
+    (["--check", "assignment", "--trials", "-1"], "--trials"),
+    # Checked before any trial runs, so the assignment check prints nothing.
+    (["--check", "both", "--trials", "1", "--grid", "1"], "--grid"),
+])
+def test_oracle_refuses_sizes_it_cannot_check(capsys, flags, message):
+    # A usage error, not a solver abort, and never an empty `verdict: ok`.
+    assert main(["oracle", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_console_entry_point_runs():
     # The subprocess does not see pytest's `pythonpath` setting, so it gets
     # the directory holding the imported package on its own path.

@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,10 +8,9 @@ import pytest
 import netalloc.ocd_power as ocd_module
 import netalloc.rate_model as rate_module
 from netalloc import (AssignmentValidationError, MessageBus, OcdStepError,
-                      cell_user_rates,
-                      constraint_residuals, global_kkt_residual,
-                      grid_power_optimum, init_cell_states, local_objective,
-                      newton_step, ocd_solve, project_power, rate_subcarrier,
+                      cell_user_rates, global_kkt_residual,
+                      grid_power_optimum, init_cell_states, newton_step,
+                      ocd_solve, project_power, rate_subcarrier,
                       solve_all_cells, stacked_cell_residuals,
                       states_from_point, validate_power, wsmr)
 
@@ -24,6 +24,36 @@ def desk_instance(seed=0, users=2):
     power = np.full((3, 4), s.p_max / 4)
     assignment = solve_all_cells(s, power)
     return s, assignment, power
+
+
+def phi(s, assignment, state):
+    """Every cell's subproblem objective at the joint state."""
+    return ocd_module._subproblem_terms(s, assignment, state).phi
+
+
+def cell_terms(s, terms, cell):
+    """Cell `cell`'s (phi, grad, curv, h, jac_h, curv_h), padding sliced off."""
+    k = s.users_per_cell[cell]
+    return (float(terms.phi[cell]), terms.grad[cell], terms.curv[cell],
+            terms.h[cell, :k], terms.jac_h[cell, :k], terms.curv_h[cell, :k])
+
+
+def cell_state(s, state, cell):
+    """Cell `cell`'s row of an `OcdState`, padding sliced off."""
+    k = s.users_per_cell[cell]
+    return SimpleNamespace(
+        power=state.power[cell], aux_rate=float(state.aux_rate[cell]),
+        lam=state.lam[cell, :k], mu=state.mu[cell], slack_h=state.slack_h[cell, :k],
+        slack_g=state.slack_g[cell], barrier=state.barrier)
+
+
+def cell_step(s, step, cell):
+    """Cell `cell`'s row of a `NewtonStep`, padding sliced off."""
+    k = s.users_per_cell[cell]
+    return SimpleNamespace(
+        d_power=step.d_power[cell], d_aux_rate=float(step.d_aux_rate[cell]),
+        d_lam=step.d_lam[cell, :k], d_mu=step.d_mu[cell], alpha=float(step.alpha[cell]),
+        state=cell_state(s, step.state, cell))
 
 
 def test_project_power_clips_and_rescales():
@@ -41,18 +71,17 @@ def test_local_objective_single_cell_is_weighted_aux_rate():
     s = make_scenario(cells=1, subcarriers=2, users=1, seed=4, weights=2.5)
     assignment = np.ones((1, 1, 2), dtype=np.int8)
     power = np.full((1, 2), s.p_max / 2)
-    states = init_cell_states(s, assignment, power)
-    value = local_objective(s, assignment, 0, states)
-    assert value == pytest.approx(2.5 * states[0].aux_rate, rel=1e-14)
+    state = init_cell_states(s, assignment, power)
+    value = phi(s, assignment, state)[0]
+    assert value == pytest.approx(2.5 * state.aux_rate[0], rel=1e-14)
 
 
 def test_local_objective_vanishing_foreign_multipliers():
     s, assignment, power = desk_instance()
-    states = init_cell_states(s, assignment, power)
-    zeroed = [dataclasses.replace(st, lam=np.zeros_like(st.lam))
-              for st in states]
-    value = local_objective(s, assignment, 0, zeroed)
-    assert value == pytest.approx(s.weights[0] * states[0].aux_rate, rel=1e-14)
+    state = init_cell_states(s, assignment, power)
+    zeroed = dataclasses.replace(state, lam=np.zeros_like(state.lam))
+    value = phi(s, assignment, zeroed)[0]
+    assert value == pytest.approx(s.weights[0] * state.aux_rate[0], rel=1e-14)
 
 
 def test_local_objective_coupling_value():
@@ -65,9 +94,9 @@ def test_local_objective_coupling_value():
     power = np.array([[0.6], [0.8]])
     lam = [np.array([0.3]), np.array([0.7])]
     aux = np.array([0.2, 0.5])
-    states = states_from_point(s, assignment, power, aux, lam,
-                               [np.ones(2), np.ones(2)])
-    value = local_objective(s, assignment, 0, states)
+    state = states_from_point(s, assignment, power, aux, lam,
+                              [np.ones(2), np.ones(2)])
+    value = phi(s, assignment, state)[0]
     foreign_rate = rate_subcarrier(s, power, 0, 1, 0)
     expected = s.weights[0] * 0.2 + 0.7 * (foreign_rate - 0.5)
     assert value == pytest.approx(expected, rel=1e-13)
@@ -83,8 +112,7 @@ def test_local_objective_penalizes_own_interference():
     mu = [np.ones(5) for _ in range(3)]
     st_low = states_from_point(s, assignment, low, aux, lam, mu)
     st_high = states_from_point(s, assignment, high, aux, lam, mu)
-    assert local_objective(s, assignment, 0, st_high) < \
-        local_objective(s, assignment, 0, st_low)
+    assert phi(s, assignment, st_high)[0] < phi(s, assignment, st_low)[0]
 
 
 def test_constraint_residuals_hand_values():
@@ -92,9 +120,10 @@ def test_constraint_residuals_hand_values():
     s = hand_scenario(gains, users_per_cell=1)
     assignment = np.ones((1, 1, 1), dtype=np.int8)
     power = np.array([[1.0]])
-    states = states_from_point(s, assignment, power, np.array([5.0]),
-                               [np.ones(1)], [np.ones(2)])
-    h, g = constraint_residuals(s, assignment, 0, states)
+    state = states_from_point(s, assignment, power, np.array([5.0]),
+                              [np.ones(1)], [np.ones(2)])
+    h = ocd_module._subproblem_terms(s, assignment, state).h[0]
+    g = ocd_module._local_constraints(state.power[0], s.p_max)
     assert h[0] == pytest.approx(5.0 - LN_101, rel=1e-13)
     assert g[0] == 0.0
     assert g[1] == -1.0
@@ -102,51 +131,51 @@ def test_constraint_residuals_hand_values():
 
 def test_constraint_residuals_uniform_budget_is_exact():
     s, assignment, power = desk_instance()
-    states = init_cell_states(s, assignment, power)
+    state = init_cell_states(s, assignment, power)
+    terms = ocd_module._subproblem_terms(s, assignment, state)
     for m in range(3):
-        h, g = constraint_residuals(s, assignment, m, states)
+        h = terms.h[m]
+        g = ocd_module._local_constraints(state.power[m], s.p_max)
         assert g[0] == 0.0
         assert (g[1:] == -power[m]).all()
         rates = cell_user_rates(s, power, assignment)[m]
-        assert h == pytest.approx(states[m].aux_rate - rates, rel=1e-12)
+        assert h == pytest.approx(state.aux_rate[m] - rates, rel=1e-12)
 
 
-def second_difference(f, states, cell, n, step):
-    """Central second difference of f(states) in the cell's own power n."""
+def second_difference(f, state, cell, n, step):
+    """Central second difference of f(state) in the cell's own power n."""
     def at(delta):
-        st = states[cell]
-        power = st.power.copy()
-        power[n] += delta
-        moved = list(states)
-        moved[cell] = dataclasses.replace(st, power=power)
-        return f(moved)
+        power = state.power.copy()
+        power[cell, n] += delta
+        return f(dataclasses.replace(state, power=power))
     return (at(step) - 2.0 * at(0.0) + at(-step)) / step ** 2
 
 
 def test_curvatures_match_second_differences():
     for s, assignment, power in (desk_instance(), desk_instance(users=(1, 2, 3))):
-        states = init_cell_states(s, assignment, power)
-        terms = ocd_module._subproblem_terms(s, assignment, states)
+        state = init_cell_states(s, assignment, power)
+        terms = ocd_module._subproblem_terms(s, assignment, state)
         for cell in range(3):
-            _, _, curv, _, _, curv_h = terms[cell]
+            _, _, curv, _, _, curv_h = cell_terms(s, terms, cell)
             assert (curv[:4] > 0.0).all() and curv[4] == 0.0
             for n in range(4):
                 step = 1e-3 * power[cell, n]
                 fd = second_difference(
-                    lambda st: local_objective(s, assignment, cell, st),
-                    states, cell, n, step)
+                    lambda st: phi(s, assignment, st)[cell], state, cell, n, step)
                 assert curv[n] == pytest.approx(fd, rel=1e-4)
                 fd_h = second_difference(
-                    lambda st: constraint_residuals(s, assignment, cell, st)[0],
-                    states, cell, n, step)
+                    lambda st: cell_terms(
+                        s, ocd_module._subproblem_terms(s, assignment, st), cell)[3],
+                    state, cell, n, step)
                 scale = np.abs(curv_h[:, n]).max()
                 assert curv_h[:, n] == pytest.approx(fd_h, rel=1e-5, abs=1e-9 * scale)
 
 
 def test_init_states_structure():
     s, assignment, power = desk_instance()
-    states = init_cell_states(s, assignment, power)
-    for m, st in enumerate(states):
+    state = init_cell_states(s, assignment, power)
+    for m in range(3):
+        st = cell_state(s, state, m)
         rates = cell_user_rates(s, power, assignment)[m]
         assert st.aux_rate == pytest.approx(0.9 * rates.min(), rel=1e-12)
         assert st.lam == pytest.approx(np.full(2, s.weights[m] / 2))
@@ -164,7 +193,7 @@ def test_init_states_lift_near_zero_powers_within_budget():
     power[0] = [s.p_max - 3e-16, 4e-16, 0.0, 1e-16]
     power[1, 2] = 5e-7
     power[1, 3] -= 5e-7 + 1e-3
-    lifted = np.array([st.power for st in init_cell_states(s, assignment, power)])
+    lifted = init_cell_states(s, assignment, power).power
     validate_power(s, lifted)
     assert lifted.min() >= ocd_module.SLACK_FLOOR
     assert lifted[0, 1:].tolist() == [ocd_module.SLACK_FLOOR] * 3
@@ -177,7 +206,7 @@ def test_init_states_lift_near_zero_powers_within_budget():
     tiny = make_scenario(cells=3, subcarriers=4, users=2, seed=0, p_max=1e-9)
     power = np.zeros((3, 4))
     power[:, 0] = tiny.p_max
-    lifted = np.array([st.power for st in init_cell_states(tiny, assignment, power)])
+    lifted = init_cell_states(tiny, assignment, power).power
     validate_power(tiny, lifted)
     assert lifted.min() == tiny.p_max / 16
     assert lifted[:, 0] == pytest.approx(tiny.p_max * 13 / 16, rel=1e-12)
@@ -186,10 +215,10 @@ def test_init_states_lift_near_zero_powers_within_budget():
 def test_states_own_their_multipliers():
     s, assignment, power = desk_instance()
     lam, mu = np.full(2, 0.5), np.ones(5)
-    for states in (init_cell_states(s, assignment, power),
-                   states_from_point(s, assignment, power, np.full(3, 0.1),
-                                     [lam] * 3, [mu] * 3)):
-        arrays = [lam, mu] + [x for st in states for x in (st.lam, st.mu)]
+    for state in (init_cell_states(s, assignment, power),
+                  states_from_point(s, assignment, power, np.full(3, 0.1),
+                                    [lam] * 3, [mu] * 3)):
+        arrays = [lam, mu, state.lam, state.mu]
         for i, x in enumerate(arrays):
             assert not any(np.shares_memory(x, y) for y in arrays[i + 1:])
 
@@ -214,24 +243,24 @@ def test_snapshot_evaluates_link_kernel_once(monkeypatch):
         assert calls["count"] == 1, fn.__name__
         return result
 
-    states = once(init_cell_states, s, assignment, power)
+    state = once(init_cell_states, s, assignment, power)
     for _ in range(3):
-        states = [step.state for step in once(newton_step, s, assignment, states)]
-    once(stacked_cell_residuals, s, assignment, states)
-    once(states_from_point, s, assignment, *point_of(states))
+        state = once(newton_step, s, assignment, state).state
+    once(stacked_cell_residuals, s, assignment, state)
+    once(states_from_point, s, assignment, *point_of(s, state))
     for mode in ("exact", "greedy"):
         once(solve_all_cells, s, power, mode=mode)
 
 
 def test_newton_step_reduces_residuals():
     s, assignment, power = desk_instance()
-    states = init_cell_states(s, assignment, power)
-    before = stacked_cell_residuals(s, assignment, states).max_abs
-    after_states = [step.state for step in newton_step(s, assignment, states)]
-    assert len(after_states) == 3
-    after = stacked_cell_residuals(s, assignment, after_states).max_abs
+    state = init_cell_states(s, assignment, power)
+    before = stacked_cell_residuals(s, assignment, state).max_abs
+    swept = newton_step(s, assignment, state)
+    assert swept.alpha.shape == (3,)
+    after = stacked_cell_residuals(s, assignment, swept.state).max_abs
     assert after < before
-    for step in newton_step(s, assignment, states):
+    for step in (cell_step(s, swept, m) for m in range(3)):
         assert 0.0 < step.alpha <= 1.0
         assert (step.state.slack_h > 0.0).all()
         assert (step.state.slack_g > 0.0).all()
@@ -239,7 +268,7 @@ def test_newton_step_reduces_residuals():
         assert (step.state.mu > 0.0).all()
 
 
-def linearized_kkt_blocks(s, assignment, cell, states, step):
+def linearized_kkt_blocks(s, assignment, cell, state, step):
     """(left side, residual, rounding scale) of each of the cell's five
     linearized primal-dual equations at the step's direction.
 
@@ -250,10 +279,10 @@ def linearized_kkt_blocks(s, assignment, cell, states, step):
     also holds the terms that eliminating slacks and multipliers adds,
     weighted by multiplier over slack.
     """
-    st = states[cell]
+    st, step = cell_state(s, state, cell), cell_step(s, step, cell)
     n = st.power.size
-    _, grad, curv, h, jac_h, curv_h = ocd_module._subproblem_terms(
-        s, assignment, states)[cell]
+    _, grad, curv, h, jac_h, curv_h = cell_terms(
+        s, ocd_module._subproblem_terms(s, assignment, state), cell)
     g = ocd_module._local_constraints(st.power, s.p_max)
     jac_g = np.zeros((n + 1, n + 1))
     jac_g[0, :n] = 1.0
@@ -284,28 +313,31 @@ def linearized_kkt_blocks(s, assignment, cell, states, step):
 
 def test_newton_step_solves_linearized_kkt():
     for s, assignment, power in (desk_instance(), desk_instance(users=(1, 2, 3))):
-        states = init_cell_states(s, assignment, power)
+        state = init_cell_states(s, assignment, power)
         for sweep in range(61):
-            steps = newton_step(s, assignment, states)
+            step = newton_step(s, assignment, state)
             if sweep in (0, 30, 60):      # the barrier is at its floor by 60
-                for cell, step in enumerate(steps):
+                for cell in range(3):
                     for lhs, residual, rounding in linearized_kkt_blocks(
-                            s, assignment, cell, states, step):
+                            s, assignment, cell, state, step):
                         tol = (1e-10 * np.abs(residual).max()
                                + 16 * np.finfo(float).eps * rounding.max())
                         assert np.abs(lhs + residual).max() <= tol
-            states = [step.state for step in steps]
-        assert states[0].barrier == ocd_module.BARRIER_FLOOR
+            state = step.state
+        assert state.barrier == ocd_module.BARRIER_FLOOR
 
 
-def dense_sweep(s, assignment, states):
+def dense_sweep(s, assignment, state):
     """The per-cell route the batched sweep replaced: per cell, assemble the
-    dense (N+1)x(N+1) reduced matrix and LU-solve it."""
+    dense (N+1)x(N+1) reduced matrix and LU-solve it.  Returns the next
+    state."""
     n = s.num_subcarriers
-    terms = ocd_module._subproblem_terms(s, assignment, states)
-    steps = []
-    for cell, st in enumerate(states):
-        _, grad, curv, h, jac_h, curv_h = terms[cell]
+    terms = ocd_module._subproblem_terms(s, assignment, state)
+    out = {name: getattr(state, name).copy()
+           for name in ("power", "aux_rate", "lam", "mu", "slack_h", "slack_g")}
+    for cell in range(s.num_cells):
+        st, k = cell_state(s, state, cell), s.users_per_cell[cell]
+        _, grad, curv, h, jac_h, curv_h = cell_terms(s, terms, cell)
         g = ocd_module._local_constraints(st.power, s.p_max)
         hess = np.zeros(n + 1)
         hess[:n] = np.minimum(curv[:n] - st.lam @ curv_h, -ocd_module.REGULARIZATION)
@@ -330,26 +362,25 @@ def dense_sweep(s, assignment, states):
             if shrink.any():
                 alpha = min(alpha, float((ocd_module.FRACTION_TO_BOUNDARY * (
                     -values[shrink] / directions[shrink])).min()))
-        steps.append(ocd_module.NewtonStep(
-            d_power=d_x[:n], d_aux_rate=float(d_x[n]), d_lam=d_lam, d_mu=d_mu,
-            alpha=alpha, state=ocd_module.CellState(
-                power=st.power + alpha * d_x[:n], aux_rate=st.aux_rate + alpha * d_x[n],
-                lam=st.lam + alpha * d_lam, mu=st.mu + alpha * d_mu,
-                slack_h=st.slack_h + alpha * d_sh, slack_g=st.slack_g + alpha * d_sg,
-                barrier=max(ocd_module.BARRIER_DECAY * st.barrier,
-                            ocd_module.BARRIER_FLOOR))))
-    return steps
+        out["power"][cell] = st.power + alpha * d_x[:n]
+        out["aux_rate"][cell] = st.aux_rate + alpha * d_x[n]
+        out["lam"][cell, :k] = st.lam + alpha * d_lam
+        out["mu"][cell] = st.mu + alpha * d_mu
+        out["slack_h"][cell, :k] = st.slack_h + alpha * d_sh
+        out["slack_g"][cell] = st.slack_g + alpha * d_sg
+    return ocd_module.OcdState(
+        **out, barrier=max(ocd_module.BARRIER_DECAY * state.barrier,
+                           ocd_module.BARRIER_FLOOR))
 
 
 def assert_states_close(s, got, want):
     """Powers within 1e-11 p_max, multipliers within 1e-11 of the largest
     weight and aux rates (a rate, not a multiplier) within 1e-11 of the
     largest aux rate."""
-    aux_scale = max(abs(st.aux_rate) for st in want)
-    for g, w in zip(got, want, strict=True):
-        assert np.abs(g.power - w.power).max() <= 1e-11 * s.p_max
-        assert abs(g.aux_rate - w.aux_rate) <= 1e-11 * aux_scale
-        assert np.abs(g.lam - w.lam).max() <= 1e-11 * max(s.weights)
+    aux_scale = np.abs(want.aux_rate).max()
+    assert np.abs(got.power - want.power).max() <= 1e-11 * s.p_max
+    assert np.abs(got.aux_rate - want.aux_rate).max() <= 1e-11 * aux_scale
+    assert np.abs(got.lam - want.lam).max() <= 1e-11 * max(s.weights)
 
 
 def test_sweep_matches_dense_reference():
@@ -364,12 +395,10 @@ def test_sweep_matches_dense_reference():
             (wide, solve_all_cells(wide, uniform, mode="greedy"), uniform)):
         batched = dense = init_cell_states(s, assignment, power)
         for _ in range(60):
-            steps = newton_step(s, assignment, batched)
-            reference = dense_sweep(s, assignment, batched)
-            assert_states_close(s, [step.state for step in steps],
-                                [step.state for step in reference])
-            batched = [step.state for step in steps]
-            dense = [step.state for step in dense_sweep(s, assignment, dense)]
+            step = newton_step(s, assignment, batched)
+            assert_states_close(s, step.state, dense_sweep(s, assignment, batched))
+            batched = step.state
+            dense = dense_sweep(s, assignment, dense)
             assert_states_close(s, batched, dense)
 
 
@@ -378,20 +407,18 @@ def test_zero_multiplier_user_is_dropped_from_the_solve():
     # That user's rate row carries no weight in the reduced matrix, so the
     # capacitance solve must drop it instead of forming slack / 0.
     s, assignment, power = desk_instance(users=(1, 2, 3))
-    states = init_cell_states(s, assignment, power)
+    state = init_cell_states(s, assignment, power)
     for _ in range(5):
-        states = [step.state for step in newton_step(s, assignment, states)]
-    lam = states[2].lam.copy()
-    lam[1] = 0.0
-    states[2] = dataclasses.replace(states[2], lam=lam)
+        state = newton_step(s, assignment, state).state
+    lam = state.lam.copy()
+    lam[2, 1] = 0.0
+    state = dataclasses.replace(state, lam=lam)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        steps = newton_step(s, assignment, states)
-    for step in steps:
-        assert np.isfinite(step.d_power).all() and np.isfinite(step.d_aux_rate)
-        assert np.isfinite(step.d_lam).all() and np.isfinite(step.d_mu).all()
-    assert_states_close(s, [step.state for step in steps],
-                        [step.state for step in dense_sweep(s, assignment, states)])
+        step = newton_step(s, assignment, state)
+    assert np.isfinite(step.d_power).all() and np.isfinite(step.d_aux_rate).all()
+    assert np.isfinite(step.d_lam).all() and np.isfinite(step.d_mu).all()
+    assert_states_close(s, step.state, dense_sweep(s, assignment, state))
 
 
 def test_solver_converges_and_traces():
@@ -419,16 +446,15 @@ def test_solver_improves_on_uniform_start():
 def test_fixed_point_newton_direction_vanishes():
     s, assignment, power = desk_instance()
     result = ocd_solve(s, assignment, power, psi=1e-12, max_iters=400)
-    for step in newton_step(s, assignment, result.states):
-        assert np.linalg.norm(step.d_power) < 1e-8
-        assert abs(step.d_aux_rate) < 1e-8
+    step = newton_step(s, assignment, result.state)
+    assert (np.linalg.norm(step.d_power, axis=1) < 1e-8).all()
+    assert (np.abs(step.d_aux_rate) < 1e-8).all()
 
 
-def point_of(states):
-    """(raw power, aux rates, lam, mu) of per-cell states."""
-    return (np.vstack([st.power for st in states]),
-            np.array([st.aux_rate for st in states]),
-            [st.lam for st in states], [st.mu for st in states])
+def point_of(s, state):
+    """(raw power, aux rates, lam, mu) of a state, as per-cell lists."""
+    return (state.power, state.aux_rate,
+            [state.lam[m, :k] for m, k in enumerate(s.users_per_cell)], list(state.mu))
 
 
 def test_tight_tolerance_reaches_stationarity():
@@ -436,30 +462,50 @@ def test_tight_tolerance_reaches_stationarity():
         s, assignment, power = desk_instance(seed)
         result = ocd_solve(s, assignment, power, psi=1e-6, max_iters=400)
         assert result.converged
-        res = global_kkt_residual(s, assignment, *point_of(result.states))
+        res = global_kkt_residual(s, assignment, *point_of(s, result.state))
         assert res.max_abs < 1e-4
 
 
 def test_cell_and_global_residual_routes_agree():
-    s, assignment, power = desk_instance()
-    result = ocd_solve(s, assignment, power, psi=1e-3, max_iters=200)
-    a = stacked_cell_residuals(s, assignment, result.states)
-    b = global_kkt_residual(s, assignment, *point_of(result.states))
-    assert np.abs(a.stationarity - b.stationarity).max() <= 1e-12
-    assert np.abs(a.primal - b.primal).max() <= 1e-12
-    assert np.abs(a.complementarity - b.complementarity).max() <= 1e-12
+    # Unequal cells check the masked, cell-ordered flattening of the padded
+    # state against the global route's per-cell concatenation.
+    for s, assignment, power in (desk_instance(), desk_instance(users=(1, 2, 3))):
+        result = ocd_solve(s, assignment, power, psi=1e-3, max_iters=200)
+        a = stacked_cell_residuals(s, assignment, result.state)
+        b = global_kkt_residual(s, assignment, *point_of(s, result.state))
+        assert a.primal.shape == b.primal.shape == (sum(s.users_per_cell) + 3 * 5,)
+        assert np.abs(a.stationarity - b.stationarity).max() <= 1e-12
+        assert np.abs(a.primal - b.primal).max() <= 1e-12
+        assert np.abs(a.complementarity - b.complementarity).max() <= 1e-12
+
+
+def test_padded_user_slots_stay_exact():
+    # Slots of users a cell does not have hold lam 0 and slack 1 from every
+    # constructor, and a sweep leaves them there bit for bit.
+    s, assignment, power = desk_instance(users=(1, 2, 3))
+    padded = ~s.real_users
+    lam = [np.full(k, 0.5) for k in s.users_per_cell]
+    start = states_from_point(s, assignment, power, np.full(3, 0.1), lam,
+                              [np.ones(5)] * 3)
+    for state in (init_cell_states(s, assignment, power), start):
+        for sweep in range(61):
+            assert (state.lam[padded] == 0.0).all()
+            assert (state.slack_h[padded] == 1.0).all()
+            if sweep < 60:
+                state = newton_step(s, assignment, state).state
+        assert state.barrier == ocd_module.BARRIER_FLOOR
 
 
 def test_residual_routes_agree_on_an_incomplete_assignment():
     # A subcarrier nobody holds carries no rate and no coupling: the
     # held-link route gives it zero gains, the global route skips it.
     s, assignment, power = desk_instance()
-    states = ocd_solve(s, assignment, power, psi=1e-3, max_iters=200).states
+    state = ocd_solve(s, assignment, power, psi=1e-3, max_iters=200).state
     partial = assignment.copy()
     partial[0, :, 1] = 0
     partial[2, :, 3] = 0
-    a = stacked_cell_residuals(s, partial, states)
-    b = global_kkt_residual(s, partial, *point_of(states))
+    a = stacked_cell_residuals(s, partial, state)
+    b = global_kkt_residual(s, partial, *point_of(s, state))
     assert np.abs(a.stationarity - b.stationarity).max() <= 1e-12
     assert np.abs(a.primal - b.primal).max() <= 1e-12
     assert np.abs(a.complementarity - b.complementarity).max() <= 1e-12
@@ -469,7 +515,7 @@ def test_global_residual_takes_a_held_link_view():
     # The verification route reads a view only through its mask, so the view
     # and the assignment it was built from give the same residual.
     s, assignment, power = desk_instance()
-    point = point_of(ocd_solve(s, assignment, power, psi=1e-3, max_iters=200).states)
+    point = point_of(s, ocd_solve(s, assignment, power, psi=1e-3, max_iters=200).state)
     partial = assignment.copy()
     partial[1, :, 2] = 0
     for held in (assignment, partial):
@@ -536,12 +582,13 @@ def test_message_accounting():
 
 def test_singular_system_raises_with_cell_index():
     s, assignment, power = desk_instance()
-    for cell, broken in ((1, dict(lam=np.zeros(2), slack_h=np.zeros(2))),
-                         (2, dict(slack_g=np.zeros(5)))):
-        states = init_cell_states(s, assignment, power)
-        states[cell] = dataclasses.replace(states[cell], **broken)
+    for cell, broken in ((1, ("lam", "slack_h")), (2, ("slack_g",))):
+        state = init_cell_states(s, assignment, power)
+        zeroed = {name: getattr(state, name).copy() for name in broken}
+        for values in zeroed.values():
+            values[cell] = 0.0
         with pytest.raises(OcdStepError) as excinfo:
-            newton_step(s, assignment, states)
+            newton_step(s, assignment, dataclasses.replace(state, **zeroed))
         assert excinfo.value.cell == cell
         assert "singular" in str(excinfo.value)
 
@@ -551,11 +598,13 @@ def test_singular_capacitance_names_first_failing_cell():
     # reduced system is singular though every slack is positive.  The
     # batched solve fails as a whole; the error names the first such cell.
     s, assignment, power = desk_instance()
-    states = init_cell_states(s, assignment, power)
+    state = init_cell_states(s, assignment, power)
     for cell in (2, 1):
-        states[cell] = dataclasses.replace(states[cell], lam=np.zeros(2))
+        lam = state.lam.copy()
+        lam[cell] = 0.0
+        state = dataclasses.replace(state, lam=lam)
         with pytest.raises(OcdStepError) as excinfo:
-            newton_step(s, assignment, states)
+            newton_step(s, assignment, state)
         assert excinfo.value.cell == cell
         assert "reduced Newton system singular" in str(excinfo.value)
 
@@ -565,11 +614,11 @@ def test_solver_enriches_step_errors(monkeypatch):
     real = ocd_module.newton_step
     calls = {"count": 0}
 
-    def flaky(scenario, assignment_, states):
+    def flaky(scenario, assignment_, state):
         calls["count"] += 1
         if calls["count"] > 1:
             raise OcdStepError(0, "forced failure")
-        return real(scenario, assignment_, states)
+        return real(scenario, assignment_, state)
 
     monkeypatch.setattr(ocd_module, "newton_step", flaky)
     with pytest.raises(OcdStepError) as excinfo:
