@@ -8,11 +8,15 @@ methods; it owns the exchange, the stop rule, the trace rows and the
 iteration and rows attached to a `PhaseError`.  The bus tracks message and
 byte totals so runs can report their coordination overhead; every scalar
 costs eight bytes on the wire and each gather or broadcast is one message,
-giving 2M messages per exchange for M cells.
+giving 2M messages per exchange for M cells.  The bus also carries the round
+a run is in and the run's clock origin, so `relay` stamps each trace row
+once, with its final round and elapsed time; a phase on a bus of its own is
+round 0, timed from the bus's creation.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -53,9 +57,10 @@ class ExchangeRecord:
 class TraceRow:
     """One trace line: a power iteration or a subcarrier reassignment.
 
-    `messages` and `bytes` are cumulative over the owning bus, so traces that
-    share a bus across phases continue the running totals.  `min_rates` are
-    the per-cell worst user rates at this iterate.
+    `round`, `messages`, `bytes` and `elapsed_s` come from the owning bus:
+    its current round, its cumulative totals (so traces that share a bus
+    across phases continue the running totals) and the time since its clock
+    origin.  `min_rates` are the per-cell worst user rates at this iterate.
     """
 
     round: int
@@ -69,29 +74,42 @@ class TraceRow:
     elapsed_s: float
 
 
+def _exchange_record(scalars_per_cell: tuple) -> ExchangeRecord:
+    num_cells = len(scalars_per_cell)
+    if num_cells == 0:
+        raise ValueError("exchange needs at least one cell report")
+    for m, count in enumerate(scalars_per_cell):
+        if count is None or count < 0:
+            raise ValueError(f"cell {m}: bad report size {count!r}")
+    gather = tuple(BYTES_PER_SCALAR * c for c in scalars_per_cell)
+    total = sum(gather)
+    broadcast = tuple(total - g for g in gather)
+    return ExchangeRecord(messages=2 * num_cells, gather_bytes=gather,
+                          broadcast_bytes=broadcast)
+
+
 class MessageBus:
     """Counts the traffic of gather/broadcast exchanges.
 
     `scalars_per_cell[m]` is how many scalars cell m reports; the broadcast
-    to cell m carries every other cell's report.
+    to cell m carries every other cell's report.  A list of report sizes is
+    validated and priced once, keyed by its values.  `round` is the run
+    round the bus's traffic belongs to (a run sets it; 0 otherwise) and
+    `started` the `perf_counter` origin of its trace rows' `elapsed_s`.
     """
 
     def __init__(self) -> None:
         self.messages_total = 0
         self.bytes_total = 0
+        self.round = 0
+        self.started = time.perf_counter()
+        self._records: dict[tuple, ExchangeRecord] = {}
 
     def exchange(self, scalars_per_cell: list[int]) -> ExchangeRecord:
-        num_cells = len(scalars_per_cell)
-        if num_cells == 0:
-            raise ValueError("exchange needs at least one cell report")
-        for m, count in enumerate(scalars_per_cell):
-            if count is None or count < 0:
-                raise ValueError(f"cell {m}: bad report size {count!r}")
-        gather = tuple(BYTES_PER_SCALAR * c for c in scalars_per_cell)
-        total = sum(gather)
-        broadcast = tuple(total - g for g in gather)
-        record = ExchangeRecord(messages=2 * num_cells, gather_bytes=gather,
-                                broadcast_bytes=broadcast)
+        key = tuple(scalars_per_cell)
+        record = self._records.get(key)
+        if record is None:
+            record = self._records[key] = _exchange_record(key)
         self.messages_total += record.messages
         self.bytes_total += record.total_bytes
         return record
@@ -103,12 +121,13 @@ def relay(sweep, power: np.ndarray, report_sizes: list[int], *, psi: float,
 
     Each iteration exchanges `report_sizes` through the bus, then calls
     `sweep(iteration, power)`, which advances every cell from the previous
-    raw iterate and returns (next raw iterate, WsmrResult of the power the
-    cells report).  One `TraceRow` is appended per iteration, with round 0
-    and phase "power".  The loop stops once the raw iterate moves less than
-    `psi` in Euclidean norm, or after `max_iters` iterations.  A PhaseError
-    from the sweep leaves with its iteration and the rows before it.
-    Returns (last raw iterate, trace, converged).
+    raw iterate and returns (next raw iterate, report of the power the cells
+    report: any object with the objective `value` and the per-cell
+    `min_rates`).  One `TraceRow` is appended per iteration, with phase
+    "power" and the bus's round and clock.  The loop stops once the raw
+    iterate moves less than `psi` in Euclidean norm, or after `max_iters`
+    iterations.  A PhaseError from the sweep leaves with its iteration and
+    the rows before it.  Returns (last raw iterate, trace, converged).
     """
     if not (psi > 0.0 and np.isfinite(psi)):
         raise ValueError(f"psi must be finite and positive, got {psi!r}")
@@ -117,7 +136,6 @@ def relay(sweep, power: np.ndarray, report_sizes: list[int], *, psi: float,
     if bus is None:
         bus = MessageBus()
     trace: list[TraceRow] = []
-    started = time.perf_counter()
     for iteration in range(1, max_iters + 1):
         bus.exchange(report_sizes)
         try:
@@ -126,12 +144,14 @@ def relay(sweep, power: np.ndarray, report_sizes: list[int], *, psi: float,
             exc.iteration = iteration
             exc.trace = trace
             raise
-        delta = float(np.linalg.norm(power_now - power))
+        # np.linalg.norm's own arithmetic for a whole array.
+        moved = (power_now - power).ravel()
+        delta = math.sqrt(moved.dot(moved))
         trace.append(TraceRow(
-            round=0, phase="power", iteration=iteration, wsmr=reported.value,
+            round=bus.round, phase="power", iteration=iteration, wsmr=reported.value,
             delta_p_norm=delta, min_rates=reported.min_rates,
             messages=bus.messages_total, bytes=bus.bytes_total,
-            elapsed_s=time.perf_counter() - started))
+            elapsed_s=time.perf_counter() - bus.started))
         power = power_now
         if delta < psi:
             return power, trace, True

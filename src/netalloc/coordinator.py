@@ -5,9 +5,12 @@ rounds of (power phase, subcarrier phase): the power phase runs one of the
 two distributed power methods to movement below psi, the subcarrier phase
 reassigns every cell's subcarriers at the new powers.  Rounds stop when the
 objective's relative change falls below `wsmr_tol` or after `max_rounds`.
-Both power methods run in `bus.relay`, so a phase's rows are `TraceRow`s
-that a run only moves to its round and rebases in time, and a failed phase
-raises a `PhaseError`, which the run turns into `CoordinatorAbort`.
+Both power methods run in `bus.relay` on the run's bus, which carries the
+run's round and clock origin, so a phase's rows arrive stamped for the run,
+and a failed phase raises a `PhaseError`, which the run turns into
+`CoordinatorAbort`.  Each assignment is validated and gathered once, into
+the `AssignedLinks` view that both its objective evaluation and the next
+power phase read.
 
 The run keeps the best (power, assignment) pair ever evaluated, including
 the starting configuration, so a late non-improving round cannot degrade the
@@ -19,14 +22,14 @@ cell-local and add no traffic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bus import MessageBus, PhaseError, TraceRow
 from .lr_power import lr_solve
 from .ocd_power import ocd_solve
-from .rate_model import wsmr
+from .rate_model import assigned_links, wsmr
 from .scenario import Scenario
 from .subcarrier_alloc import solve_all_cells
 
@@ -102,22 +105,15 @@ def initial_point(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return power, assignment
 
 
-def _power_rows(rows: list[TraceRow], round_index: int,
-                offset_s: float) -> list[TraceRow]:
-    """A power phase's rows in round `round_index`, times rebased to the run."""
-    return [replace(row, round=round_index, elapsed_s=offset_s + row.elapsed_s)
-            for row in rows]
-
-
 def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
     """Full alternating run; see the module docstring for the schedule."""
     config.validated()
     power, assignment = initial_point(scenario)
     bus = MessageBus()
-    started = time.perf_counter()
     trace: list[TraceRow] = []
 
-    current = wsmr(scenario, power, assignment)
+    links = assigned_links(scenario, assignment)
+    current = wsmr(scenario, power, links)
     best_value = current.value
     best_power = power.copy()
     best_assignment = assignment.copy()
@@ -130,19 +126,18 @@ def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
     last_phase_converged = False
 
     for round_index in range(config.max_rounds):
-        phase_offset = time.perf_counter() - started
+        bus.round = round_index
         try:
             if config.power_method == "ocd":
-                result = ocd_solve(scenario, assignment, power, psi=config.psi,
+                result = ocd_solve(scenario, links, power, psi=config.psi,
                                    max_iters=config.max_power_iters, bus=bus)
             else:
-                result = lr_solve(scenario, assignment, power, psi=config.psi,
+                result = lr_solve(scenario, links, power, psi=config.psi,
                                   max_iters=config.max_power_iters, bus=bus)
         except PhaseError as exc:
-            partial = trace + _power_rows(exc.trace, round_index, phase_offset)
-            raise CoordinatorAbort(str(exc), partial) from exc
+            raise CoordinatorAbort(str(exc), trace + exc.trace) from exc
 
-        trace.extend(_power_rows(result.trace, round_index, phase_offset))
+        trace.extend(result.trace)
         power = result.power
         power_iterations += result.iterations
         if round_index == 0:
@@ -159,13 +154,14 @@ def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
 
         # The held assignment warm-starts the exact solve; the result is the same.
         assignment = solve_all_cells(scenario, power, mode=config.subcarrier_mode,
-                                     current=assignment.argmax(axis=1))
-        after_sub = wsmr(scenario, power, assignment)
+                                     current=links.user)
+        links = assigned_links(scenario, assignment)
+        after_sub = wsmr(scenario, power, links)
         trace.append(TraceRow(
             round=round_index, phase="subcarrier", iteration=1,
             wsmr=after_sub.value, delta_p_norm=0.0, min_rates=after_sub.min_rates,
             messages=bus.messages_total, bytes=bus.bytes_total,
-            elapsed_s=time.perf_counter() - started))
+            elapsed_s=time.perf_counter() - bus.started))
         if after_sub.value > best_value:
             best_value = after_sub.value
             best_power = power.copy()

@@ -103,10 +103,16 @@ def _solver_flags(parser: argparse.ArgumentParser) -> None:
                         default="exact")
 
 
-def _config_from_flags(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(psi=args.psi, max_power_iters=args.max_iter,
-                     max_rounds=args.rounds, wsmr_tol=args.wsmr_tol,
-                     power_method=args.method, subcarrier_mode=args.subcarrier)
+def _config_from_flags(args: argparse.Namespace) -> RunConfig | None:
+    """The validated solver flags, or None after printing why they are not."""
+    try:
+        return RunConfig(psi=args.psi, max_power_iters=args.max_iter,
+                         max_rounds=args.rounds, wsmr_tol=args.wsmr_tol,
+                         power_method=args.method,
+                         subcarrier_mode=args.subcarrier).validated()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def write_trace_csv(rows: list[TraceRow], path: str) -> None:
@@ -237,10 +243,12 @@ def _load_or_complain(path: str) -> Scenario | None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    config = _config_from_flags(args)
+    if config is None:
+        return EXIT_USAGE
     scenario = _load_or_complain(args.scenario)
     if scenario is None:
         return EXIT_USAGE
-    config = _config_from_flags(args)
     try:
         result = run(scenario, config)
     except CoordinatorAbort as abort:
@@ -268,8 +276,11 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         print(f"error: --realizations must be positive, got {args.realizations}",
               file=sys.stderr)
         return EXIT_USAGE
+    config = _config_from_flags(args)
+    if config is None:
+        return EXIT_USAGE
     rows, _ = run_ensemble(params, realizations=args.realizations,
-                           base_seed=args.seed, config=_config_from_flags(args),
+                           base_seed=args.seed, config=config,
                            pmax_values=args.pmax_sweep)
     write_ensemble_csv(rows, args.out)
     for method in METHODS:

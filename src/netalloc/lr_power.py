@@ -19,12 +19,16 @@ the largest cell) and the first denominators.  A sweep is then one array pass
 over all cells with one link evaluation: water-filling against the
 denominators the previous sweep's rate evaluation left, one `link_terms` call
 at the new powers (this sweep's rates and the next sweep's denominators),
-the objective from the padded per-user rate sums
-(`rate_model.wsmr_from_sums`) and the multiplier step.  The public
-`best_response`, `project_simplex` and `update_multipliers` build a plan and
-call it.  Rows repeat the per-cell arithmetic bit for bit, except a cell's
-average rate once rows have 8 or more user slots: numpy's pairwise summation
-blocks a padded row sum differently.
+the multiplier step, and a `SweepReport` of what the relay reads: the
+objective and the per-cell worst user rates, from the padded per-user rate
+sums and the phase's weight array, with the same arithmetic as
+`rate_model.wsmr_from_sums`.  The plans work in place on their own
+intermediates, and a `SimplexPlan` whose slots are all real with positive
+totals skips its masks.  The public `best_response`, `project_simplex` and
+`update_multipliers` build a plan and call it.  Rows repeat the per-cell
+arithmetic bit for bit, except a cell's average rate once rows have 8 or
+more user slots: numpy's pairwise summation blocks a padded row sum
+differently.
 
 Both methods run in the same loop, `bus.relay`: same Jacobi information
 pattern, exchange and stop test as the decomposed method, so iteration
@@ -34,15 +38,16 @@ counts and message totals are comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bus import MessageBus, PhaseError, TraceRow, relay
-# `wsmr` is not called here (a sweep builds its `WsmrResult` from the rate
-# sums it already has); the name stays bound because perfbench's tracer
-# rebinds `wsmr` in every power module and its tests expect it here.
+# `wsmr` is not called here (a sweep reports from the rate sums it already
+# has); the name stays bound because perfbench's tracer rebinds `wsmr` in
+# every power module and its tests expect it here.
 from .rate_model import (assigned_links, link_terms, validate_power,  # noqa: F401
-                         wsmr, wsmr_from_sums)
+                         wsmr)
 from .scenario import Scenario
 
 ALPHA0 = 1.0
@@ -51,6 +56,14 @@ BETA = 0.1
 
 class LrDivergenceError(PhaseError):
     """The relaxation produced a non-finite iterate."""
+
+
+class SweepReport(NamedTuple):
+    """What `bus.relay` reads of a sweep: the objective `value` at the
+    reported power and the per-cell worst user rates."""
+
+    value: float
+    min_rates: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -70,9 +83,10 @@ class SimplexPlan:
     `total` holds one nonnegative total per row (checked here) and `real`
     (broadcast to `shape`, so `True` marks every slot) the slots that exist.
     Padded slots are masked, never computed with, and come out zero, as does
-    every row of total zero.  Each row sorts its real values in decreasing
-    order ahead of its padded slots and keeps the longest prefix that stays
-    above its shift (Duchi et al., ICML 2008).
+    every row of total zero; when every slot is real and every total
+    positive, nothing needs masking and `masked` is False.  Each row sorts
+    its real values in decreasing order ahead of its padded slots and keeps
+    the longest prefix that stays above its shift (Duchi et al., ICML 2008).
     """
 
     def __init__(self, total, real: np.ndarray | bool, shape: tuple[int, ...]):
@@ -83,6 +97,7 @@ class SimplexPlan:
         self.shape, self.total = shape, total
         self.real = (np.zeros(shape, dtype=bool) | real).reshape(-1, width)
         self.live = self.real & (total > 0.0)
+        self.masked = not self.live.all()
         # Sort keys are -value on real slots and +inf on padded ones, so real
         # slots fill each row's prefix, in decreasing order of value.
         self.pad_key = np.where(self.real, 0.0, np.inf)
@@ -92,19 +107,33 @@ class SimplexPlan:
         self.before = self.offsets - 1     # before + rank: flat index of that rank
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        vals = np.where(self.real, v.reshape(self.real.shape), 0.0)
+        vals = v.reshape(self.real.shape)
+        if self.masked:
+            vals = np.where(self.real, vals, 0.0)
         at = (self.pad_key - vals).argsort(axis=-1, kind="stable")
         at += self.offsets
         dropped = vals.take(at)
-        cumulative = np.add.accumulate(dropped, axis=-1) - self.total
-        valid = self.first & (dropped - cumulative / self.ranks > 0.0)
+        cumulative = np.add.accumulate(dropped, axis=-1)
+        cumulative -= self.total
+        above = cumulative / self.ranks
+        np.subtract(dropped, above, out=above)
+        valid = above > 0.0
+        if self.masked:
+            valid &= self.first
         rank = np.maximum.reduce(valid * self.ranks, axis=-1, keepdims=True, initial=1)
-        shift = cumulative.take(self.before + rank) / rank
-        return np.where(self.live, np.maximum(vals - shift, 0.0), 0.0).reshape(self.shape)
+        shift = cumulative.take(self.before + rank)
+        shift /= rank
+        out = vals - shift
+        np.maximum(out, 0.0, out=out)
+        if self.masked:
+            out = np.where(self.live, out, 0.0)
+        return out.reshape(self.shape)
 
     def step(self, lam: np.ndarray, residuals: np.ndarray, t: int) -> np.ndarray:
         """Projected subgradient step of size `dual_step_size(t)`."""
-        return self(lam + dual_step_size(t) * residuals)
+        moved = dual_step_size(t) * residuals
+        moved += lam
+        return self(moved)
 
 
 def project_simplex(v: np.ndarray, total, real: np.ndarray | bool) -> np.ndarray:
@@ -169,18 +198,25 @@ class WaterFillingPlan:
         gain, weight = gain.take(at), weight.take(at)
         on = gain > 0.0                       # a prefix of every sorted row
         inv = np.divide(1.0, coeff.take(at), out=np.zeros(self.rows), where=on)
-        levels = (np.add.accumulate(weight, axis=-1)
-                  / (self.budget + np.add.accumulate(inv, axis=-1)))
+        levels = np.add.accumulate(weight, axis=-1)
+        spread = np.add.accumulate(inv, axis=-1)
+        spread += self.budget
+        levels /= spread
         # Past the prefix gain <= 0 <= levels, so k is the last entry of the
         # prefix above its level, or 1.
         k = np.maximum.reduce((gain > levels) * self.ranks, axis=-1, keepdims=True,
                               initial=1)
+        on &= self.ranks <= k
         filled = np.divide(weight, levels.take(self.before + k), out=np.zeros(self.rows),
-                           where=on & (self.ranks <= k))
+                           where=on)
+        filled -= inv
+        np.maximum(filled, 0.0, out=filled)
         p = np.empty(self.rows)
-        p.put(at, np.maximum(filled - inv, 0.0))
+        p.put(at, filled)
         # Rounding only; keeps p feasible.
-        p *= self.budget / np.maximum(np.add.reduce(p, axis=-1, keepdims=True), self.budget)
+        total = np.add.reduce(p, axis=-1, keepdims=True)
+        np.maximum(total, self.budget, out=total)
+        p *= np.divide(self.budget, total, out=total)
         return p.reshape(self.shape)
 
 
@@ -213,12 +249,12 @@ def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarr
     validate_power(scenario, initial_power)
     report_sizes = [scenario.num_subcarriers + k for k in scenario.users_per_cell]
     real = scenario.real_users
-    counts = np.array(scenario.users_per_cell)
+    counts = np.array(scenario.users_per_cell, dtype=float)[:, None]
     weights = np.array(scenario.weights, dtype=float)
     cells = np.arange(scenario.num_cells)
     own_gain = links.own_gains
     held_slot = cells[:, None] * scenario.max_users + links.user   # flat index into lam
-    lam = np.where(real, (weights / counts)[:, None], 0.0)
+    lam = np.where(real, weights[:, None] / counts, 0.0)
     water = WaterFillingPlan(own_gain.shape, scenario.p_max)
     simplex = SimplexPlan(weights, real, lam.shape)
     # The relay hands each sweep the iterate the previous one returned, so
@@ -232,11 +268,16 @@ def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarr
             raise LrDivergenceError("power iterate is not finite")
         signal, denom = link_terms(links, power_now)
         sums = links.per_user(np.log1p(signal / denom)).sum(axis=2)   # padded slots 0
-        lam = simplex.step(lam, (sums.sum(axis=1) / counts)[:, None] - sums, iteration - 1)
-        return power_now, wsmr_from_sums(scenario, sums)
+        mean = np.add.reduce(sums, axis=1, keepdims=True)
+        mean /= counts
+        lam = simplex.step(lam, mean - sums, iteration - 1)
+        # `wsmr_from_sums`' value and minima: padded slots never win the minimum.
+        mins = np.minimum.reduce(sums, axis=1, where=real, initial=np.inf)
+        return power_now, SweepReport(float(np.dot(weights, mins)), tuple(mins.tolist()))
 
     power, trace, converged = relay(
         sweep, np.asarray(initial_power, dtype=float), report_sizes,
         psi=psi, max_iters=max_iters, bus=bus)
-    return LrResult(power=power, lam=[lam[m, :k] for m, k in enumerate(counts)],
+    return LrResult(power=power,
+                    lam=[lam[m, :k] for m, k in enumerate(scenario.users_per_cell)],
                     trace=trace, converged=converged, iterations=len(trace))

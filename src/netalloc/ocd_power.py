@@ -156,15 +156,16 @@ class SubproblemTerms:
     """Every cell's subproblem at one snapshot, as padded all-cell arrays.
 
     Row m belongs to cell m.  `grad` and `curv` run over the N + 1 variables
-    (powers then aux rate); `curv` is the diagonal of the Lagrangian Hessian
-    contribution of phi alone.  `h`, `jac_h` and `curv_h` run over the Kmax
+    (powers then aux rate) and are the gradient and the diagonal second
+    derivatives of the cell's objective phi_m = w_m aux_m plus, for every
+    other cell o, sum_u lam_ou (rate_ou - aux_o); the step never needs phi's
+    value, so it is not computed.  `h`, `jac_h` and `curv_h` run over the Kmax
     user slots: each rate constraint's value, its Jacobian over the N + 1
     variables, and its diagonal second derivatives -(d2 rate) >= 0 over the
     powers.  `real` marks the user slots that exist; padded slots hold
     zeros.
     """
 
-    phi: np.ndarray
     grad: np.ndarray
     curv: np.ndarray
     h: np.ndarray
@@ -175,7 +176,7 @@ class SubproblemTerms:
 
 def _subproblem_terms(scenario: Scenario, assignment,
                       state: OcdState) -> SubproblemTerms:
-    """Value, derivatives and own constraints of every cell's subproblem.
+    """Objective derivatives and own constraints of every cell's subproblem.
 
     Only the held links (m, user[m, n], n) enter, through an `AssignedLinks`
     view, so padded user rows are never read.  Row m of the snapshot is cell
@@ -206,15 +207,10 @@ def _subproblem_terms(scenario: Scenario, assignment,
     grad[:, n_sub] = weights
     curv = np.zeros_like(grad)
     curv[:, :n_sub] = np.einsum("mon,mon,on->mn", into, into, weighted_sq)
-
-    # phi_m = w_m aux_m + the sum over other cells o of their lam-weighted
-    # constraint slack, sum_u lam_ou (rate_ou - aux_o).
-    coupled = (lam_bar * rate_sums).sum(axis=1) - lam_bar.sum(axis=1) * aux
-    phi = weights * aux + np.where(cells[:, None] != cells, coupled, 0.0).sum(axis=1)
     jac_h = np.zeros(real.shape + (n_sub + 1,))
     jac_h[..., :n_sub] = -d_rate
     jac_h[..., n_sub] = real
-    return SubproblemTerms(phi=phi, grad=grad, curv=curv,
+    return SubproblemTerms(grad=grad, curv=curv,
                            h=np.where(real, aux[:, None] - rate_sums, 0.0),
                            jac_h=jac_h, curv_h=d_rate * d_rate, real=real)
 

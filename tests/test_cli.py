@@ -183,6 +183,32 @@ def test_montecarlo_rejects_bad_counts(tmp_path, capsys):
     assert "realizations" in capsys.readouterr().err
 
 
+BAD_SOLVER_FLAGS = [["--psi", "0"], ["--psi", "nan"], ["--max-iter", "0"],
+                    ["--rounds", "0"], ["--wsmr-tol", "-1"]]
+
+
+@pytest.mark.parametrize("flags", BAD_SOLVER_FLAGS)
+def test_solve_refuses_bad_solver_flags(tmp_path, capsys, flags):
+    # A usage error before any work: no traceback, no trace file.
+    scn = tmp_path / "scn.json"
+    trace = tmp_path / "trace.csv"
+    main(["generate", *SMALL, "--out", str(scn)])
+    capsys.readouterr()
+    assert main(["solve", str(scn), *flags, "--trace-out", str(trace)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("flags", BAD_SOLVER_FLAGS)
+def test_montecarlo_refuses_bad_solver_flags(tmp_path, capsys, flags):
+    out = tmp_path / "mc.csv"
+    assert main(montecarlo_args(out, extra=flags)) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_oracle_assignment_check(capsys):
     code = main(["oracle", "--check", "assignment", "--trials", "10",
                  "--users-per-cell", "3", "--subcarriers", "6", "--seed", "1"])

@@ -44,6 +44,32 @@ def test_message_bus_accumulates_and_validates():
     assert bus.messages_total == 4
 
 
+def test_message_bus_prices_report_sizes_by_value():
+    # A list mutated in place after a valid exchange is validated again: the
+    # bus keys what it has priced by the sizes, never by the list.
+    bus = MessageBus()
+    sizes = [3, 3]
+    first = bus.exchange(sizes)
+    assert bus.exchange(list(sizes)) == first
+    totals = (bus.messages_total, bus.bytes_total)
+    assert totals == (2 * first.messages, 2 * first.total_bytes)
+    sizes[1] = -1
+    with pytest.raises(ValueError, match="cell 1"):
+        bus.exchange(sizes)
+    assert (bus.messages_total, bus.bytes_total) == totals
+
+
+@pytest.mark.parametrize("solve", [ocd_solve, lr_solve])
+def test_standalone_phase_is_round_zero_on_its_own_clock(solve):
+    s = desk_scenario()
+    power, assignment = initial_point(s)
+    bus = MessageBus()
+    result = solve(s, assignment, power, psi=1e-12, max_iters=5, bus=bus)
+    assert [row.round for row in result.trace] == [0] * 5
+    elapsed = [row.elapsed_s for row in result.trace]
+    assert 0.0 <= elapsed[0] and all(b >= a for a, b in zip(elapsed, elapsed[1:]))
+
+
 REPORT = types.SimpleNamespace(value=1.0, min_rates=(1.0,))
 
 

@@ -430,6 +430,22 @@ def test_plans_match_rows_on_edge_cases():
         assert one.tobytes() == project_simplex_per_row(flat, 1.3).tobytes()
 
 
+def test_simplex_plan_skips_its_masks_only_when_every_slot_is_live():
+    real = np.arange(3) < np.array([1, 2, 3])[:, None]
+    assert not lr_module.SimplexPlan([1.0, 0.5, 2.0], True, (3, 3)).masked
+    assert lr_module.SimplexPlan([1.0, 0.0, 2.0], True, (3, 3)).masked
+    assert lr_module.SimplexPlan([1.0, 0.5, 2.0], real, (3, 3)).masked
+    # The unmasked route is the masked one's arithmetic without the masks.
+    rng = np.random.default_rng(47)
+    plan = lr_module.SimplexPlan([1.0, 0.5, 2.0], True, (3, 3))
+    for _ in range(20):
+        v = np.round(rng.normal(scale=2.0, size=(3, 3)), 1)
+        plan.masked = False
+        unmasked = plan(v)
+        plan.masked = True
+        assert unmasked.tobytes() == plan(v).tobytes()
+
+
 def test_plan_outputs_own_their_memory():
     rng = np.random.default_rng(43)
     real = np.arange(3) < np.array([1, 2, 3])[:, None]

@@ -27,15 +27,21 @@ def desk_instance(seed=0, users=2):
 
 
 def phi(s, assignment, state):
-    """Every cell's subproblem objective at the joint state."""
-    return ocd_module._subproblem_terms(s, assignment, state).phi
+    """Every cell's subproblem objective at the joint state, from the rate
+    model: w_m aux_m plus, for every other cell o, sum_u lam_ou (rate_ou -
+    aux_o)."""
+    rates = cell_user_rates(s, state.power, assignment)
+    slack = [state.lam[o, :k] @ (rates[o] - state.aux_rate[o])
+             for o, k in enumerate(s.users_per_cell)]
+    return np.array([w * aux + sum(v for o, v in enumerate(slack) if o != m)
+                     for m, (w, aux) in enumerate(zip(s.weights, state.aux_rate))])
 
 
 def cell_terms(s, terms, cell):
-    """Cell `cell`'s (phi, grad, curv, h, jac_h, curv_h), padding sliced off."""
+    """Cell `cell`'s (grad, curv, h, jac_h, curv_h), padding sliced off."""
     k = s.users_per_cell[cell]
-    return (float(terms.phi[cell]), terms.grad[cell], terms.curv[cell],
-            terms.h[cell, :k], terms.jac_h[cell, :k], terms.curv_h[cell, :k])
+    return (terms.grad[cell], terms.curv[cell], terms.h[cell, :k],
+            terms.jac_h[cell, :k], terms.curv_h[cell, :k])
 
 
 def cell_state(s, state, cell):
@@ -151,12 +157,30 @@ def second_difference(f, state, cell, n, step):
     return (at(step) - 2.0 * at(0.0) + at(-step)) / step ** 2
 
 
+def test_gradients_match_first_differences():
+    for s, assignment, power in (desk_instance(), desk_instance(users=(1, 2, 3))):
+        state = init_cell_states(s, assignment, power)
+        terms = ocd_module._subproblem_terms(s, assignment, state)
+        for cell in range(3):
+            grad = cell_terms(s, terms, cell)[0]
+            assert grad[4] == s.weights[cell]
+            for n in range(4):
+                step = 1e-4 * power[cell, n]
+
+                def at(delta):
+                    moved = state.power.copy()
+                    moved[cell, n] += delta
+                    return phi(s, assignment, dataclasses.replace(state, power=moved))[cell]
+                fd = (at(step) - at(-step)) / (2.0 * step)
+                assert grad[n] == pytest.approx(fd, rel=1e-6)
+
+
 def test_curvatures_match_second_differences():
     for s, assignment, power in (desk_instance(), desk_instance(users=(1, 2, 3))):
         state = init_cell_states(s, assignment, power)
         terms = ocd_module._subproblem_terms(s, assignment, state)
         for cell in range(3):
-            _, _, curv, _, _, curv_h = cell_terms(s, terms, cell)
+            _, curv, _, _, curv_h = cell_terms(s, terms, cell)
             assert (curv[:4] > 0.0).all() and curv[4] == 0.0
             for n in range(4):
                 step = 1e-3 * power[cell, n]
@@ -165,7 +189,7 @@ def test_curvatures_match_second_differences():
                 assert curv[n] == pytest.approx(fd, rel=1e-4)
                 fd_h = second_difference(
                     lambda st: cell_terms(
-                        s, ocd_module._subproblem_terms(s, assignment, st), cell)[3],
+                        s, ocd_module._subproblem_terms(s, assignment, st), cell)[2],
                     state, cell, n, step)
                 scale = np.abs(curv_h[:, n]).max()
                 assert curv_h[:, n] == pytest.approx(fd_h, rel=1e-5, abs=1e-9 * scale)
@@ -281,7 +305,7 @@ def linearized_kkt_blocks(s, assignment, cell, state, step):
     """
     st, step = cell_state(s, state, cell), cell_step(s, step, cell)
     n = st.power.size
-    _, grad, curv, h, jac_h, curv_h = cell_terms(
+    grad, curv, h, jac_h, curv_h = cell_terms(
         s, ocd_module._subproblem_terms(s, assignment, state), cell)
     g = ocd_module._local_constraints(st.power, s.p_max)
     jac_g = np.zeros((n + 1, n + 1))
@@ -337,7 +361,7 @@ def dense_sweep(s, assignment, state):
            for name in ("power", "aux_rate", "lam", "mu", "slack_h", "slack_g")}
     for cell in range(s.num_cells):
         st, k = cell_state(s, state, cell), s.users_per_cell[cell]
-        _, grad, curv, h, jac_h, curv_h = cell_terms(s, terms, cell)
+        grad, curv, h, jac_h, curv_h = cell_terms(s, terms, cell)
         g = ocd_module._local_constraints(st.power, s.p_max)
         hess = np.zeros(n + 1)
         hess[:n] = np.minimum(curv[:n] - st.lam @ curv_h, -ocd_module.REGULARIZATION)
