@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,6 +116,24 @@ class MessageBus:
         return record
 
 
+class SweepReport(NamedTuple):
+    """What `relay` reads of a sweep: the objective `value` at the reported
+    power and the per-cell worst user rates."""
+
+    value: float
+    min_rates: tuple[float, ...]
+
+    @classmethod
+    def from_sums(cls, sums: np.ndarray, real: np.ndarray,
+                  weights: np.ndarray) -> "SweepReport":
+        """The report of padded (cell, max_users) user-rate `sums`, with
+        `real` marking the user slots that exist and one weight per cell:
+        the weighted sum of the per-cell minima over real slots, with the
+        arithmetic of `rate_model.wsmr`."""
+        mins = np.minimum.reduce(sums, axis=1, where=real, initial=np.inf)
+        return cls(float(np.dot(weights, mins)), tuple(mins.tolist()))
+
+
 def relay(sweep, power: np.ndarray, report_sizes: list[int], *, psi: float,
           max_iters: int, bus: MessageBus | None = None):
     """Iterate a power method until the stacked power iterates settle.
@@ -122,16 +141,16 @@ def relay(sweep, power: np.ndarray, report_sizes: list[int], *, psi: float,
     Each iteration exchanges `report_sizes` through the bus, then calls
     `sweep(iteration, power)`, which advances every cell from the previous
     raw iterate and returns (next raw iterate, report of the power the cells
-    report: any object with the objective `value` and the per-cell
-    `min_rates`).  One `TraceRow` is appended per iteration, with phase
-    "power" and the bus's round and clock.  The loop stops once the raw
-    iterate moves less than `psi` in Euclidean norm, or after `max_iters`
-    iterations.  A PhaseError from the sweep leaves with its iteration and
+    report: a `SweepReport`, or any object with the objective `value` and
+    the per-cell `min_rates`).  One `TraceRow` is appended per iteration,
+    with phase "power" and the bus's round and clock.  The loop stops once
+    the raw iterate moves less than `psi` in Euclidean norm, or after
+    `max_iters` iterations.  A PhaseError from the sweep leaves with its iteration and
     the rows before it.  Returns (last raw iterate, trace, converged).
     """
     if not (psi > 0.0 and np.isfinite(psi)):
         raise ValueError(f"psi must be finite and positive, got {psi!r}")
-    if not isinstance(max_iters, int) or max_iters < 1:
+    if type(max_iters) is not int or max_iters < 1:
         raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
     if bus is None:
         bus = MessageBus()

@@ -3,8 +3,17 @@
 A run starts from uniform powers and a round-robin assignment, then repeats
 rounds of (power phase, subcarrier phase): the power phase runs one of the
 two distributed power methods to movement below psi, the subcarrier phase
-reassigns every cell's subcarriers at the new powers.  Rounds stop when the
-objective's relative change falls below `wsmr_tol` or after `max_rounds`.
+reassigns every cell's subcarriers at the new powers.  Three rules end the
+rounds, tested in this order after each subcarrier phase, and the first that
+holds names the run's `stop_reason`: "tolerance" when the objective's
+relative change falls below `wsmr_tol`, "cycle" when the (power, assignment)
+state equals one the run already left a subcarrier phase in (or started
+from), and "rounds" after `max_rounds`.  A round is a deterministic function
+of that state, so once it repeats every later round replays a known one and
+no better value can appear: two-block alternation need not converge
+(Grippo & Sciandrone, Oper. Res. Lett. 2000).  The run keeps one SHA-256
+digest per visited state, 32 bytes a round.
+
 Both power methods run in `bus.relay` on the run's bus, which carries the
 run's round and clock origin, so a phase's rows arrive stamped for the run,
 and a failed phase raises a `PhaseError`, which the run turns into
@@ -14,13 +23,15 @@ power phase read.
 
 The run keeps the best (power, assignment) pair ever evaluated, including
 the starting configuration, so a late non-improving round cannot degrade the
-reported solution.  All phases share one message bus, so message and byte
-counts in the trace are cumulative over the whole run; subcarrier phases are
-cell-local and add no traffic.
+reported solution; the `final_*` fields are the state the run stopped at.
+All phases share one message bus, so message and byte counts in the trace
+are cumulative over the whole run; subcarrier phases are cell-local and add
+no traffic.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 
@@ -57,10 +68,10 @@ class RunConfig:
     def validated(self) -> "RunConfig":
         if not (self.psi > 0.0 and np.isfinite(self.psi)):
             raise ValueError(f"psi must be finite and positive, got {self.psi!r}")
-        if not isinstance(self.max_power_iters, int) or self.max_power_iters < 1:
+        if type(self.max_power_iters) is not int or self.max_power_iters < 1:
             raise ValueError(
                 f"max_power_iters must be a positive integer, got {self.max_power_iters!r}")
-        if not isinstance(self.max_rounds, int) or self.max_rounds < 1:
+        if type(self.max_rounds) is not int or self.max_rounds < 1:
             raise ValueError(
                 f"max_rounds must be a positive integer, got {self.max_rounds!r}")
         if not (self.wsmr_tol >= 0.0):
@@ -77,6 +88,10 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunResult:
+    """The best state a run evaluated, the state it stopped at (`final_*`),
+    its trace and counts, and `stop_reason`: "tolerance", "cycle" or
+    "rounds" (see the module docstring)."""
+
     best_power: np.ndarray
     best_assignment: np.ndarray
     best_wsmr: float
@@ -91,6 +106,7 @@ class RunResult:
     converged: bool = False
     messages: int = 0
     bytes: int = 0
+    stop_reason: str = "rounds"
 
 
 def initial_point(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -103,6 +119,12 @@ def initial_point(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
         for n in range(scenario.num_subcarriers):
             assignment[m, n % k_m, n] = 1
     return power, assignment
+
+
+def _state_key(power: np.ndarray, assignment: np.ndarray) -> bytes:
+    """A 32-byte digest of a (power, assignment) state; both arrays have a
+    fixed shape and dtype for a scenario, so equal digests mean equal bytes."""
+    return hashlib.sha256(power.tobytes() + assignment.tobytes()).digest()
 
 
 def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
@@ -118,6 +140,8 @@ def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
     best_power = power.copy()
     best_assignment = assignment.copy()
     previous_round_value = current.value
+    visited = {_state_key(power, assignment)}
+    stop_reason = "rounds"
 
     rounds = 0
     power_iterations = 0
@@ -172,7 +196,13 @@ def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
                     / max(abs(previous_round_value), 1e-12))
         previous_round_value = after_sub.value
         if relative < config.wsmr_tol:
+            stop_reason = "tolerance"
             break
+        key = _state_key(power, assignment)
+        if key in visited:
+            stop_reason = "cycle"
+            break
+        visited.add(key)
 
     return RunResult(
         best_power=best_power, best_assignment=best_assignment,
@@ -182,4 +212,4 @@ def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
         first_phase_iterations=first_phase_iterations,
         first_phase_converged=first_phase_converged,
         converged=last_phase_converged, messages=bus.messages_total,
-        bytes=bus.bytes_total)
+        bytes=bus.bytes_total, stop_reason=stop_reason)

@@ -261,7 +261,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
           f"best_wsmr={_fmt(result.best_wsmr)} "
           f"converged={_fmt_bool(result.converged)} rounds={result.rounds} "
           f"power_iters={result.power_iterations} messages={result.messages} "
-          f"bytes={result.bytes}")
+          f"bytes={result.bytes} stop={result.stop_reason}")
     print(f"trace written to {args.trace_out}")
     return EXIT_OK
 

@@ -19,10 +19,10 @@ the largest cell) and the first denominators.  A sweep is then one array pass
 over all cells with one link evaluation: water-filling against the
 denominators the previous sweep's rate evaluation left, one `link_terms` call
 at the new powers (this sweep's rates and the next sweep's denominators),
-the multiplier step, and a `SweepReport` of what the relay reads: the
+the multiplier step, and a `bus.SweepReport` of what the relay reads: the
 objective and the per-cell worst user rates, from the padded per-user rate
 sums and the phase's weight array, with the same arithmetic as
-`rate_model.wsmr_from_sums`.  The plans work in place on their own
+`rate_model.wsmr`.  The plans work in place on their own
 intermediates, and a `SimplexPlan` whose slots are all real with positive
 totals skips its masks.  The public `best_response`, `project_simplex` and
 `update_multipliers` build a plan and call it.  Rows repeat the per-cell
@@ -38,11 +38,10 @@ counts and message totals are comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .bus import MessageBus, PhaseError, TraceRow, relay
+from .bus import MessageBus, PhaseError, SweepReport, TraceRow, relay
 # `wsmr` is not called here (a sweep reports from the rate sums it already
 # has); the name stays bound because perfbench's tracer rebinds `wsmr` in
 # every power module and its tests expect it here.
@@ -56,14 +55,6 @@ BETA = 0.1
 
 class LrDivergenceError(PhaseError):
     """The relaxation produced a non-finite iterate."""
-
-
-class SweepReport(NamedTuple):
-    """What `bus.relay` reads of a sweep: the objective `value` at the
-    reported power and the per-cell worst user rates."""
-
-    value: float
-    min_rates: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -271,9 +262,7 @@ def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarr
         mean = np.add.reduce(sums, axis=1, keepdims=True)
         mean /= counts
         lam = simplex.step(lam, mean - sums, iteration - 1)
-        # `wsmr_from_sums`' value and minima: padded slots never win the minimum.
-        mins = np.minimum.reduce(sums, axis=1, where=real, initial=np.inf)
-        return power_now, SweepReport(float(np.dot(weights, mins)), tuple(mins.tolist()))
+        return power_now, SweepReport.from_sums(sums, real, weights)
 
     power, trace, converged = relay(
         sweep, np.asarray(initial_power, dtype=float), report_sizes,

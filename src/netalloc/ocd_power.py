@@ -43,9 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bus import MessageBus, PhaseError, TraceRow, relay
-from .rate_model import (AssignedLinks, assigned_links, cell_user_rates,
-                         link_terms, rate_gradient, validate_power, wsmr)
+from .bus import MessageBus, PhaseError, SweepReport, TraceRow, relay
+# `wsmr` is not called here (a sweep reports from the rate sums it forms);
+# the name stays bound because perfbench's tracer rebinds `wsmr` in every
+# power module and its tests expect it here.
+from .rate_model import (AssignedLinks, assigned_links, cell_user_rates,  # noqa: F401
+                         link_rates, link_terms, rate_gradient, validate_power,
+                         wsmr)
 from .scenario import Scenario
 
 FRACTION_TO_BOUNDARY = 0.995
@@ -450,12 +454,15 @@ def ocd_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndar
     validate_power(scenario, initial_power)
     report_sizes = [scenario.num_subcarriers + 1 + k for k in scenario.users_per_cell]
     state = init_cell_states(scenario, links, initial_power)
+    real = scenario.real_users
+    weights = np.array(scenario.weights, dtype=float)
 
     def sweep(iteration, power):
         nonlocal state
         state = newton_step(scenario, links, state).state
-        return state.power, wsmr(scenario, project_power(state.power, scenario.p_max),
-                                 links)
+        reported = project_power(state.power, scenario.p_max)
+        sums = links.per_user(link_rates(links, reported)).sum(axis=2)
+        return state.power, SweepReport.from_sums(sums, real, weights)
 
     power, trace, converged = relay(
         sweep, np.asarray(initial_power, dtype=float), report_sizes,

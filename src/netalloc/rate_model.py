@@ -220,20 +220,12 @@ class WsmrResult:
 def wsmr(scenario: Scenario, power: np.ndarray, assignment) -> WsmrResult:
     """Network objective: sum over cells of weight * worst own-user rate.
 
-    Ties in the per-cell minimum resolve to the lowest user index; see
-    `wsmr_from_sums`.
+    Ties in the per-cell minimum resolve to the lowest user index: the
+    minimum is taken with padded user slots at +inf, which sort after every
+    real user.
     """
     links = assigned_links(scenario, assignment)
-    return wsmr_from_sums(scenario, links.per_user(link_rates(links, power)).sum(axis=2))
-
-
-def wsmr_from_sums(scenario: Scenario, sums: np.ndarray) -> WsmrResult:
-    """`wsmr` from the padded (cell, max_users) user-rate sums.
-
-    Ties in the per-cell minimum resolve to the lowest user index: the
-    minimum is taken with padded slots at +inf, which sort after every real
-    user.
-    """
+    sums = links.per_user(link_rates(links, power)).sum(axis=2)
     padded = np.where(scenario.real_users, sums, np.inf)
     mins = np.minimum.reduce(padded, axis=1)
     return WsmrResult(value=float(np.dot(scenario.weights, mins)),

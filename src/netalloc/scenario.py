@@ -82,19 +82,22 @@ class ScenarioParams:
     seed: int = 0
 
     def __post_init__(self):
-        cells = self.num_cells if isinstance(self.num_cells, int) and self.num_cells > 0 else 1
+        cells = self.num_cells if type(self.num_cells) is int and self.num_cells > 0 else 1
         for key in ("users_per_cell", "weights"):
             object.__setattr__(self, key, _as_per_cell(getattr(self, key), cells, key))
 
     def violations(self) -> list[str]:
-        """Return one message per invalid field, empty when all is well."""
+        """Return one message per invalid field, empty when all is well.
+
+        Counts and the seed must be of type `int` exactly: `True` is an
+        `int` too, and would pass for 1."""
         bad = []
-        if not isinstance(self.num_cells, int) or self.num_cells < 1:
+        if type(self.num_cells) is not int or self.num_cells < 1:
             bad.append(f"num_cells: must be a positive integer, got {self.num_cells!r}")
-        if not isinstance(self.num_subcarriers, int) or self.num_subcarriers < 1:
+        if type(self.num_subcarriers) is not int or self.num_subcarriers < 1:
             bad.append(f"num_subcarriers: must be a positive integer, got {self.num_subcarriers!r}")
         for m, k in enumerate(self.users_per_cell):
-            if not isinstance(k, int) or k < 1:
+            if type(k) is not int or k < 1:
                 bad.append(f"users_per_cell[{m}]: must be a positive integer, got {k!r}")
         if not (self.cell_radius > MIN_USER_DISTANCE) or not math.isfinite(self.cell_radius):
             bad.append(f"cell_radius: must be finite and > {MIN_USER_DISTANCE}, got {self.cell_radius!r}")
@@ -111,7 +114,7 @@ class ScenarioParams:
             bad.append(f"weights: at least one cell weight must be positive, got {self.weights!r}")
         if not (self.pathloss_exponent > 0.0) or not math.isfinite(self.pathloss_exponent):
             bad.append(f"pathloss_exponent: must be finite and positive, got {self.pathloss_exponent!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             bad.append(f"seed: must be a nonnegative integer, got {self.seed!r}")
         return bad
 

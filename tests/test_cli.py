@@ -89,6 +89,18 @@ def test_solve_benchmark_method(tmp_path):
     assert tuple(header) == TRACE_HEADER and rows
 
 
+def test_solve_reports_a_cycle_stop(tmp_path, capsys):
+    # The 3x8x2 seed-13 LR run repeats a state after 6 rounds.
+    scn = tmp_path / "scn.json"
+    main(["generate", "--cells", "3", "--subcarriers", "8", "--users-per-cell", "2",
+          "--seed", "13", "--out", str(scn)])
+    capsys.readouterr()
+    assert main(["solve", str(scn), "--method", "lr", "--psi", "0.1",
+                 "--trace-out", str(tmp_path / "trace.csv")]) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert " rounds=6 " in summary and summary.endswith(" stop=cycle")
+
+
 def test_solve_missing_scenario(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["solve", str(missing)]) == 2

@@ -12,8 +12,10 @@ import netalloc.rate_model as rate_module
 import netalloc.subcarrier_alloc as alloc_module
 from netalloc import (AssignmentValidationError, CoordinatorAbort,
                       LrDivergenceError, MessageBus, OcdStepError, PhaseError,
-                      RunConfig, initial_point, lr_solve, ocd_solve, relay,
-                      run, validate_assignment, validate_power, wsmr)
+                      RunConfig, ScenarioParams, generate_scenario,
+                      initial_point, lr_solve, ocd_solve, relay, run,
+                      solve_all_cells, validate_assignment, validate_power,
+                      wsmr)
 
 from conftest import make_scenario
 
@@ -123,7 +125,8 @@ def test_relay_validation():
         raise AssertionError("the sweep must not run")
     bus = MessageBus()
     for kw in (dict(psi=0.0), dict(psi=-1.0), dict(psi=np.nan), dict(psi=np.inf),
-               dict(max_iters=0), dict(max_iters=-1), dict(max_iters=1.5)):
+               dict(max_iters=0), dict(max_iters=-1), dict(max_iters=1.5),
+               dict(max_iters=True)):
         with pytest.raises(ValueError):
             relay(never, np.zeros(1), [1], **dict(dict(psi=0.1, max_iters=5), **kw),
                   bus=bus)
@@ -163,7 +166,8 @@ def test_config_validation():
     RunConfig(wsmr_tol=np.inf).validated()
     bad = [dict(psi=0.0), dict(psi=np.nan), dict(max_power_iters=0),
            dict(max_rounds=0), dict(wsmr_tol=-1.0), dict(power_method="fast"),
-           dict(subcarrier_mode="random")]
+           dict(subcarrier_mode="random"), dict(max_power_iters=True),
+           dict(max_rounds=True)]
     for kw in bad:
         with pytest.raises(ValueError):
             RunConfig(**kw).validated()
@@ -401,3 +405,76 @@ def test_exact_run_is_unchanged_without_the_warm_start(monkeypatch):
     assert run_fingerprint(run(s, config)) == run_fingerprint(warm)
     assert len(held) == 3 * warm.rounds
     assert all(current is not None for current in held)
+
+
+def paper_scenario(seed):
+    return generate_scenario(ScenarioParams(3, 8, 2, seed=seed))
+
+
+def reference_best(s, max_rounds, wsmr_tol=1e-3):
+    """The LR alternation with only the tolerance and round-cap stops, written
+    apart from `run`: lr_solve, solve_all_cells and wsmr, keeping the best
+    (wsmr, power, assignment) on strict improvement."""
+    power, assignment = initial_point(s)
+    previous = wsmr(s, power, assignment).value
+    best = (previous, power, assignment)
+    for _ in range(max_rounds):
+        power = lr_solve(s, assignment, power, psi=0.1).power
+        value = wsmr(s, power, assignment).value
+        if value > best[0]:
+            best = (value, power, assignment)
+        assignment = solve_all_cells(s, power)
+        value = wsmr(s, power, assignment).value
+        if value > best[0]:
+            best = (value, power, assignment)
+        if abs(value - previous) / max(abs(previous), 1e-12) < wsmr_tol:
+            break
+        previous = value
+    return best
+
+
+# Seed: (stop_reason, rounds) of the 3x8x2 LR run at the default config.
+# Seeds 5 and 22 first repeat a state in their last round.
+LR_STOPS = {0: ("tolerance", 3), 4: ("rounds", 10), 19: ("rounds", 10),
+            13: ("cycle", 6), 18: ("cycle", 5), 23: ("cycle", 5),
+            5: ("cycle", 10), 22: ("cycle", 10)}
+
+
+@pytest.mark.parametrize("seed", sorted(LR_STOPS))
+def test_lr_run_says_why_it_stopped_and_keeps_the_best(seed):
+    s = paper_scenario(seed)
+    reason, rounds = LR_STOPS[seed]
+    for max_rounds in (10, 40):
+        result = run(s, RunConfig(psi=0.1, power_method="lr", max_rounds=max_rounds))
+        if max_rounds == 10 or reason != "rounds":
+            # A cycle found by round 10 ends the run at 40 rounds too.
+            assert (result.stop_reason, result.rounds) == (reason, rounds)
+        assert len({r.round for r in result.trace}) == result.rounds
+        value, power, assignment = reference_best(s, max_rounds)
+        assert (result.best_wsmr, result.best_power.tobytes(),
+                result.best_assignment.tobytes()) == \
+            (value, power.tobytes(), assignment.tobytes())
+
+
+@pytest.mark.parametrize("seed", sorted(LR_STOPS))
+def test_ocd_run_never_stops_on_a_cycle(seed):
+    result = run(paper_scenario(seed), RunConfig(psi=0.1, power_method="ocd"))
+    assert result.stop_reason in ("tolerance", "rounds")
+
+
+def test_a_run_back_at_its_start_stops_on_a_cycle(monkeypatch):
+    # One user per cell leaves a single assignment, the round-robin one; a
+    # power phase that hands back its starting powers then returns the run to
+    # its start after one round.  wsmr_tol 0 keeps the tolerance rule out.
+    s = make_scenario(cells=2, subcarriers=4, users=1, seed=0)
+    real = coord_module.ocd_solve
+
+    def standing(scenario, links, power, **kw):
+        return dataclasses.replace(real(scenario, links, power, **kw), power=power)
+
+    monkeypatch.setattr(coord_module, "ocd_solve", standing)
+    result = coord_module.run(s, RunConfig(wsmr_tol=0.0))
+    assert (result.stop_reason, result.rounds) == ("cycle", 1)
+    start_power, start_assignment = initial_point(s)
+    assert result.final_power.tobytes() == start_power.tobytes()
+    assert result.final_assignment.tobytes() == start_assignment.tobytes()

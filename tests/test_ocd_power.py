@@ -455,7 +455,9 @@ def test_solver_converges_and_traces():
     for row in result.trace:
         assert np.isfinite(row.wsmr)
     # coordinator.run takes the phase's objective from the last row.
-    assert result.trace[-1].wsmr == wsmr(s, result.power, assignment).value
+    final = wsmr(s, result.power, assignment)
+    assert (result.trace[-1].wsmr, result.trace[-1].min_rates) == \
+        (final.value, final.min_rates)
     np.testing.assert_array_less(-1e-12, result.power)
     assert (result.power.sum(axis=1) <= s.p_max + 1e-9).all()
 

@@ -42,6 +42,29 @@ def test_params_violations_name_fields():
         bad.validated()
 
 
+@pytest.mark.parametrize("field", [
+    {"num_cells": True}, {"num_subcarriers": True}, {"users_per_cell": True},
+    {"users_per_cell": (2, True, 2)}, {"seed": True}])
+def test_params_reject_bools_as_integers(field):
+    # `True` is an `int`: left through, it built a one-cell layout or failed
+    # in `hex_layout` with an untyped TypeError.
+    params = ScenarioParams(**{"num_cells": 3, "num_subcarriers": 8,
+                               "users_per_cell": 2, **field})
+    with pytest.raises(ScenarioValidationError, match=next(iter(field))):
+        params.validated()
+
+
+def test_load_rejects_a_bool_cell_count(tmp_path):
+    s = make_scenario(cells=1, subcarriers=3, users=1, seed=0)
+    path = tmp_path / "bool.json"
+    save_scenario(s, path)
+    doc = json.loads(path.read_text())
+    doc["params"]["num_cells"] = True
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioValidationError, match="num_cells"):
+        load_scenario(path)
+
+
 def test_params_length_mismatch_rejected():
     with pytest.raises(ScenarioValidationError):
         ScenarioParams(num_cells=3, users_per_cell=(2, 2))
