@@ -203,10 +203,15 @@ def run_ensemble(params: ScenarioParams, *, realizations: int, base_seed: int,
     Realization i uses seed base_seed + i and depends on nothing else, so
     any subset is reproducible in isolation.  Returns (rows, details);
     details is empty unless `collect`.  Rows come back sorted by (seed,
-    method, pmax); details come back in seed order.
+    method, pmax); details come back in seed order.  `realizations` and
+    `base_seed` must be of type `int` exactly (`True` would pass for 1),
+    positive and nonnegative; a bad one raises ValueError before any
+    realization runs.
     """
-    if realizations < 1:
-        raise ValueError(f"realizations must be positive, got {realizations!r}")
+    if type(realizations) is not int or realizations < 1:
+        raise ValueError(f"realizations must be a positive integer, got {realizations!r}")
+    if type(base_seed) is not int or base_seed < 0:
+        raise ValueError(f"base_seed must be a nonnegative integer, got {base_seed!r}")
     outcomes = [_realize(params, base_seed + i, config, pmax, collect)
                 for i in range(realizations)
                 for pmax in (pmax_values if pmax_values else (None,))]

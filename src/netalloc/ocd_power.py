@@ -12,19 +12,24 @@ Per iteration every cell takes exactly one primal-dual interior-point Newton
 step on its subproblem, reading only the previous iteration's snapshot of
 all cells (a Jacobi sweep).  The iterate is one `OcdState` that holds every
 cell as a row, its user axis padded to the largest cell.  `newton_step` is
-the sweep and owns the snapshot: it evaluates the link kernel and every
-cell's subproblem terms once, as padded all-cell arrays, then steps all
-cells with one set of array operations and returns the next `OcdState`.  A
-step eliminates slacks and multipliers in closed form, leaving a reduced
-(N+1)x(N+1) system in the cell's powers and aux rate.  That matrix is a
-diagonal plus rank K + 1 (the K rate rows and the budget row), except that
-its aux diagonal entry is 0; bordering the aux coordinate with eps = mean of
-the power diagonal, once added and once subtracted as a row of its own,
-makes it a strictly negative diagonal plus rank K + 2.  So Woodbury (Golub &
-Van Loan, sec. 2.1.4) replaces the dense solve with one batched (K+2)x(K+2)
-capacitance solve over all cells, O(NK^2) per cell instead of O(N^3).  Near
-the barrier floor the multiplier/slack weights reach ~1e10 and the
-capacitance solve alone can lose most digits, so two steps of iterative
+the sweep: it forms every cell's subproblem terms once, as padded all-cell
+arrays, then steps all cells with one set of array operations and returns
+the next `OcdState`.  What stays fixed while the assignment does lives in
+one `OcdPhase`, built once per `ocd_solve` call: the held links, the
+gap-scaled coupling gains and the fixed rows of the reduced system.  The
+phase also evaluates each power snapshot once (noise plus interference, its
+sum with the signal, and the users' rate sums), and a sweep's report and the
+next Newton step read the same snapshot, so t sweeps make t + 1 link
+evaluations.  A step eliminates slacks and multipliers in closed form,
+leaving a reduced (N+1)x(N+1) system in the cell's powers and aux rate.
+That matrix is a diagonal plus rank K + 1 (the K rate rows and the budget row),
+except that its aux diagonal entry is 0; bordering the aux coordinate with
+eps = mean of the power diagonal, once added and once subtracted as a row of
+its own, makes it a strictly negative diagonal plus rank K + 2.  So Woodbury
+(Golub & Van Loan, sec. 2.1.4) replaces the dense solve with one batched
+(K+2)x(K+2) capacitance solve over all cells, O(NK^2) per cell instead of
+O(N^3).  Near the barrier floor the multiplier/slack weights reach ~1e10 and
+the capacitance solve alone can lose most digits, so two steps of iterative
 refinement on the structured residual follow it; with them the step agrees
 with the dense solve to its own rounding floor.  Each cell then reports
 (powers, auxiliary rate, multipliers) to the central agent (`bus.relay`),
@@ -40,6 +45,7 @@ through independent code paths so the identity can be checked numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +54,7 @@ from .bus import MessageBus, PhaseError, SweepReport, TraceRow, relay
 # the name stays bound because perfbench's tracer rebinds `wsmr` in every
 # power module and its tests expect it here.
 from .rate_model import (AssignedLinks, assigned_links, cell_user_rates,  # noqa: F401
-                         link_rates, link_terms, rate_gradient, validate_power,
-                         wsmr)
+                         link_terms, rate_gradient, validate_power, wsmr)
 from .scenario import Scenario
 
 FRACTION_TO_BOUNDARY = 0.995
@@ -155,6 +160,71 @@ def project_power(power: np.ndarray, p_max: float) -> np.ndarray:
     return out
 
 
+class Snapshot(NamedTuple):
+    """The held links evaluated at one power: every link's noise plus
+    interference `denom` and its sum `full` with the signal, both (M, N),
+    and the padded (M, Kmax) `rate_sums` of every user's assigned rates."""
+
+    denom: np.ndarray
+    full: np.ndarray
+    rate_sums: np.ndarray
+
+
+class OcdPhase:
+    """What stays fixed while the assignment does, and the last snapshot.
+
+    `ocd_solve` builds one per call from the scenario and the assignment or
+    its `AssignedLinks` view, and passes it to `newton_step` in place of the
+    assignment.  It holds the held links' view `links`; the gap-scaled
+    coupling gains `into`, into[m, o, n] station m's gain into cell o's held
+    link on n, each cell's own block zeroed; the flat index `held_slot` of
+    each held link's multiplier in the padded (M, Kmax) user rows; the cell
+    `weights`; and the fixed rows of every cell's reduced system (see
+    `_solve_reduced`): the budget row over the powers and the aux border
+    e_aux.
+
+    `snapshot(power)` evaluates the held links at a power and keeps the
+    result until it is asked for a power with other bits.  So a sweep's
+    report and the next Newton step, which read the same power whenever
+    projecting it changes nothing, share one evaluation.
+    """
+
+    def __init__(self, scenario: Scenario, assignment):
+        links = assigned_links(scenario, assignment)
+        m_cells, n_sub = scenario.num_cells, scenario.num_subcarriers
+        cells = np.arange(m_cells)
+        self.links = links
+        self.into = links.gains * links.snr_gap
+        self.into[cells, cells] = 0.0
+        self.held_slot = cells[:, None] * scenario.max_users + links.user
+        self.weights = np.array(scenario.weights, dtype=float)
+        self.budget = np.zeros((m_cells, 1, n_sub + 1))
+        self.budget[..., :n_sub] = 1.0
+        self.e_aux = np.zeros((m_cells, 1, n_sub + 1))
+        self.e_aux[..., n_sub] = 1.0
+        self._bits = None
+        self._snapshot = None
+
+    def snapshot(self, power: np.ndarray) -> Snapshot:
+        """The held links at `power`: one `link_terms` call per new power."""
+        power = np.asarray(power, dtype=float)
+        bits = power.tobytes()
+        if bits != self._bits:
+            links = self.links
+            signal, denom = link_terms(links, power)
+            rate_sums = links.per_user(np.log1p(signal / denom)).sum(axis=2)
+            self._bits = bits
+            self._snapshot = Snapshot(denom, denom + signal, rate_sums)
+        return self._snapshot
+
+
+def _phase(scenario: Scenario, assignment) -> OcdPhase:
+    """`assignment` itself if it is a phase, else a phase built from it."""
+    if isinstance(assignment, OcdPhase):
+        return assignment
+    return OcdPhase(scenario, assignment)
+
+
 @dataclass(frozen=True)
 class SubproblemTerms:
     """Every cell's subproblem at one snapshot, as padded all-cell arrays.
@@ -182,40 +252,34 @@ def _subproblem_terms(scenario: Scenario, assignment,
                       state: OcdState) -> SubproblemTerms:
     """Objective derivatives and own constraints of every cell's subproblem.
 
-    Only the held links (m, user[m, n], n) enter, through an `AssignedLinks`
-    view, so padded user rows are never read.  Row m of the snapshot is cell
-    m's own power, so one `link_terms` call gives every cell's denominators.
-    Foreign links enter cell m's objective weighted by their holders' frozen
-    multipliers through station m's gain into them: one contraction over the
-    held links' gains, each cell's own block zeroed.
+    Takes the assignment, its view or an `OcdPhase`.  Only the held links
+    (m, user[m, n], n) enter, so padded user rows are never read.  Row m of
+    the snapshot is cell m's own power, so one phase snapshot gives every
+    cell's denominators.  Foreign links enter cell m's objective weighted by
+    their holders' frozen multipliers through station m's gain into them:
+    one contraction over the phase's coupling gains `into`.
     """
-    links = assigned_links(scenario, assignment)
+    phase = _phase(scenario, assignment)
+    links, into = phase.links, phase.into
     n_sub = scenario.num_subcarriers
-    cells = np.arange(scenario.num_cells)
     real = scenario.real_users
-    weights = np.asarray(scenario.weights, dtype=float)
-    aux, lam_bar = state.aux_rate, state.lam
-    signal, denom = link_terms(links, state.power)
-    full = denom + signal
-    rate_sums = links.per_user(np.log1p(signal / denom)).sum(axis=2)
+    snap = phase.snapshot(state.power)
+    denom, full = snap.denom, snap.full
     d_rate = links.per_user(links.own_gains / full)
 
-    # into[m, o, n]: station m's gap-scaled gain into cell o's held link on n.
-    into = links.gains * links.snr_gap
-    into[cells, cells] = 0.0
-    lam_held = lam_bar[cells[:, None], links.user]
+    lam_held = state.lam.take(phase.held_slot)
     weighted = lam_held * (1.0 / full - 1.0 / denom)
     weighted_sq = lam_held * (1.0 / (denom * denom) - 1.0 / (full * full))
     grad = np.empty((scenario.num_cells, n_sub + 1))
     grad[:, :n_sub] = np.einsum("mon,on->mn", into, weighted)
-    grad[:, n_sub] = weights
-    curv = np.zeros_like(grad)
+    grad[:, n_sub] = phase.weights
+    curv = np.zeros(grad.shape)
     curv[:, :n_sub] = np.einsum("mon,mon,on->mn", into, into, weighted_sq)
     jac_h = np.zeros(real.shape + (n_sub + 1,))
     jac_h[..., :n_sub] = -d_rate
     jac_h[..., n_sub] = real
     return SubproblemTerms(grad=grad, curv=curv,
-                           h=np.where(real, aux[:, None] - rate_sums, 0.0),
+                           h=np.where(real, state.aux_rate[:, None] - snap.rate_sums, 0.0),
                            jac_h=jac_h, curv_h=d_rate * d_rate, real=real)
 
 
@@ -235,7 +299,7 @@ def _local_constraints(power: np.ndarray, p_max: float) -> np.ndarray:
 
 def _jac_g_transpose(v: np.ndarray) -> np.ndarray:
     """J_g^T v for the local constraints, per row; see `_local_constraints`."""
-    out = np.zeros_like(v)
+    out = np.zeros(v.shape)
     out[..., :-1] = v[..., :1] - v[..., 1:]
     return out
 
@@ -266,32 +330,31 @@ def _solve_capacitance(cap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _solve_reduced(d_pow: np.ndarray, rows: np.ndarray, mult: np.ndarray,
-                   slack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_reduced(phase: OcdPhase, d_pow: np.ndarray, rows: np.ndarray,
+                   mult: np.ndarray, slack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve every cell's reduced system (D - sum_r w_r v_r v_r^T) x = rhs.
 
     `d_pow` is the (M, N) strictly negative diagonal of the power block and
-    the aux diagonal is 0; each of the R (M, R, N + 1) `rows` v_r carries
-    weight w_r = mult / slack.  The aux coordinate is bordered with
-    eps = mean(D) on both sides, D^ = diag(D, eps) and one more row e_aux of
-    weight eps, so the matrix is D^ - V'^T S' V' and Woodbury reduces it to
-    the (R + 1)x(R + 1) capacitance S'^-1 - V' D^-1 V'^T.  Rows whose
-    multiplier is 0 carry no weight and are dropped, so slack / mult is
-    never formed for them.  Two refinement steps follow the solve, each on
-    the structured residual rhs - (D^ x - V'^T S' V' x) at O(NK) cost.  The
-    diagonal and weights span from the 1e-8 curvature floor to ~1e10 near
-    the barrier floor, where the Woodbury form alone cancels large terms: at
-    a converged iterate it returned a direction of ~1e15 where the dense
-    solve gives < 1e-8.  One step brings it within about 1e-11 of the dense
-    solve, the second to the dense solve's own rounding floor.
+    the aux diagonal is 0; each of the R = Kmax + 1 (M, R, N + 1) `rows` v_r
+    carries weight w_r = mult / slack.  The aux coordinate is bordered with
+    eps = mean(D) on both sides, D^ = diag(D, eps) and one more row, the
+    phase's e_aux, of weight eps, so the matrix is D^ - V'^T S' V' and
+    Woodbury reduces it to the (R + 1)x(R + 1) capacitance S'^-1 - V' D^-1
+    V'^T.  Rows whose multiplier is 0 carry no weight and are dropped, so
+    slack / mult is never formed for them.  Two refinement steps follow the
+    solve, each on the structured residual rhs - (D^ x - V'^T S' V' x) at
+    O(NK) cost.  The diagonal and weights span from the 1e-8 curvature floor
+    to ~1e10 near the barrier floor, where the Woodbury form alone cancels
+    large terms: at a converged iterate it returned a direction of ~1e15
+    where the dense solve gives < 1e-8.  One step brings it within about
+    1e-11 of the dense solve, the second to the dense solve's own rounding
+    floor.
     """
-    m_cells, n_var = rhs.shape
-    eps = d_pow.mean(axis=1, keepdims=True)
+    # The row mean, with np.mean's arithmetic and without its Python overhead.
+    eps = np.add.reduce(d_pow, axis=1, keepdims=True) / d_pow.shape[1]
     d_hat = np.concatenate((d_pow, eps), axis=1)
     active = mult > 0.0
-    e_aux = np.zeros((m_cells, 1, n_var))
-    e_aux[..., -1] = 1.0
-    v = np.concatenate((np.where(active[..., None], rows, 0.0), e_aux), axis=1)
+    v = np.concatenate((np.where(active[..., None], rows, 0.0), phase.e_aux), axis=1)
     s = np.concatenate((mult / slack, eps), axis=1)
     s_inv = np.concatenate(
         (np.divide(slack, mult, out=np.ones_like(slack), where=active), 1.0 / eps),
@@ -299,15 +362,14 @@ def _solve_reduced(d_pow: np.ndarray, rows: np.ndarray, mult: np.ndarray,
     v_t = v.transpose(0, 2, 1)
     d_inv_v_t = v_t / d_hat[..., None]
     cap = -(v @ d_inv_v_t)
-    diag = np.arange(cap.shape[1])
-    cap[:, diag, diag] += s_inv
+    cap.reshape(len(cap), -1)[:, ::cap.shape[1] + 1] += s_inv     # the diagonals
 
     def solve(r):
         y = r / d_hat
         x = y + (d_inv_v_t @ _solve_capacitance(cap, v @ y[..., None]))[..., 0]
-        bad = ~np.isfinite(x).all(axis=1)
-        if bad.any():
-            raise OcdStepError(int(np.argmax(bad)), "reduced Newton system singular")
+        if not np.isfinite(x).all():
+            raise OcdStepError(int(np.argmin(np.isfinite(x).all(axis=1))),
+                               "reduced Newton system singular")
         return x
 
     x = solve(rhs)
@@ -316,35 +378,37 @@ def _solve_reduced(d_pow: np.ndarray, rows: np.ndarray, mult: np.ndarray,
     return x
 
 
-def newton_step(scenario: Scenario, assignment: np.ndarray,
+def newton_step(scenario: Scenario, assignment,
                 state: OcdState) -> NewtonStep:
     """One Jacobi sweep: every cell's Newton step against the snapshot `state`.
 
-    The sweep owns the snapshot: `_subproblem_terms` evaluates it once (one
-    link-kernel call) for all cells.  Each cell linearizes the primal-dual
-    conditions of its subproblem (variables, slacks and multipliers of its
-    own constraints only) and eliminates slacks and multipliers in closed
-    form, leaving one reduced system in the powers and aux rate (Nocedal &
-    Wright, ch. 19).  That matrix is diagonal plus rank K + 1 (the rate
-    rows and the budget row) with a zero aux diagonal, so all cells are
-    solved at once through their (K + 2)x(K + 2) Woodbury capacitance, the
-    aux coordinate bordered with eps = mean(D), with two refinement steps;
-    see `_solve_reduced`.  Slacks and multipliers are recovered from the
-    primal direction, each cell's four blocks are damped by a shared
-    fraction-to-boundary step, and the barrier decays.  The elimination
-    divides by the slacks, so every slack must be strictly positive;
-    otherwise, or when a reduced system is singular or yields a non-finite
-    direction, OcdStepError is raised for the first failing cell.  There is
-    no regularization retry.
+    Takes the assignment, its `AssignedLinks` view or an `OcdPhase`; given
+    no phase, it builds one.  `_subproblem_terms` reads the phase's snapshot
+    at `state.power` for all cells, evaluated at most once (one link-kernel
+    call).  Each cell linearizes the primal-dual conditions of its subproblem
+    (variables, slacks and multipliers of its own constraints only) and
+    eliminates slacks and multipliers in closed form, leaving one reduced
+    system in the powers and aux rate (Nocedal & Wright, ch. 19).  That
+    matrix is diagonal plus rank K + 1 (the rate rows and the budget row)
+    with a zero aux diagonal, so all cells are solved at once through their
+    (K + 2)x(K + 2) Woodbury capacitance, the aux coordinate bordered with
+    eps = mean(D), with two refinement steps; see `_solve_reduced`.  Slacks
+    and multipliers are recovered from the primal direction, each cell's
+    four blocks are damped by a shared fraction-to-boundary step, and the
+    barrier decays.  The elimination divides by the slacks, so every slack
+    must be strictly positive; otherwise, or when a reduced system is
+    singular or yields a non-finite direction, OcdStepError is raised for
+    the first failing cell.  There is no regularization retry.
     """
     n_sub = scenario.num_subcarriers
     power, aux, lam, mu = state.power, state.aux_rate, state.lam, state.mu
     slack_h, slack_g, barrier = state.slack_h, state.slack_g, state.barrier
-    positive = (slack_h > 0.0).all(axis=1) & (slack_g > 0.0).all(axis=1)
-    if not positive.all():
+    if not ((slack_h > 0.0).all() and (slack_g > 0.0).all()):
+        positive = (slack_h > 0.0).all(axis=1) & (slack_g > 0.0).all(axis=1)
         raise OcdStepError(int(np.argmin(positive)),
                            "Newton system singular: a slack is not strictly positive")
-    t = _subproblem_terms(scenario, assignment, state)
+    phase = _phase(scenario, assignment)
+    t = _subproblem_terms(scenario, phase, state)
 
     # Inertia safeguard: the coupling terms can turn single coordinates
     # convex, which makes pure Newton oscillate into the positivity
@@ -359,10 +423,9 @@ def newton_step(scenario: Scenario, assignment: np.ndarray,
     r_cg = mu * slack_g - barrier
     rhs = (-r_stat + np.einsum("mkj,mk->mj", t.jac_h, (lam * r_ph - r_ch) / slack_h)
            + _jac_g_transpose((mu * r_pg - r_cg) / slack_g))
-    budget = np.zeros((scenario.num_cells, 1, n_sub + 1))
-    budget[..., :n_sub] = 1.0
     d_x = _solve_reduced(
-        hess - mu[:, 1:] / slack_g[:, 1:], np.concatenate((t.jac_h, budget), axis=1),
+        phase, hess - mu[:, 1:] / slack_g[:, 1:],
+        np.concatenate((t.jac_h, phase.budget), axis=1),
         np.concatenate((lam, mu[:, :1]), axis=1),
         np.concatenate((slack_h, slack_g[:, :1]), axis=1), rhs)
 
@@ -449,20 +512,26 @@ def ocd_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndar
     power matrix moves less than `psi` in Euclidean norm, or after
     `max_iters` iterations.  The reported and returned powers are projected
     onto the feasible box and budgets; the stop test uses the raw iterates.
+
+    One `OcdPhase` serves every sweep of the call.  A sweep's report and the
+    next Newton step share the phase's snapshot whenever the projection
+    leaves the power's bits as they are, so t sweeps evaluate the links
+    t + 1 times; a sweep whose power the projection moves evaluates both
+    the projected and the raw power.
     """
     links = assigned_links(scenario, assignment, require_complete=True)
     validate_power(scenario, initial_power)
     report_sizes = [scenario.num_subcarriers + 1 + k for k in scenario.users_per_cell]
     state = init_cell_states(scenario, links, initial_power)
+    phase = OcdPhase(scenario, links)
     real = scenario.real_users
-    weights = np.array(scenario.weights, dtype=float)
 
     def sweep(iteration, power):
         nonlocal state
-        state = newton_step(scenario, links, state).state
+        state = newton_step(scenario, phase, state).state
         reported = project_power(state.power, scenario.p_max)
-        sums = links.per_user(link_rates(links, reported)).sum(axis=2)
-        return state.power, SweepReport.from_sums(sums, real, weights)
+        return state.power, SweepReport.from_sums(phase.snapshot(reported).rate_sums,
+                                                  real, phase.weights)
 
     power, trace, converged = relay(
         sweep, np.asarray(initial_power, dtype=float), report_sizes,

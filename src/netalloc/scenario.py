@@ -61,6 +61,11 @@ def _as_per_cell(value, num_cells: int, name: str) -> tuple:
     return out
 
 
+def _real(value) -> bool:
+    """A finite real number that is not a bool."""
+    return not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class ScenarioParams:
     """Knobs for `generate_scenario`.
@@ -90,7 +95,9 @@ class ScenarioParams:
         """Return one message per invalid field, empty when all is well.
 
         Counts and the seed must be of type `int` exactly: `True` is an
-        `int` too, and would pass for 1."""
+        `int` too, and would pass for 1.  The real-valued fields and every
+        weight must not be bools either: `True > 0.0` holds, and a scenario
+        built from it would carry the bool."""
         bad = []
         if type(self.num_cells) is not int or self.num_cells < 1:
             bad.append(f"num_cells: must be a positive integer, got {self.num_cells!r}")
@@ -99,20 +106,20 @@ class ScenarioParams:
         for m, k in enumerate(self.users_per_cell):
             if type(k) is not int or k < 1:
                 bad.append(f"users_per_cell[{m}]: must be a positive integer, got {k!r}")
-        if not (self.cell_radius > MIN_USER_DISTANCE) or not math.isfinite(self.cell_radius):
+        if not _real(self.cell_radius) or not (self.cell_radius > MIN_USER_DISTANCE):
             bad.append(f"cell_radius: must be finite and > {MIN_USER_DISTANCE}, got {self.cell_radius!r}")
-        if not (self.p_max > 0.0) or not math.isfinite(self.p_max):
+        if not _real(self.p_max) or not (self.p_max > 0.0):
             bad.append(f"p_max: must be finite and positive, got {self.p_max!r}")
-        if not (self.noise_power > 0.0) or not math.isfinite(self.noise_power):
+        if not _real(self.noise_power) or not (self.noise_power > 0.0):
             bad.append(f"noise_power: must be finite and positive, got {self.noise_power!r}")
-        if not (self.snr_gap >= 1.0) or not math.isfinite(self.snr_gap):
+        if not _real(self.snr_gap) or not (self.snr_gap >= 1.0):
             bad.append(f"snr_gap: must be finite and >= 1, got {self.snr_gap!r}")
-        w_ok = all(math.isfinite(w) and w >= 0.0 for w in self.weights)
+        w_ok = all(_real(w) and w >= 0.0 for w in self.weights)
         if not w_ok:
-            bad.append(f"weights: entries must be finite and nonnegative, got {self.weights!r}")
+            bad.append(f"weights: entries must be finite, nonnegative numbers, got {self.weights!r}")
         elif not any(w > 0.0 for w in self.weights):
             bad.append(f"weights: at least one cell weight must be positive, got {self.weights!r}")
-        if not (self.pathloss_exponent > 0.0) or not math.isfinite(self.pathloss_exponent):
+        if not _real(self.pathloss_exponent) or not (self.pathloss_exponent > 0.0):
             bad.append(f"pathloss_exponent: must be finite and positive, got {self.pathloss_exponent!r}")
         if type(self.seed) is not int or self.seed < 0:
             bad.append(f"seed: must be a nonnegative integer, got {self.seed!r}")

@@ -77,11 +77,15 @@ def _checked(table: np.ndarray) -> np.ndarray:
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 1:
         raise RateTableError(f"rate table must be 2-D and nonempty, got shape {table.shape}")
-    if not np.isfinite(table).all():
-        raise RateTableError("rate table entries must be finite")
-    if (table < 0.0).any():
-        raise RateTableError("rate table entries must be nonnegative")
+    _check_entries(table)
     return table
+
+
+def _check_entries(rates: np.ndarray) -> None:
+    if not np.isfinite(rates).all():
+        raise RateTableError("rate table entries must be finite")
+    if (rates < 0.0).any():
+        raise RateTableError("rate table entries must be nonnegative")
 
 
 def _column_order(table: np.ndarray) -> list[int]:
@@ -102,15 +106,45 @@ def solve_greedy(table: np.ndarray) -> AssignmentResult:
 
 def _greedy(order: list, cols: list) -> AssignmentResult:
     # cols[d][u]: user u's rate on subcarrier order[d].
-    totals = [0.0] * len(cols[0])
+    picks, low = _greedy_picks(cols, len(cols[0]))
+    assign = np.empty(len(order), dtype=np.int64)
+    assign[order] = picks
+    return AssignmentResult(assignment=assign, min_rate=low, nodes=0)
+
+
+def _greedy_picks(cols: list, k: int) -> tuple[list, float]:
+    """The greedy loop over `cols` in branching order, for users 0..k-1:
+    (the user picked at each depth, the worst user total).  Entries of
+    cols[d] past k are never read."""
+    totals = [0.0] * k
     picks = []
     for col in cols:
         u = totals.index(min(totals))
         picks.append(u)
         totals[u] += col[u]
-    assign = np.empty(len(order), dtype=np.int64)
-    assign[order] = picks
-    return AssignmentResult(assignment=assign, min_rate=min(totals), nodes=0)
+    return picks, min(totals)
+
+
+def _greedy_all_cells(scenario: Scenario, power: np.ndarray) -> np.ndarray:
+    """Every cell's greedy assignment as a (M, N) user-index array.
+
+    One pass over the padded (M, Kmax, N) rates: one check of the real
+    users' entries, one stable row-wise sort of the columns by their best
+    real-user rate, and one `tolist`; then `solve_greedy`'s loop per cell,
+    which never reads a padded user.  Each row equals `solve_greedy` on
+    that cell's rate table, bit for bit.
+    """
+    rates = link_rates(scenario, power)
+    real = scenario.real_users
+    _check_entries(rates[real])
+    best = np.max(rates, axis=1, where=real[..., None], initial=-np.inf)
+    order = np.argsort(-best, axis=1, kind="stable")
+    cols = np.take_along_axis(rates, order[:, None, :], axis=2).transpose(0, 2, 1).tolist()
+    users = np.empty(order.shape, dtype=np.int64)
+    users[np.arange(len(order))[:, None], order] = [
+        _greedy_picks(cell_cols, k)[0]
+        for cell_cols, k in zip(cols, scenario.users_per_cell)]
+    return users
 
 
 def _polish(cols: list, picks: list) -> list:
@@ -374,16 +408,19 @@ def solve_all_cells(scenario: Scenario, power: np.ndarray, *,
     """Assign every cell's subcarriers; returns the full 0/1 tensor.
 
     `current[m]`, cell m's (N,) user-index vector, warm-starts the exact
-    solve (see `solve_exact`); greedy has no use for it.
+    solve (see `solve_exact`); greedy has no use for it, and assigns every
+    cell in one pass (see `_greedy_all_cells`).
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
+    if mode == "greedy":
+        users = _greedy_all_cells(scenario, power)
+    else:
+        users = np.array([
+            solve_exact(table, None if current is None else current[m]).assignment
+            for m, table in enumerate(rate_table(scenario, power))])
     out = np.zeros((scenario.num_cells, scenario.max_users,
                     scenario.num_subcarriers), dtype=np.int8)
-    for m, table in enumerate(rate_table(scenario, power)):
-        if mode == "greedy":
-            result = solve_greedy(table)
-        else:
-            result = solve_exact(table, None if current is None else current[m])
-        out[m, result.assignment, np.arange(scenario.num_subcarriers)] = 1
+    out[np.arange(scenario.num_cells)[:, None], users,
+        np.arange(scenario.num_subcarriers)] = 1
     return out

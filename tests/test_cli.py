@@ -195,6 +195,22 @@ def test_montecarlo_rejects_bad_counts(tmp_path, capsys):
     assert "realizations" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [True, 2.0, -1])
+@pytest.mark.parametrize("name", ["realizations", "base_seed"])
+def test_run_ensemble_refuses_bad_counts_before_running(monkeypatch, name, value):
+    # `True` is an `int` and passed for one realization or seed 1; a float
+    # or a negative value must not reach the realizations either.
+    import netalloc.experiment_cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a realization ran")
+
+    monkeypatch.setattr(cli, "_realize", never)
+    counts = {"realizations": 1, "base_seed": 0, name: value}
+    with pytest.raises(ValueError, match=name):
+        cli.run_ensemble(ScenarioParams(2, 4, 1), config=netalloc.RunConfig(), **counts)
+
+
 BAD_SOLVER_FLAGS = [["--psi", "0"], ["--psi", "nan"], ["--max-iter", "0"],
                     ["--rounds", "0"], ["--wsmr-tol", "-1"]]
 

@@ -276,6 +276,66 @@ def test_snapshot_evaluates_link_kernel_once(monkeypatch):
         once(solve_all_cells, s, power, mode=mode)
 
 
+def test_phase_evaluates_each_snapshot_once(monkeypatch):
+    # A sweep's report and the next Newton step read the same power, so a
+    # phase of t sweeps evaluates the links t + 1 times, besides the one
+    # evaluation of its starting point.
+    s, assignment, power = desk_instance(users=(1, 2, 3))
+    real = rate_module.link_terms
+    calls = {"count": 0}
+
+    def counted(scenario, power_):
+        calls["count"] += 1
+        return real(scenario, power_)
+
+    monkeypatch.setattr(rate_module, "link_terms", counted)
+    monkeypatch.setattr(ocd_module, "link_terms", counted)
+    for sweeps in (1, 2, 25):
+        calls["count"] = 0
+        result = ocd_solve(s, assignment, power, psi=1e-12, max_iters=sweeps)
+        assert result.iterations == sweeps
+        assert calls["count"] == 1 + sweeps + 1
+
+
+def test_report_at_a_power_outside_the_box_is_projected(monkeypatch):
+    # When a raw iterate leaves the box (a negative entry, a row over
+    # budget), its row reports `wsmr` at the projected power, bit for bit,
+    # and the next Newton step still starts from the raw power: the route
+    # that builds a fresh phase for every step and reports through `wsmr`.
+    s, assignment, power = desk_instance(users=(1, 2, 3))
+    real = ocd_module.newton_step
+
+    def leave_the_box(sweep, state):
+        moved = state.power.copy()
+        if sweep == 2:
+            moved[0, 1] = -1e-3 * s.p_max
+        elif sweep == 3:
+            moved[1] *= 1.5
+        return dataclasses.replace(state, power=moved)
+
+    calls = {"count": 0}
+
+    def stepped(scenario, assignment_, state):
+        calls["count"] += 1
+        step = real(scenario, assignment_, state)
+        return dataclasses.replace(step, state=leave_the_box(calls["count"], step.state))
+
+    monkeypatch.setattr(ocd_module, "newton_step", stepped)
+    result = ocd_solve(s, assignment, power, psi=1e-12, max_iters=5)
+
+    state = init_cell_states(s, assignment, power)
+    for sweep, row in enumerate(result.trace, start=1):
+        state = leave_the_box(sweep, real(s, assignment, state).state)
+        projected = project_power(state.power, s.p_max)
+        if sweep in (2, 3):
+            assert projected.tobytes() != state.power.tobytes()
+        want = wsmr(s, projected, assignment)
+        assert np.float64(row.wsmr).tobytes() == np.float64(want.value).tobytes()
+        assert np.array(row.min_rates).tobytes() == np.array(want.min_rates).tobytes()
+    assert result.state.power.tobytes() == state.power.tobytes()
+    assert result.state.lam.tobytes() == state.lam.tobytes()
+
+
 def test_newton_step_reduces_residuals():
     s, assignment, power = desk_instance()
     state = init_cell_states(s, assignment, power)

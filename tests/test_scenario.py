@@ -65,6 +65,32 @@ def test_load_rejects_a_bool_cell_count(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("field", [
+    {"cell_radius": True}, {"p_max": True}, {"noise_power": True},
+    {"snr_gap": True}, {"pathloss_exponent": True}, {"weights": True},
+    {"weights": (1.0, np.True_, 1.0)}, {"weights": (1.0, False, 1.0)}])
+def test_params_reject_bools_as_reals(field):
+    # `True > 0.0` and `math.isfinite(True)` hold: left through, the
+    # generated scenario's p_max would be the bool `True`.
+    params = ScenarioParams(**{"num_cells": 3, "num_subcarriers": 8,
+                               "users_per_cell": 2, **field})
+    name = next(iter(field))
+    with pytest.raises(ScenarioValidationError, match=name):
+        params.validated()
+    assert [m.split(":")[0] for m in params.violations()] == [name]
+
+
+def test_load_rejects_a_bool_budget(tmp_path):
+    s = make_scenario(cells=1, subcarriers=3, users=1, seed=0)
+    path = tmp_path / "bool.json"
+    save_scenario(s, path)
+    doc = json.loads(path.read_text())
+    doc["params"]["p_max"] = True
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioValidationError, match="p_max"):
+        load_scenario(path)
+
+
 def test_params_length_mismatch_rejected():
     with pytest.raises(ScenarioValidationError):
         ScenarioParams(num_cells=3, users_per_cell=(2, 2))

@@ -1,3 +1,4 @@
+import dataclasses
 import operator
 import sys
 
@@ -176,6 +177,46 @@ def test_solve_all_cells_greedy_mode():
     assert wsmr(s, power, greedy).value <= wsmr(s, power, exact).value + 1e-12
     with pytest.raises(ValueError):
         solve_all_cells(s, power, mode="best")
+
+
+def greedy_per_cell(s, power):
+    """The full 0/1 tensor from one `solve_greedy` per cell's rate table."""
+    out = np.zeros((s.num_cells, s.max_users, s.num_subcarriers), dtype=np.int8)
+    for m, table in enumerate(rate_table(s, power)):
+        out[m, solve_greedy(table).assignment, np.arange(s.num_subcarriers)] = 1
+    return out
+
+
+def test_greedy_mode_assigns_every_cell_as_solve_greedy_does():
+    # One pass over the padded rates must give each cell what its own
+    # `solve_greedy` gives: unequal cells (padded user rows are never read),
+    # duplicated subcarriers (ties in the column order) and subcarriers no
+    # station powers (all-zero columns, ties in the running totals).
+    cases = []
+    for seed in range(4):
+        s = make_scenario(cells=3, subcarriers=9, users=(1, 2, 3), seed=seed)
+        cases.append((s, np.random.default_rng(seed).uniform(size=(3, 9)) * s.p_max / 9))
+    s = make_scenario(cells=3, subcarriers=8, users=(3, 1, 2), seed=5)
+    cols = [0, 0, 1, 2, 1, 5, 6, 6]
+    tied = dataclasses.replace(s, gains=s.gains[..., cols], noise=s.noise[..., cols])
+    power = np.full((3, 8), s.p_max / 8)
+    cases.append((tied, power))
+    dark = power.copy()
+    dark[:, [2, 5]] = 0.0
+    dark[1, :4] = 0.0
+    cases.append((tied, dark))
+    for s, power in cases:
+        got = solve_all_cells(s, power, mode="greedy")
+        assert got.dtype == np.int8
+        assert got.tobytes() == greedy_per_cell(s, power).tobytes()
+
+
+def test_greedy_mode_rejects_non_finite_rates():
+    s = make_scenario(cells=3, subcarriers=4, users=(1, 2, 3), seed=0)
+    power = np.full((3, 4), s.p_max / 4)
+    power[2, 1] = np.nan
+    with pytest.raises(RateTableError, match="finite"):
+        solve_all_cells(s, power, mode="greedy")
 
 
 def test_reassignment_never_hurts():
