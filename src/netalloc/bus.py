@@ -43,15 +43,13 @@ class PhaseError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExchangeRecord:
-    """Accounting for one gather-plus-broadcast exchange."""
+    """Accounting for one gather-plus-broadcast exchange; `total_bytes` is
+    the sum of both directions, priced once when the record is built."""
 
     messages: int
     gather_bytes: tuple[int, ...]
     broadcast_bytes: tuple[int, ...]
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.gather_bytes) + sum(self.broadcast_bytes)
+    total_bytes: int
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,8 @@ def _exchange_record(scalars_per_cell: tuple) -> ExchangeRecord:
     total = sum(gather)
     broadcast = tuple(total - g for g in gather)
     return ExchangeRecord(messages=2 * num_cells, gather_bytes=gather,
-                          broadcast_bytes=broadcast)
+                          broadcast_bytes=broadcast,
+                          total_bytes=total + sum(broadcast))
 
 
 class MessageBus:

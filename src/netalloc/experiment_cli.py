@@ -347,22 +347,32 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     rng = np.random.default_rng(args.seed)
     worst_assignment = 0.0
+    warm_mismatches = 0
     worst_power = 0.0
 
     if "assignment" in checks:
+        nodes = [0, 0, 0]
         for _ in range(args.trials):
             table = rng.exponential(1.0, size=(users, args.subcarriers))
             slow = exhaustive_min_rate(table)
             # Cold, and warm-started from the greedy assignment and from a
             # random one, which the local search has to polish from far off.
+            # A warm start only prunes, so both warm solves must return the
+            # cold assignment byte for byte.
             held = solve_greedy(table).assignment
             scattered = rng.integers(0, users, args.subcarriers)
-            for fast in (solve_exact(table), solve_exact(table, current=held),
-                         solve_exact(table, current=scattered)):
+            solves = (solve_exact(table), solve_exact(table, current=held),
+                      solve_exact(table, current=scattered))
+            cold = solves[0].assignment.tobytes()
+            for i, fast in enumerate(solves):
+                nodes[i] += fast.nodes
+                warm_mismatches += fast.assignment.tobytes() != cold
                 worst_assignment = max(worst_assignment, abs(fast.min_rate - slow)
                                        / max(abs(slow), 1e-15))
-        print(f"assignment: trials={args.trials} "
+        print(f"assignment: trials={args.trials} warm_mismatches={warm_mismatches} "
               f"max_relative_gap={_fmt(worst_assignment)}")
+        print(f"assignment nodes: cold={nodes[0]} greedy_warm={nodes[1]} "
+              f"random_warm={nodes[2]}")
 
     if "power" in checks:
         base = _power_oracle_params(args)
@@ -382,7 +392,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"power: trials={args.trials} "
               f"max_relative_gap={_fmt(worst_power)}")
 
-    bad = (worst_assignment > 1e-12) or (worst_power > 0.01)
+    bad = (worst_assignment > 1e-12) or warm_mismatches or (worst_power > 0.01)
     print("verdict: " + ("FAIL" if bad else "ok"))
     return EXIT_ABORT if bad else EXIT_OK
 

@@ -525,18 +525,21 @@ def ocd_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndar
     state = init_cell_states(scenario, links, initial_power)
     phase = OcdPhase(scenario, links)
     real = scenario.real_users
+    reported = None
 
     def sweep(iteration, power):
-        nonlocal state
+        nonlocal state, reported
         state = newton_step(scenario, phase, state).state
         reported = project_power(state.power, scenario.p_max)
         return state.power, SweepReport.from_sums(phase.snapshot(reported).rate_sums,
                                                   real, phase.weights)
 
-    power, trace, converged = relay(
+    # The relay's last raw iterate is the last sweep's state.power, so the
+    # projection that sweep reported is the returned power.
+    _, trace, converged = relay(
         sweep, np.asarray(initial_power, dtype=float), report_sizes,
         psi=psi, max_iters=max_iters, bus=bus)
-    return OcdResult(power=project_power(power, scenario.p_max), state=state,
+    return OcdResult(power=reported, state=state,
                      trace=trace, converged=converged, iterations=len(trace))
 
 

@@ -20,16 +20,19 @@ value of the LP relaxation; the bound then costs one add per node.  The
 second bound, each user's total plus all its remaining rates, catches what
 one fixed y misses deeper in the tree.
 
-Given the assignment a cell already holds, the search first polishes that
-assignment by a local search towards the worst user, then also prunes below
-the better of the held and polished values on the new table (a floor shrunk
-by a relative `FLOOR_MARGIN`).  After a power phase the held assignment is
-usually within a few percent of the optimum, far closer than greedy, and the
-polished one is closer still, so the floor cuts most of the tree.  Both are
-feasible assignments, so the floor is at most the optimum and never cuts an
-ancestor of the first optimal leaf in branching order.  The incumbent is
-still greedy's and still moves only on strict improvement, so the result
-depends neither on the held assignment, nor on the local search, nor on y.
+Given the assignment a cell already holds, the search also prunes below a
+floor: the best of three feasible assignments' values on the new table,
+shrunk by a relative `FLOOR_MARGIN`.  The three are the held assignment;
+the Lagrangian rounding at y, each subcarrier to the user with the largest
+y-weighted rate (Fisher's Lagrangian heuristic); and the better of those
+two, polished by a local search towards the worst user.  After a power
+phase the held assignment is usually within a few percent of the optimum,
+far closer than greedy, the rounding is often closer still, and the polish
+closes more of the gap, so the floor cuts most of the tree.  All three are
+feasible, so the floor is at most the optimum and never cuts an ancestor of
+the first optimal leaf in branching order.  The incumbent is still greedy's
+and still moves only on strict improvement, so the result depends neither
+on the held assignment, nor on the rounding or the local search, nor on y.
 """
 
 from __future__ import annotations
@@ -147,6 +150,14 @@ def _greedy_all_cells(scenario: Scenario, power: np.ndarray) -> np.ndarray:
     return users
 
 
+def _totals(cols: list, picks: list) -> list:
+    """Every user's total under `picks` on `cols`, summed in branching order."""
+    totals = [0.0] * len(cols[0])
+    for col, u in zip(cols, picks):
+        totals[u] += col[u]
+    return totals
+
+
 def _polish(cols: list, picks: list) -> list:
     """Local search towards the worst user; `picks` is improved in place.
 
@@ -158,9 +169,7 @@ def _polish(cols: list, picks: list) -> list:
     only if both end strictly above the old worst total, so the sorted
     totals rise with every step and the search ends.
     """
-    totals = [0.0] * len(cols[0])
-    for col, u in zip(cols, picks):
-        totals[u] += col[u]
+    totals = _totals(cols, picks)
     while True:
         low = min(totals)
         w = totals.index(low)
@@ -195,23 +204,21 @@ def _polish(cols: list, picks: list) -> list:
             picks[e] = v
 
 
-def _value(table: np.ndarray, assignment: np.ndarray) -> float:
-    """Worst user total of a complete `assignment` on `table`."""
-    k, n_sub = table.shape
-    totals = np.bincount(assignment, weights=table[assignment, np.arange(n_sub)],
-                         minlength=k)
-    return float(totals.min())
-
-
-def _held_floor(table: np.ndarray, current, order: list, cols: list) -> float:
+def _held_floor(table: np.ndarray, current, order: list, cols: list,
+                ycols: list | None = None) -> float:
     """Prune floor from the assignment a cell already holds; minus infinity
     without one.
 
-    `_polish` improves the held assignment on the search's own `cols`
-    (subcarriers in branching `order`).  The floor is the better of the
-    held and polished values, both valued on `table` by one `bincount`
-    each and shrunk by `FLOOR_MARGIN`.  Both are feasible assignments, so
-    neither value exceeds the optimum, whatever the local search does.
+    Three feasible assignments are valued on the search's own `cols`
+    (subcarriers in branching `order`), with totals summed in that order:
+    the held one; the Lagrangian rounding at the dual point y, which gives
+    each subcarrier to the user with the largest y-weighted rate in
+    `ycols` (ycols[d][u] = y_u * cols[d][u]; lowest user index on ties;
+    computed from `_dual_point(cols)` when absent); and the better of those
+    two, held on a tie, polished by `_polish`.  The floor is the best of
+    the three values shrunk by `FLOOR_MARGIN`.  Every candidate is a
+    feasible assignment, so no value exceeds the optimum, whatever y or the
+    local search does.
     """
     if current is None:
         return -np.inf
@@ -226,12 +233,18 @@ def _held_floor(table: np.ndarray, current, order: list, cols: list) -> float:
     held = raw[order].tolist()
     if min(held) < 0 or max(held) >= k:
         raise RateTableError(f"current has a user index outside 0..{k - 1}")
-    picks = _polish(cols, held[:])
-    value = _value(table, raw)
-    if picks != held:
-        polished = np.empty(n_sub, dtype=np.int64)
-        polished[order] = picks
-        value = max(value, _value(table, polished))
+    if ycols is None:
+        y = _dual_point(cols)
+        ycols = [list(map(operator.mul, y, col)) for col in cols]
+    rounded = [row.index(max(row)) for row in ycols]
+    value = min(_totals(cols, held))
+    rounded_value = min(_totals(cols, rounded))
+    start = held
+    if rounded_value > value:
+        start, value = rounded, rounded_value
+    picks = _polish(cols, start[:])
+    if picks != start:
+        value = max(value, min(_totals(cols, picks)))
     return value * (1.0 - FLOOR_MARGIN)
 
 
@@ -302,7 +315,8 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
     the optimum, or greedy's when greedy is already optimal.
 
     Two bounds prune.  The Lagrangian bound at a point y computed once per
-    table (see `_dual_point`; nothing else about the search depends on y) is
+    table (see `_dual_point`; besides the warm floor's rounding, nothing
+    else about the search depends on y) is
     the y-weighted sum of the totals so far plus a suffix sum, over the
     remaining subcarriers, of the largest y-weighted rate: one add per node.
     The per-user bound is each user's total plus all of its remaining
@@ -317,12 +331,13 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
     a leaf whose computed minimum is within an ulp or so of the incumbent.
 
     `current`, a (N,) user-index vector such as the assignment the cell
-    already holds, only speeds the search up.  A local search first
-    polishes it towards the worst user; the better of the held and polished
-    values on `table`, shrunk by a relative `FLOOR_MARGIN`, is a prune
-    floor: a branch whose bound is below it holds no optimal leaf, so it is
-    cut too.  Both values belong to feasible assignments, so they are at
-    most the optimum.  The first optimal leaf's ancestors all have bounds at
+    already holds, only speeds the search up.  With it, the best value of
+    three assignments on `table` (the held one, the Lagrangian rounding at
+    y, and the better of those two polished by a local search; see
+    `_held_floor`), shrunk by a relative `FLOOR_MARGIN`, is a prune floor:
+    a branch whose bound is below it holds no optimal leaf, so it is cut
+    too.  All three are feasible assignments, so their values are at most
+    the optimum.  The first optimal leaf's ancestors all have bounds at
     or above the optimum, so the floor never cuts them, and the result is
     the same with or without `current`.  The margin keeps rounding in the
     differently ordered sums of the bound and the floor's value from ever
@@ -336,18 +351,20 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
     order = _column_order(table)
     # cols[d][u]: user u's rate on the subcarrier branched at depth d.
     cols = table[:, order].T.tolist()
-    floor = _held_floor(table, current, order, cols)
+    # The dual point y: ycols[d][u] = y_u * cols[d][u] feeds both the floor's
+    # Lagrangian rounding and the Lagrangian bound.
+    y = _dual_point(cols)
+    ycols = [list(map(operator.mul, y, col)) for col in cols]
+    floor = _held_floor(table, current, order, cols, ycols)
 
     # rest[d][u]: what user u could still gain from subcarriers order[d:].
     rest = [[0.0] * k]
     for col in reversed(cols):
         rest.append(list(map(operator.add, rest[-1], col)))
     rest.reverse()
-    # The Lagrangian bound at the dual point y: ycols[d][u] = y_u * cols[d][u],
-    # and rest_y[d] sums max_u ycols[n][u] over n >= d, plus a slack for
-    # rounding: every sum the search forms is at most sum_n max_u cols[n][u].
-    y = _dual_point(cols)
-    ycols = [list(map(operator.mul, y, col)) for col in cols]
+    # The Lagrangian bound: rest_y[d] sums max_u ycols[n][u] over n >= d,
+    # plus a slack for rounding: every sum the search forms is at most
+    # sum_n max_u cols[n][u].
     slack = FLOOR_MARGIN * sum(map(max, cols))
     rest_y = list(accumulate(map(max, reversed(ycols)), initial=slack))[::-1]
 

@@ -294,6 +294,33 @@ def test_oracle_warm_starts_from_a_seeded_random_assignment(monkeypatch, capsys)
     assert starts == first
 
 
+def test_oracle_requires_warm_solves_to_return_the_cold_assignment(monkeypatch, capsys):
+    # A warm solve may only prune: an assignment other than the cold one,
+    # even at the same reported value, fails the check.
+    import netalloc.experiment_cli as cli
+    real = cli.solve_exact
+
+    def other_when_warm(table, current=None):
+        result = real(table, current)
+        if current is None:
+            return result
+        return type(result)(1 - result.assignment, result.min_rate, result.nodes)
+
+    args = ["oracle", "--check", "assignment", "--trials", "3",
+            "--users-per-cell", "2", "--subcarriers", "5", "--seed", "2"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "warm_mismatches=0 max_relative_gap=" in out
+    nodes = re.search(r"^assignment nodes: cold=(\d+) greedy_warm=(\d+) random_warm=(\d+)$",
+                      out, re.M)
+    assert nodes and all(int(count) >= 3 for count in nodes.groups())
+    monkeypatch.setattr(cli, "solve_exact", other_when_warm)
+    assert main(args) == 1
+    out = capsys.readouterr().out
+    assert "warm_mismatches=6 max_relative_gap=0" in out
+    assert "verdict: FAIL" in out
+
+
 def test_oracle_power_check(capsys):
     code = main(["oracle", "--check", "power", "--trials", "2",
                  "--grid", "80", "--seed", "3"])

@@ -334,6 +334,7 @@ def test_report_at_a_power_outside_the_box_is_projected(monkeypatch):
         assert np.array(row.min_rates).tobytes() == np.array(want.min_rates).tobytes()
     assert result.state.power.tobytes() == state.power.tobytes()
     assert result.state.lam.tobytes() == state.lam.tobytes()
+    assert result.power.tobytes() == project_power(state.power, s.p_max).tobytes()
 
 
 def test_newton_step_reduces_residuals():

@@ -5,12 +5,12 @@ import sys
 import numpy as np
 import pytest
 
-from netalloc import (RateTableError, cell_user_rates, exhaustive_min_rate,
-                      initial_point, link_rates, ocd_solve, rate_table,
-                      solve_all_cells, solve_exact, solve_greedy, subcarrier_alloc,
-                      validate_assignment, wsmr)
-from netalloc.subcarrier_alloc import (AssignmentResult, _checked, _column_order,
-                                       _greedy, _held_floor)
+from netalloc import (RateTableError, RunConfig, cell_user_rates,
+                      exhaustive_min_rate, initial_point, link_rates, ocd_solve,
+                      rate_table, run, solve_all_cells, solve_exact, solve_greedy,
+                      subcarrier_alloc, validate_assignment, wsmr)
+from netalloc.subcarrier_alloc import (FLOOR_MARGIN, AssignmentResult, _checked,
+                                       _column_order, _greedy, _held_floor)
 
 from conftest import make_scenario
 
@@ -408,6 +408,102 @@ def test_local_search_floor_shrinks_the_search(monkeypatch):
         assert fast.assignment.tobytes() == slow.assignment.tobytes() \
             == cold.assignment.tobytes()
     assert sum(r.nodes for r in polished) < sum(r.nodes for r in plain)
+
+
+def floor_of(table, current):
+    order = _column_order(table)
+    return _held_floor(table, current, order, table[:, order].T.tolist())
+
+
+def test_held_floor_lies_between_the_held_value_and_the_optimum():
+    rng = np.random.default_rng(101)
+    for _ in range(150):
+        k = int(rng.integers(1, 5))
+        table = rng.exponential(size=(k, int(rng.integers(1, 7))))
+        best = exhaustive_min_rate(table)
+        for current in (solve_exact(table).assignment, solve_greedy(table).assignment,
+                        rng.integers(0, k, table.shape[1])):
+            floor = floor_of(table, current)
+            assert floor <= best
+            # The floor sums in branching order, bincount in index order.
+            assert floor >= bincount_value(table, current) * (1.0 - 2.0 * FLOOR_MARGIN)
+
+
+def test_floor_polishes_the_lagrangian_rounding_at_the_dual_point(monkeypatch):
+    # At y = (1/2, 1/4, 1/4) subcarrier 1 weighs 1.0 for users 0 and 1 alike
+    # and goes to user 0; the rounding is [1, 0, 0, 2, 2], with value 3.
+    table = np.array([[1.0, 2.0, 4.0, 1.0, 0.0],
+                      [3.0, 4.0, 1.0, 2.0, 0.0],
+                      [1.0, 1.0, 1.0, 4.0, 3.0]])
+    starts = []
+
+    def recorded(cols, picks):
+        starts.append(list(picks))
+        return picks
+
+    def branching(table, assignments):
+        """Each assignment in the branching order `_polish` sees."""
+        return [np.asarray(a)[_column_order(table)].tolist() for a in assignments]
+
+    monkeypatch.setattr(subcarrier_alloc, "_dual_point", lambda cols: [0.5, 0.25, 0.25])
+    monkeypatch.setattr(subcarrier_alloc, "_polish", recorded)
+    # A held assignment worth less: the rounding is polished and sets the floor.
+    assert floor_of(table, np.zeros(5, dtype=np.int64)) == 3.0 * (1.0 - FLOOR_MARGIN)
+    # One worth as much (3): the held one is polished.  One worth more (4) too.
+    for held in ([1, 0, 0, 0, 2], [1, 1, 0, 2, 2]):
+        floor_of(table, np.array(held))
+    assert starts == branching(table, ([1, 0, 0, 2, 2], [1, 0, 0, 0, 2], [1, 1, 0, 2, 2]))
+    # On random tables and simplex points, the rounding is numpy's argmax
+    # of y_u * r_un, which takes the lowest index on ties.
+    rng = np.random.default_rng(103)
+    for _ in range(40):
+        k, n = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        table = rng.integers(0, 3, size=(k, n)).astype(float)
+        y = rng.dirichlet(np.ones(k)) if rng.random() < 0.5 else np.full(k, 1.0 / k)
+        monkeypatch.setattr(subcarrier_alloc, "_dual_point", lambda cols: y.tolist())
+        held = np.zeros(n, dtype=np.int64)
+        rounded = (y[:, None] * table).argmax(axis=0)
+        # Small integers: every sum is exact, so the values compare exactly.
+        better = bincount_value(table, rounded) > bincount_value(table, held)
+        starts[:] = []
+        floor_of(table, held)
+        assert starts == branching(table, [rounded if better else held])
+
+
+def held_polish_floor(table, current, order, cols, ycols=None):
+    """The floor without the Lagrangian rounding: the better of the held
+    assignment and its polish, each valued by `bincount` on `table`."""
+    if current is None:
+        return -np.inf
+    raw = np.asarray(current)
+    held = raw[order].tolist()
+    picks = subcarrier_alloc._polish(cols, held[:])
+    value = bincount_value(table, raw)
+    if picks != held:
+        polished = np.empty(raw.size, dtype=np.int64)
+        polished[order] = picks
+        value = max(value, bincount_value(table, polished))
+    return value * (1.0 - FLOOR_MARGIN)
+
+
+def test_rounding_floor_shrinks_the_warm_search_of_an_ocd_run(monkeypatch):
+    # Every warm solve of a seeded exact OCD run at 3x32x2, the CLI default.
+    real, inputs = subcarrier_alloc.solve_exact, []
+
+    def captured(table, current=None):
+        inputs.append((np.array(table), None if current is None else np.array(current)))
+        return real(table, current)
+
+    monkeypatch.setattr(subcarrier_alloc, "solve_exact", captured)
+    run(make_scenario(cells=3, subcarriers=32, users=2, seed=0), RunConfig())
+    monkeypatch.setattr(subcarrier_alloc, "solve_exact", real)
+    assert len(inputs) > 10 and all(current is not None for _, current in inputs)
+    ours = [solve_exact(table, current) for table, current in inputs]
+    monkeypatch.setattr(subcarrier_alloc, "_held_floor", held_polish_floor)
+    theirs = [solve_exact(table, current) for table, current in inputs]
+    for got, want in zip(ours, theirs):
+        assert_same_result(got, want)
+    assert sum(r.nodes for r in ours) < sum(r.nodes for r in theirs)
 
 
 def reference_solve_exact(table, current=None):
