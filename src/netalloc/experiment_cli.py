@@ -306,6 +306,8 @@ def _oracle_usage_error(args: argparse.Namespace,
     """Why the oracle flags describe nothing it can check, or None."""
     if args.trials < 1:
         return f"--trials must be positive, got {args.trials}"
+    if args.seed < 0:
+        return f"--seed must be nonnegative, got {args.seed}"
     if "assignment" in checks:
         users = max(args.users_per_cell)
         if min(args.users_per_cell) < 1 or args.subcarriers < 1:

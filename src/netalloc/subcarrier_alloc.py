@@ -20,6 +20,16 @@ value of the LP relaxation; the bound then costs one add per node.  The
 second bound, each user's total plus all its remaining rates, catches what
 one fixed y misses deeper in the tree.
 
+A node is priced when its parent tries it, in one pass of the search loop:
+the Lagrangian bound first, and only for a child that passes it, a copy of
+the users' totals and the per-user bound.  Both compare with one threshold,
+`cut`, the larger of the floor below and the float just above the
+incumbent, so `bound < cut` holds exactly when the bound is at or below the
+incumbent or below the floor.  `nodes` counts the root and every child
+priced, cut or not.  The per-table set-up (the suffix sums of both bounds,
+the y-weighted rates and the rounding below) is a few array passes over
+the (N, K) table in branching order.
+
 Given the assignment a cell already holds, the search also prunes below a
 floor: the best of three feasible assignments' values on the new table,
 shrunk by a relative `FLOOR_MARGIN`.  The three are the held assignment;
@@ -37,9 +47,9 @@ on the held assignment, nor on the rounding or the local search, nor on y.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -91,9 +101,9 @@ def _check_entries(rates: np.ndarray) -> None:
         raise RateTableError("rate table entries must be nonnegative")
 
 
-def _column_order(table: np.ndarray) -> list[int]:
+def _column_order(table: np.ndarray) -> np.ndarray:
     # Decreasing best-user value; ties by ascending subcarrier index.
-    return np.argsort(-table.max(axis=0), kind="stable").tolist()
+    return np.argsort(-table.max(axis=0), kind="stable")
 
 
 def solve_greedy(table: np.ndarray) -> AssignmentResult:
@@ -107,7 +117,7 @@ def solve_greedy(table: np.ndarray) -> AssignmentResult:
     return _greedy(order, table[:, order].T.tolist())
 
 
-def _greedy(order: list, cols: list) -> AssignmentResult:
+def _greedy(order: np.ndarray, cols: list) -> AssignmentResult:
     # cols[d][u]: user u's rate on subcarrier order[d].
     picks, low = _greedy_picks(cols, len(cols[0]))
     assign = np.empty(len(order), dtype=np.int64)
@@ -183,12 +193,17 @@ def _polish(cols: list, picks: list) -> list:
             worse = left if left < new_w else new_w
             if worse > best:
                 best, step = worse, (d, -1, left, new_w)
-        if step is None:
+        if step is None and theirs:
+            # A swap leaves w at most base + the largest gain: skip every
+            # held subcarrier e whose swaps cannot beat the best so far.
+            top = max([gain for _, _, gain, _ in theirs])
             for e, owner in enumerate(picks):
                 if owner != w:
                     continue
                 back = cols[e]
                 base = low - back[w]
+                if base + top <= best:
+                    continue
                 for d, v, gain, left in theirs:
                     new_v, new_w = left + back[v], base + gain
                     worse = new_v if new_v < new_w else new_w
@@ -204,21 +219,21 @@ def _polish(cols: list, picks: list) -> list:
             picks[e] = v
 
 
-def _held_floor(table: np.ndarray, current, order: list, cols: list,
-                ycols: list | None = None) -> float:
+def _held_floor(table: np.ndarray, current, order: np.ndarray, cols: list,
+                ycols: np.ndarray | None = None) -> float:
     """Prune floor from the assignment a cell already holds; minus infinity
     without one.
 
     Three feasible assignments are valued on the search's own `cols`
     (subcarriers in branching `order`), with totals summed in that order:
     the held one; the Lagrangian rounding at the dual point y, which gives
-    each subcarrier to the user with the largest y-weighted rate in
-    `ycols` (ycols[d][u] = y_u * cols[d][u]; lowest user index on ties;
-    computed from `_dual_point(cols)` when absent); and the better of those
-    two, held on a tie, polished by `_polish`.  The floor is the best of
-    the three values shrunk by `FLOOR_MARGIN`.  Every candidate is a
-    feasible assignment, so no value exceeds the optimum, whatever y or the
-    local search does.
+    each subcarrier to the user with the largest y-weighted rate in the
+    (N, K) array `ycols` (ycols[d, u] = y_u * cols[d][u]; lowest user index
+    on ties; computed from `_dual_point(cols)` when absent); and the better
+    of those two, held on a tie, polished by `_polish`.  The floor is the
+    best of the three values shrunk by `FLOOR_MARGIN`.  Every candidate is
+    a feasible assignment, so no value exceeds the optimum, whatever y or
+    the local search does.
     """
     if current is None:
         return -np.inf
@@ -227,16 +242,16 @@ def _held_floor(table: np.ndarray, current, order: list, cols: list,
     if raw.shape != (n_sub,):
         raise RateTableError(
             f"current must be a ({n_sub},) user-index vector, got shape {raw.shape}")
-    if not np.issubdtype(raw.dtype, np.integer):
+    if raw.dtype.kind not in "iu":
         raise RateTableError(
             f"current must hold integer user indices, got dtype {raw.dtype}")
     held = raw[order].tolist()
     if min(held) < 0 or max(held) >= k:
         raise RateTableError(f"current has a user index outside 0..{k - 1}")
     if ycols is None:
-        y = _dual_point(cols)
-        ycols = [list(map(operator.mul, y, col)) for col in cols]
-    rounded = [row.index(max(row)) for row in ycols]
+        ycols = np.array(cols) * _dual_point(cols)
+    # argmax takes the first maximum: the lowest user index wins ties.
+    rounded = ycols.argmax(axis=1).tolist()
     value = min(_totals(cols, held))
     rounded_value = min(_totals(cols, rounded))
     start = held
@@ -343,80 +358,93 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
     differently ordered sums of the bound and the floor's value from ever
     cutting such an ancestor.
 
+    Each node is priced by its parent, in the pass of the loop that tries
+    it: first the one-add Lagrangian bound, then, only if that passes, the
+    child's totals are copied and the per-user bound is taken.  A bound
+    cuts when it is below `cut = max(floor, nextafter(incumbent, inf))`,
+    recomputed whenever the incumbent moves; for floats that is exactly
+    "at or below the incumbent, or below the floor".  The root is priced
+    the same way before the loop.
+
     The search is an explicit stack, so its depth is not limited by
-    Python's recursion limit; `nodes` counts the nodes it visits.
+    Python's recursion limit.  `nodes` counts the nodes it visits: the root
+    and every child priced, whether cut or not, so it equals the count of a
+    search that enters each node before testing it.
     """
     table = _checked(table)
     k, n_sub = table.shape
     order = _column_order(table)
-    # cols[d][u]: user u's rate on the subcarrier branched at depth d.
-    cols = table[:, order].T.tolist()
-    # The dual point y: ycols[d][u] = y_u * cols[d][u] feeds both the floor's
+    # ranked[d, u] = cols[d][u]: user u's rate on the subcarrier branched at
+    # depth d.
+    ranked = table[:, order].T
+    cols = ranked.tolist()
+    # The dual point y: ycols[d, u] = y_u * cols[d][u] feeds both the floor's
     # Lagrangian rounding and the Lagrangian bound.
-    y = _dual_point(cols)
-    ycols = [list(map(operator.mul, y, col)) for col in cols]
+    ycols = ranked * _dual_point(cols)
     floor = _held_floor(table, current, order, cols, ycols)
 
-    # rest[d][u]: what user u could still gain from subcarriers order[d:].
-    rest = [[0.0] * k]
-    for col in reversed(cols):
-        rest.append(list(map(operator.add, rest[-1], col)))
-    rest.reverse()
-    # The Lagrangian bound: rest_y[d] sums max_u ycols[n][u] over n >= d,
-    # plus a slack for rounding: every sum the search forms is at most
-    # sum_n max_u cols[n][u].
-    slack = FLOOR_MARGIN * sum(map(max, cols))
-    rest_y = list(accumulate(map(max, reversed(ycols)), initial=slack))[::-1]
+    # rest[d, u]: what user u could still gain from depths d.. on, and
+    # rest_y[d] the sum of max_u ycols[n, u] over n >= d plus a slack for
+    # rounding: every sum the search forms is at most sum_n max_u cols[n][u].
+    # Both are running sums from the last depth; accumulate adds in sequence,
+    # so each equals the running sum of a loop bit for bit.  Adding the slack
+    # to the last depth's term seeds rest_y with it (s + a == a + s).
+    rest = np.add.accumulate(ranked[::-1], axis=0)[::-1]
+    best_y = ycols.max(axis=1)
+    best_y[-1] += FLOOR_MARGIN * sum(ranked.max(axis=1).tolist())
+    rest_y = np.add.accumulate(best_y[::-1])[::-1]
+    root_y, root = rest_y[0], rest[0].min()
+    # after[d] and after_y[d]: the sums from depth d + 1 on, which bound the
+    # children of a node at depth d.
+    after, after_y = rest[1:].tolist(), rest_y[1:].tolist()
+    ycols = ycols.tolist()
 
-    greedy = _greedy(order, cols)
-    best_min = greedy.min_rate
-    best_picks = None
+    best_picks, best_min = _greedy_picks(cols, k)
+    # A node is cut when a bound falls below `cut`: at or below the
+    # incumbent, or below the floor.
+    cut = max(floor, math.nextafter(best_min, math.inf))
     # totals[d]: the users' totals after the picks at depths 0..d-1, and
-    # ytotals[d] their y-weighted sum; picks[d]: the user tried at depth d.
+    # ytotals[d] their y-weighted sum; picks[d]: the last user tried at depth d.
     totals = [[0.0] * k for _ in range(n_sub + 1)]
-    ytotals = [0.0] * (n_sub + 1)
+    ytotals = [0.0] * n_sub
     picks = [-1] * n_sub
-    nodes = 0
-    depth = 0
-    entering = True
+    last = n_sub - 1
+    # The root, priced like every other node: the Lagrangian bound, then the
+    # per-user bound (no user can gain more than all the subcarriers).
+    nodes = 1
+    depth = 0 if root_y >= cut and root >= cut else -1
+    add = operator.add
     while depth >= 0:
-        if entering:
-            nodes += 1
-            if depth == n_sub:
-                low = min(totals[depth])
-                if low > best_min:
-                    best_min = low
-                    best_picks = picks[:]
-                depth -= 1
-                entering = False
-                continue
-            # The Lagrangian bound first, at one add; then the per-user bound:
-            # no user can gain more than all the remaining subcarriers.
-            bound = ytotals[depth] + rest_y[depth]
-            if bound > best_min and bound >= floor:
-                bound = min(map(operator.add, totals[depth], rest[depth]))
-            if bound <= best_min or bound < floor:
-                depth -= 1
-                entering = False
-                continue
-            picks[depth] = -1
         u = picks[depth] + 1
         if u == k:
             depth -= 1
             continue
         picks[depth] = u
+        # The child that gives depth's subcarrier to u, priced here.
+        nodes += 1
         child = totals[depth + 1]
+        if depth == last:
+            child[:] = totals[depth]
+            child[u] += cols[depth][u]
+            low = min(child)
+            if low > best_min:
+                best_min = low
+                best_picks = picks[:]
+                cut = max(floor, math.nextafter(best_min, math.inf))
+            continue
+        ytotal = ytotals[depth] + ycols[depth][u]
+        if ytotal + after_y[depth] < cut:
+            continue
         child[:] = totals[depth]
         child[u] += cols[depth][u]
-        ytotals[depth + 1] = ytotals[depth] + ycols[depth][u]
+        if min(map(add, child, after[depth])) < cut:
+            continue
         depth += 1
-        entering = True
+        ytotals[depth] = ytotal
+        picks[depth] = -1
 
-    if best_picks is None:
-        best_assign = greedy.assignment
-    else:
-        best_assign = np.empty(n_sub, dtype=np.int64)
-        best_assign[order] = best_picks
+    best_assign = np.empty(n_sub, dtype=np.int64)
+    best_assign[order] = best_picks
     return AssignmentResult(assignment=best_assign, min_rate=best_min, nodes=nodes)
 
 
@@ -424,15 +452,20 @@ def solve_all_cells(scenario: Scenario, power: np.ndarray, *,
                     mode: str = "exact", current=None) -> np.ndarray:
     """Assign every cell's subcarriers; returns the full 0/1 tensor.
 
-    `current[m]`, cell m's (N,) user-index vector, warm-starts the exact
-    solve (see `solve_exact`); greedy has no use for it, and assigns every
-    cell in one pass (see `_greedy_all_cells`).
+    `current`, a (M, N) user-index array whose row m is cell m's held
+    assignment, warm-starts the exact solve (see `solve_exact`); any other
+    shape raises `RateTableError`.  Greedy has no use for it, and assigns
+    every cell in one pass (see `_greedy_all_cells`).
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
     if mode == "greedy":
         users = _greedy_all_cells(scenario, power)
     else:
+        shape = (scenario.num_cells, scenario.num_subcarriers)
+        if current is not None and np.shape(current) != shape:
+            raise RateTableError(f"current must be a {shape} user-index array, "
+                                 f"got shape {np.shape(current)}")
         users = np.array([
             solve_exact(table, None if current is None else current[m]).assignment
             for m, table in enumerate(rate_table(scenario, power))])

@@ -350,6 +350,8 @@ def test_oracle_refuses_oversized_instances(capsys):
     (["--check", "assignment", "--trials", "-1"], "--trials"),
     # Checked before any trial runs, so the assignment check prints nothing.
     (["--check", "both", "--trials", "1", "--grid", "1"], "--grid"),
+    (["--check", "assignment", "--seed", "-1"], "--seed"),
+    (["--check", "power", "--seed", "-1"], "--seed"),
 ])
 def test_oracle_refuses_sizes_it_cannot_check(capsys, flags, message):
     # A usage error, not a solver abort, and never an empty `verdict: ok`.

@@ -1,6 +1,7 @@
 import dataclasses
 import operator
 import sys
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -366,11 +367,62 @@ def test_solve_all_cells_warm_start_matches_cold():
     assert warm.tobytes() == solve_all_cells(s, power).tobytes()
 
 
+def test_solve_all_cells_rejects_a_misshapen_current():
+    s = make_scenario(cells=3, subcarriers=8, users=2, seed=43)
+    power = np.full((3, 8), s.p_max / 8)
+    for rows in (2, 4):
+        with pytest.raises(RateTableError, match="shape"):
+            solve_all_cells(s, power, current=np.zeros((rows, 8), dtype=np.int64))
+    with pytest.raises(RateTableError, match="shape"):
+        solve_all_cells(s, power, current=np.zeros((3, 7), dtype=np.int64))
+
+
+def unpruned_polish(cols, picks):
+    """`_polish` without its skip of dead swaps: every swap is scanned."""
+    totals = [0.0] * len(cols[0])
+    for col, u in zip(cols, picks):
+        totals[u] += col[u]
+    while True:
+        low = min(totals)
+        w = totals.index(low)
+        theirs = [(d, v, cols[d][w], totals[v] - cols[d][v])
+                  for d, v in enumerate(picks) if v != w]
+        best, step = low, None
+        for d, v, gain, left in theirs:
+            new_w = low + gain
+            worse = left if left < new_w else new_w
+            if worse > best:
+                best, step = worse, (d, -1, left, new_w)
+        if step is None:
+            for e, owner in enumerate(picks):
+                if owner != w:
+                    continue
+                back = cols[e]
+                base = low - back[w]
+                for d, v, gain, left in theirs:
+                    new_v, new_w = left + back[v], base + gain
+                    worse = new_v if new_v < new_w else new_w
+                    if worse > best:
+                        best, step = worse, (d, e, new_v, new_w)
+        if step is None:
+            return picks
+        d, e, new_v, new_w = step
+        v = picks[d]
+        totals[v], totals[w] = new_v, new_w
+        picks[d] = w
+        if e >= 0:
+            picks[e] = v
+
+
 def test_local_search_polishes_without_losing_value():
     rng = np.random.default_rng(47)
-    for _ in range(200):
-        k, n = int(rng.integers(1, 5)), int(rng.integers(1, 33))
-        table = rng.exponential(size=(k, n))
+    tables = [rng.exponential(size=(int(rng.integers(1, 5)), int(rng.integers(1, 33))))
+              for _ in range(200)]
+    # Small integers: tied totals, tied steps and swaps that only tie.
+    tables += [rng.integers(0, 4, size=(int(rng.integers(1, 5)), int(rng.integers(1, 13))))
+               .astype(float) for _ in range(200)]
+    for table in tables:
+        k, n = table.shape
         start = rng.integers(0, k, n)
         polished = np.array(subcarrier_alloc._polish(table.T.tolist(), start.tolist()))
         assert polished.shape == (n,)
@@ -378,6 +430,8 @@ def test_local_search_polishes_without_losing_value():
         assert bincount_value(table, polished) >= bincount_value(table, start)
         again = subcarrier_alloc._polish(table.T.tolist(), start.tolist())
         assert again == polished.tolist()
+        # Skipping swaps that cannot win changes no step.
+        assert unpruned_polish(table.T.tolist(), start.tolist()) == again
 
 
 def test_local_search_moves_then_swaps():
@@ -486,17 +540,25 @@ def held_polish_floor(table, current, order, cols, ycols=None):
     return value * (1.0 - FLOOR_MARGIN)
 
 
-def test_rounding_floor_shrinks_the_warm_search_of_an_ocd_run(monkeypatch):
-    # Every warm solve of a seeded exact OCD run at 3x32x2, the CLI default.
+@pytest.fixture(scope="module")
+def ocd_run_inputs():
+    """Every (table, held assignment) a seeded exact OCD run at 3x32x2, the
+    CLI default, hands to `solve_exact`."""
     real, inputs = subcarrier_alloc.solve_exact, []
 
     def captured(table, current=None):
         inputs.append((np.array(table), None if current is None else np.array(current)))
         return real(table, current)
 
-    monkeypatch.setattr(subcarrier_alloc, "solve_exact", captured)
-    run(make_scenario(cells=3, subcarriers=32, users=2, seed=0), RunConfig())
-    monkeypatch.setattr(subcarrier_alloc, "solve_exact", real)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(subcarrier_alloc, "solve_exact", captured)
+        run(make_scenario(cells=3, subcarriers=32, users=2, seed=0), RunConfig())
+    return inputs
+
+
+def test_rounding_floor_shrinks_the_warm_search_of_an_ocd_run(monkeypatch, ocd_run_inputs):
+    # Every warm solve of a seeded exact OCD run at 3x32x2, the CLI default.
+    inputs = ocd_run_inputs
     assert len(inputs) > 10 and all(current is not None for _, current in inputs)
     ours = [solve_exact(table, current) for table, current in inputs]
     monkeypatch.setattr(subcarrier_alloc, "_held_floor", held_polish_floor)
@@ -567,6 +629,71 @@ def reference_solve_exact(table, current=None):
     return AssignmentResult(assignment=best_assign, min_rate=best_min, nodes=nodes)
 
 
+def entering_solve_exact(table, current=None):
+    """`solve_exact` before its children were priced by their parent: every
+    node is entered, and backed out of, on a pass of its own; the two
+    bounds are tested against the incumbent and the floor one at a time;
+    and the set-up is Python running sums.  The node-for-node reference."""
+    table = _checked(table)
+    k, n_sub = table.shape
+    order = _column_order(table)
+    cols = table[:, order].T.tolist()
+    y = subcarrier_alloc._dual_point(cols)
+    ycols = [list(map(operator.mul, y, col)) for col in cols]
+    floor = _held_floor(table, current, order, cols)
+    rest = [[0.0] * k]
+    for col in reversed(cols):
+        rest.append(list(map(operator.add, rest[-1], col)))
+    rest.reverse()
+    slack = FLOOR_MARGIN * sum(map(max, cols))
+    rest_y = list(accumulate(map(max, reversed(ycols)), initial=slack))[::-1]
+    greedy = _greedy(order, cols)
+    best_min = greedy.min_rate
+    best_picks = None
+    totals = [[0.0] * k for _ in range(n_sub + 1)]
+    ytotals = [0.0] * (n_sub + 1)
+    picks = [-1] * n_sub
+    nodes = 0
+    depth = 0
+    entering = True
+    while depth >= 0:
+        if entering:
+            nodes += 1
+            if depth == n_sub:
+                low = min(totals[depth])
+                if low > best_min:
+                    best_min = low
+                    best_picks = picks[:]
+                depth -= 1
+                entering = False
+                continue
+            bound = ytotals[depth] + rest_y[depth]
+            if bound > best_min and bound >= floor:
+                bound = min(map(operator.add, totals[depth], rest[depth]))
+            if bound <= best_min or bound < floor:
+                depth -= 1
+                entering = False
+                continue
+            picks[depth] = -1
+        u = picks[depth] + 1
+        if u == k:
+            depth -= 1
+            continue
+        picks[depth] = u
+        child = totals[depth + 1]
+        child[:] = totals[depth]
+        child[u] += cols[depth][u]
+        ytotals[depth + 1] = ytotals[depth] + ycols[depth][u]
+        depth += 1
+        entering = True
+    if best_picks is None:
+        best_assign = greedy.assignment
+    else:
+        best_assign = np.empty(n_sub, dtype=np.int64)
+        best_assign[order] = best_picks
+    return AssignmentResult(assignment=best_assign, min_rate=best_min, nodes=nodes)
+
+
 def reference_tables():
     """Seeded exponential tables with K = 1..4, then small-integer tables
     (tied optima, exact sums) with some all-zero columns."""
@@ -616,6 +743,33 @@ def test_lagrangian_bound_visits_fewer_nodes_on_post_ocd_tables(post_ocd_tables)
     for got, want in zip(ours, theirs):
         assert_same_result(got, want)
     assert sum(r.nodes for r in ours) < sum(r.nodes for r in theirs)
+
+
+def test_search_matches_the_entering_loop_node_for_node(post_ocd_tables, ocd_run_inputs):
+    # Cold, and warm from the held (or optimal), the greedy and a random
+    # assignment: the same assignment and min_rate bytes, and the same nodes.
+    rng = np.random.default_rng(107)
+    # Small multiples of the least subnormal: every sum is exact and the
+    # relative slack vanishes, so bounds land exactly on the threshold.
+    tiny = [rng.integers(0, 9, size=(int(rng.integers(2, 5)), int(rng.integers(2, 7))))
+            * np.nextafter(0.0, 1.0) for _ in range(100)]
+    tables = reference_tables() + tiny + list(post_ocd_tables)
+    held = [None] * len(tables)
+    tables += [table for table, _ in ocd_run_inputs]
+    held += [current for _, current in ocd_run_inputs]
+    for table, current in zip(tables, held):
+        k, n = table.shape
+        cold = entering_solve_exact(table)
+        assert_same_node_for_node(solve_exact(table), cold)
+        for start in (cold.assignment if current is None else current,
+                      solve_greedy(table).assignment, rng.integers(0, k, n)):
+            assert_same_node_for_node(solve_exact(table, start),
+                                      entering_solve_exact(table, start))
+
+
+def assert_same_node_for_node(got, want):
+    assert_same_result(got, want)
+    assert got.nodes == want.nodes
 
 
 @pytest.mark.parametrize("point", ["first vertex", "last vertex", "uniform"])
