@@ -341,7 +341,6 @@ def _power_oracle_params(args: argparse.Namespace) -> ScenarioParams:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    users = max(args.users_per_cell)
     checks = ("assignment", "power") if args.check == "both" else (args.check,)
     problem = _oracle_usage_error(args, checks)
     if problem is not None:
@@ -354,7 +353,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     if "assignment" in checks:
         nodes = [0, 0, 0]
-        for _ in range(args.trials):
+        # Trial t's table has the t-th entry of --users-per-cell users,
+        # cycling, so one run can check cells of several sizes.
+        for trial in range(args.trials):
+            users = args.users_per_cell[trial % len(args.users_per_cell)]
             table = rng.exponential(1.0, size=(users, args.subcarriers))
             slow = exhaustive_min_rate(table)
             # Cold, and warm-started from the greedy assignment and from a

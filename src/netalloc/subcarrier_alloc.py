@@ -30,6 +30,14 @@ priced, cut or not.  The per-table set-up (the suffix sums of both bounds,
 the y-weighted rates and the rounding below) is a few array passes over
 the (N, K) table in branching order.
 
+One set-up feeds one of two search kernels.  At two users, the size of the
+paper's experiment and of the CLI default, `_search_two` keeps the two
+users' totals as two scalars per depth, so no list is copied and no `min`
+is mapped over a pair.  Every other K runs the generic `_search`, which is
+also the reference the two-user kernel is tested against: both make the
+same adds in the same order, so they visit the same nodes and return the
+same bytes.
+
 Given the assignment a cell already holds, the search also prunes below a
 floor: the best of three feasible assignments' values on the new table,
 shrunk by a relative `FLOOR_MARGIN`.  The three are the held assignment;
@@ -168,18 +176,18 @@ def _totals(cols: list, picks: list) -> list:
     return totals
 
 
-def _polish(cols: list, picks: list) -> list:
+def _polish(cols: list, picks: list, totals: list) -> list:
     """Local search towards the worst user; `picks` is improved in place.
 
     cols[d][u] is user u's rate on subcarrier d, and picks[d] is the user
-    holding it.  Each step gives the worst user (lowest index on ties) a
-    subcarrier another user holds: as a move, or, only when no move helps,
-    as a swap for one of the worst user's own subcarriers.  The step taken
+    holding it; `totals` is `_totals(cols, picks)`, updated in place too.
+    Each step gives the worst user (lowest index on ties) a subcarrier
+    another user holds: as a move, or, only when no move helps, as a swap
+    for one of the worst user's own subcarriers.  The step taken
     is the one that leaves the lower of the two changed totals highest, and
     only if both end strictly above the old worst total, so the sorted
     totals rise with every step and the search ends.
     """
-    totals = _totals(cols, picks)
     while True:
         low = min(totals)
         w = totals.index(low)
@@ -252,12 +260,12 @@ def _held_floor(table: np.ndarray, current, order: np.ndarray, cols: list,
         ycols = np.array(cols) * _dual_point(cols)
     # argmax takes the first maximum: the lowest user index wins ties.
     rounded = ycols.argmax(axis=1).tolist()
-    value = min(_totals(cols, held))
-    rounded_value = min(_totals(cols, rounded))
-    start = held
+    start, totals = held, _totals(cols, held)
+    rounded_totals = _totals(cols, rounded)
+    value, rounded_value = min(totals), min(rounded_totals)
     if rounded_value > value:
-        start, value = rounded, rounded_value
-    picks = _polish(cols, start[:])
+        start, totals, value = rounded, rounded_totals, rounded_value
+    picks = _polish(cols, start[:], totals)
     if picks != start:
         value = max(value, min(_totals(cols, picks)))
     return value * (1.0 - FLOOR_MARGIN)
@@ -341,9 +349,11 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
     bound is inflated by `FLOOR_MARGIN` times the table's sum of
     per-subcarrier best rates, an upper limit on every sum the search
     forms, so that rounding in its differently ordered sums (and in y's own
-    sum) cannot cut such an ancestor either.  The per-user bound has no
-    margin, so that it still cuts at exact ties; its rounding can only cut
-    a leaf whose computed minimum is within an ulp or so of the incumbent.
+    sum) cannot cut such an ancestor either; on subnormal rates, where that
+    product underflows, by N times the least subnormal.  The per-user bound
+    has no margin, so that it still cuts at exact ties; its rounding can
+    only cut a leaf whose computed minimum is within an ulp or so of the
+    incumbent.
 
     `current`, a (N,) user-index vector such as the assignment the cell
     already holds, only speeds the search up.  With it, the best value of
@@ -365,6 +375,12 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
     recomputed whenever the incumbent moves; for floats that is exactly
     "at or below the incumbent, or below the floor".  The root is priced
     the same way before the loop.
+
+    The set-up above is shared; the loop is one of two kernels.  At K = 2
+    `_search_two` holds each user's running total as a scalar per depth; at
+    every other K the generic `_search` holds a list per depth.  The generic
+    kernel stays as the only path for K != 2 and as the reference the
+    two-user kernel is tested against, node for node.
 
     The search is an explicit stack, so its depth is not limited by
     Python's recursion limit.  `nodes` counts the nodes it visits: the root
@@ -388,10 +404,15 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
     # rounding: every sum the search forms is at most sum_n max_u cols[n][u].
     # Both are running sums from the last depth; accumulate adds in sequence,
     # so each equals the running sum of a loop bit for bit.  Adding the slack
-    # to the last depth's term seeds rest_y with it (s + a == a + s).
+    # to the last depth's term seeds rest_y with it (s + a == a + s).  On
+    # subnormal rates the relative slack underflows, while each of a bound's
+    # N products y_u * r_un is off by up to half the least subnormal, so the
+    # slack is at least N of those; on normal rates the relative term is the
+    # larger by hundreds of orders of magnitude.
     rest = np.add.accumulate(ranked[::-1], axis=0)[::-1]
     best_y = ycols.max(axis=1)
-    best_y[-1] += FLOOR_MARGIN * sum(ranked.max(axis=1).tolist())
+    best_y[-1] += max(FLOOR_MARGIN * sum(ranked.max(axis=1).tolist()),
+                      n_sub * math.ulp(0.0))
     rest_y = np.add.accumulate(best_y[::-1])[::-1]
     root_y, root = rest_y[0], rest[0].min()
     # after[d] and after_y[d]: the sums from depth d + 1 on, which bound the
@@ -400,6 +421,27 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
     ycols = ycols.tolist()
 
     best_picks, best_min = _greedy_picks(cols, k)
+    # The root, priced like every other node: the Lagrangian bound, then the
+    # per-user bound (no user can gain more than all the subcarriers).
+    cut = max(floor, math.nextafter(best_min, math.inf))
+    nodes = 1
+    if root_y >= cut and root >= cut:
+        search = _search_two if k == 2 else _search
+        best_picks, best_min, nodes = search(cols, ycols, after, after_y, floor,
+                                             best_picks, best_min)
+
+    best_assign = np.empty(n_sub, dtype=np.int64)
+    best_assign[order] = best_picks
+    return AssignmentResult(assignment=best_assign, min_rate=best_min, nodes=nodes)
+
+
+def _search(cols: list, ycols: list, after: list, after_y: list, floor: float,
+            best_picks: list, best_min: float) -> tuple[list, float, int]:
+    """The depth-first search below a root that passed both bounds, at any
+    number of users: (the best picks in branching order, their worst user
+    total, the nodes visited counting the root).  `best_picks` and
+    `best_min` are the greedy incumbent; see `solve_exact` for the rest."""
+    k, n_sub = len(cols[0]), len(cols)
     # A node is cut when a bound falls below `cut`: at or below the
     # incumbent, or below the floor.
     cut = max(floor, math.nextafter(best_min, math.inf))
@@ -409,10 +451,8 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
     ytotals = [0.0] * n_sub
     picks = [-1] * n_sub
     last = n_sub - 1
-    # The root, priced like every other node: the Lagrangian bound, then the
-    # per-user bound (no user can gain more than all the subcarriers).
     nodes = 1
-    depth = 0 if root_y >= cut and root >= cut else -1
+    depth = 0
     add = operator.add
     while depth >= 0:
         u = picks[depth] + 1
@@ -442,10 +482,58 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
         depth += 1
         ytotals[depth] = ytotal
         picks[depth] = -1
+    return best_picks, best_min, nodes
 
-    best_assign = np.empty(n_sub, dtype=np.int64)
-    best_assign[order] = best_picks
-    return AssignmentResult(assignment=best_assign, min_rate=best_min, nodes=nodes)
+
+def _search_two(cols: list, ycols: list, after: list, after_y: list, floor: float,
+                best_picks: list, best_min: float) -> tuple[list, float, int]:
+    """`_search` at two users, node for node: the same adds in the same
+    order, on two scalar totals per depth instead of a list."""
+    n_sub = len(cols)
+    cut = max(floor, math.nextafter(best_min, math.inf))
+    # t0[d], t1[d]: users 0's and 1's totals after the picks at depths 0..d-1.
+    t0 = [0.0] * n_sub
+    t1 = [0.0] * n_sub
+    ytotals = [0.0] * n_sub
+    picks = [-1] * n_sub
+    last = n_sub - 1
+    nodes = 1
+    depth = 0
+    while depth >= 0:
+        u = picks[depth] + 1
+        if u == 2:
+            depth -= 1
+            continue
+        picks[depth] = u
+        nodes += 1
+        a, b = t0[depth], t1[depth]
+        if depth == last:
+            if u:
+                b += cols[depth][1]
+            else:
+                a += cols[depth][0]
+            # min(a, b), exactly: both are finite.
+            low = a if a <= b else b
+            if low > best_min:
+                best_min = low
+                best_picks = picks[:]
+                cut = max(floor, math.nextafter(best_min, math.inf))
+            continue
+        ytotal = ytotals[depth] + ycols[depth][u]
+        if ytotal + after_y[depth] < cut:
+            continue
+        if u:
+            b += cols[depth][1]
+        else:
+            a += cols[depth][0]
+        rest = after[depth]
+        if a + rest[0] < cut or b + rest[1] < cut:
+            continue
+        depth += 1
+        t0[depth], t1[depth] = a, b
+        ytotals[depth] = ytotal
+        picks[depth] = -1
+    return best_picks, best_min, nodes
 
 
 def solve_all_cells(scenario: Scenario, power: np.ndarray, *,

@@ -248,6 +248,23 @@ def test_oracle_assignment_check(capsys):
     assert gap <= 1e-12
 
 
+def test_oracle_assignment_check_cycles_the_users_per_cell(monkeypatch, capsys):
+    # One, two and three users in turn: both search kernels run in one check.
+    import netalloc.experiment_cli as cli
+    real, sizes = cli.solve_exact, []
+
+    def recorded(table, current=None):
+        sizes.append(table.shape)
+        return real(table, current)
+
+    monkeypatch.setattr(cli, "solve_exact", recorded)
+    code = main(["oracle", "--check", "assignment", "--trials", "4", "--cells", "3",
+                 "--users-per-cell", "1,2,3", "--subcarriers", "5", "--seed", "3"])
+    assert code == 0
+    assert "verdict: ok" in capsys.readouterr().out
+    assert sizes == [(k, 5) for k in (1, 2, 3, 1) for _ in range(3)]
+
+
 def test_oracle_assignment_check_covers_the_warm_path(monkeypatch, capsys):
     # Each trial solves cold and warm-started from greedy and from a random
     # assignment; a wrong warm result fails it.

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import operator
 import sys
 from itertools import accumulate
@@ -116,6 +117,19 @@ def test_exact_matches_exhaustive_enumeration():
         table = rng.exponential(size=(k, n))
         best = exhaustive_min_rate(table)
         assert solve_exact(table).min_rate == pytest.approx(best, abs=1e-12)
+
+
+def test_exact_matches_enumeration_on_subnormal_tables():
+    # Multiples of the least subnormal: every sum is exact, but each
+    # y-weighted rate rounds to a whole unit, which the relative slack
+    # (underflowed to 0) does not cover; 9 units here without the floor.
+    unit = np.nextafter(0.0, 1.0)
+    table = np.array([[0, 5, 2, 2, 3], [7, 7, 2, 4, 0]]) * unit
+    assert solve_exact(table).min_rate == exhaustive_min_rate(table) == 10 * unit
+    rng = np.random.default_rng(109)
+    for _ in range(3000):
+        table = rng.integers(0, 9, (int(rng.integers(2, 5)), int(rng.integers(2, 7)))) * unit
+        assert solve_exact(table).min_rate == exhaustive_min_rate(table)
 
 
 def test_exact_min_rate_consistent_with_assignment():
@@ -414,6 +428,12 @@ def unpruned_polish(cols, picks):
             picks[e] = v
 
 
+def polish(table, start):
+    """`_polish` from `start` on `table`, with the totals it is handed."""
+    cols = table.T.tolist()
+    return subcarrier_alloc._polish(cols, list(start), subcarrier_alloc._totals(cols, start))
+
+
 def test_local_search_polishes_without_losing_value():
     rng = np.random.default_rng(47)
     tables = [rng.exponential(size=(int(rng.integers(1, 5)), int(rng.integers(1, 33))))
@@ -424,11 +444,11 @@ def test_local_search_polishes_without_losing_value():
     for table in tables:
         k, n = table.shape
         start = rng.integers(0, k, n)
-        polished = np.array(subcarrier_alloc._polish(table.T.tolist(), start.tolist()))
+        polished = np.array(polish(table, start.tolist()))
         assert polished.shape == (n,)
         assert ((polished >= 0) & (polished < k)).all()
         assert bincount_value(table, polished) >= bincount_value(table, start)
-        again = subcarrier_alloc._polish(table.T.tolist(), start.tolist())
+        again = polish(table, start.tolist())
         assert again == polished.tolist()
         # Skipping swaps that cannot win changes no step.
         assert unpruned_polish(table.T.tolist(), start.tolist()) == again
@@ -438,14 +458,14 @@ def test_local_search_moves_then_swaps():
     # User 0 holds nothing: two moves hand it subcarriers 0 and 2, the best
     # move each time, and the optimum (min 3) is reached.
     table = np.array([[2.0, 0.5, 1.5], [1.0, 3.0, 3.0]])
-    assert subcarrier_alloc._polish(table.T.tolist(), [1, 1, 1]) == [0, 1, 0]
-    assert subcarrier_alloc._polish(table.T.tolist(), [0, 1, 0]) == [0, 1, 0]
+    assert polish(table, [1, 1, 1]) == [0, 1, 0]
+    assert polish(table, [0, 1, 0]) == [0, 1, 0]
     # Both users on their worse subcarrier: no move helps, a swap does.
     table = np.array([[1.0, 5.0], [5.0, 1.0]])
-    assert subcarrier_alloc._polish(table.T.tolist(), [0, 1]) == [1, 0]
+    assert polish(table, [0, 1]) == [1, 0]
     # Users 0 and 2 tie at zero; the lower index is served first.
     table = np.array([[3.0, 3.0], [0.0, 1.0], [2.0, 0.0]])
-    assert subcarrier_alloc._polish(table.T.tolist(), [1, 1]) == [0, 1]
+    assert polish(table, [1, 1]) == [0, 1]
 
 
 def test_local_search_floor_shrinks_the_search(monkeypatch):
@@ -456,7 +476,7 @@ def test_local_search_floor_shrinks_the_search(monkeypatch):
         cold = solve_exact(table)
         starts.append((table, perturbed(rng, cold.assignment, 2), cold))
     polished = [solve_exact(table, start) for table, start, _ in starts]
-    monkeypatch.setattr(subcarrier_alloc, "_polish", lambda cols, picks: picks)
+    monkeypatch.setattr(subcarrier_alloc, "_polish", lambda cols, picks, totals: picks)
     plain = [solve_exact(table, start) for table, start, _ in starts]
     for (_, _, cold), fast, slow in zip(starts, polished, plain):
         assert fast.assignment.tobytes() == slow.assignment.tobytes() \
@@ -491,7 +511,7 @@ def test_floor_polishes_the_lagrangian_rounding_at_the_dual_point(monkeypatch):
                       [1.0, 1.0, 1.0, 4.0, 3.0]])
     starts = []
 
-    def recorded(cols, picks):
+    def recorded(cols, picks, totals):
         starts.append(list(picks))
         return picks
 
@@ -531,7 +551,7 @@ def held_polish_floor(table, current, order, cols, ycols=None):
         return -np.inf
     raw = np.asarray(current)
     held = raw[order].tolist()
-    picks = subcarrier_alloc._polish(cols, held[:])
+    picks = subcarrier_alloc._polish(cols, held[:], subcarrier_alloc._totals(cols, held))
     value = bincount_value(table, raw)
     if picks != held:
         polished = np.empty(raw.size, dtype=np.int64)
@@ -540,10 +560,9 @@ def held_polish_floor(table, current, order, cols, ycols=None):
     return value * (1.0 - FLOOR_MARGIN)
 
 
-@pytest.fixture(scope="module")
-def ocd_run_inputs():
-    """Every (table, held assignment) a seeded exact OCD run at 3x32x2, the
-    CLI default, hands to `solve_exact`."""
+def run_inputs(scenarios):
+    """Every (table, held assignment) exact OCD runs on `scenarios` hand to
+    `solve_exact`."""
     real, inputs = subcarrier_alloc.solve_exact, []
 
     def captured(table, current=None):
@@ -552,8 +571,16 @@ def ocd_run_inputs():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(subcarrier_alloc, "solve_exact", captured)
-        run(make_scenario(cells=3, subcarriers=32, users=2, seed=0), RunConfig())
+        for s in scenarios:
+            run(s, RunConfig())
     return inputs
+
+
+@pytest.fixture(scope="module")
+def ocd_run_inputs():
+    """The `solve_exact` inputs of a seeded exact OCD run at 3x32x2, the CLI
+    default."""
+    return run_inputs([make_scenario(cells=3, subcarriers=32, users=2, seed=0)])
 
 
 def test_rounding_floor_shrinks_the_warm_search_of_an_ocd_run(monkeypatch, ocd_run_inputs):
@@ -645,7 +672,7 @@ def entering_solve_exact(table, current=None):
     for col in reversed(cols):
         rest.append(list(map(operator.add, rest[-1], col)))
     rest.reverse()
-    slack = FLOOR_MARGIN * sum(map(max, cols))
+    slack = max(FLOOR_MARGIN * sum(map(max, cols)), n_sub * math.ulp(0.0))
     rest_y = list(accumulate(map(max, reversed(ycols)), initial=slack))[::-1]
     greedy = _greedy(order, cols)
     best_min = greedy.min_rate
@@ -750,7 +777,7 @@ def test_search_matches_the_entering_loop_node_for_node(post_ocd_tables, ocd_run
     # assignment: the same assignment and min_rate bytes, and the same nodes.
     rng = np.random.default_rng(107)
     # Small multiples of the least subnormal: every sum is exact and the
-    # relative slack vanishes, so bounds land exactly on the threshold.
+    # relative slack underflows, so only its absolute floor is left.
     tiny = [rng.integers(0, 9, size=(int(rng.integers(2, 5)), int(rng.integers(2, 7))))
             * np.nextafter(0.0, 1.0) for _ in range(100)]
     tables = reference_tables() + tiny + list(post_ocd_tables)
@@ -770,6 +797,69 @@ def test_search_matches_the_entering_loop_node_for_node(post_ocd_tables, ocd_run
 def assert_same_node_for_node(got, want):
     assert_same_result(got, want)
     assert got.nodes == want.nodes
+
+
+@pytest.fixture(scope="module")
+def two_user_run_inputs():
+    """The `solve_exact` inputs of exact OCD runs at 3x10x2, seeds 0 and 1."""
+    return run_inputs([make_scenario(cells=3, subcarriers=10, users=2, seed=seed)
+                       for seed in (0, 1)])
+
+
+def test_two_user_search_matches_the_generic_search_node_for_node(monkeypatch,
+                                                                  two_user_run_inputs):
+    # Cold, and warm from the held (or optimal), the greedy and a random
+    # assignment: the same assignment and min_rate bytes, and the same nodes.
+    rng = np.random.default_rng(113)
+    tables = [rng.exponential(size=(2, int(rng.integers(1, 13)))) for _ in range(80)]
+    # Small integers: tied optima, exact sums, some all-zero columns.
+    for _ in range(60):
+        table = rng.integers(0, 4, size=(2, int(rng.integers(1, 9)))).astype(float)
+        table[:, rng.random(table.shape[1]) < 0.3] = 0.0
+        tables.append(table)
+    tables += [rng.exponential(size=(2, 1)) for _ in range(5)]
+    tables += [np.zeros((2, 1)), np.array([[0.0], [1.0]])]
+    tables += [rng.integers(0, 9, size=(2, int(rng.integers(1, 7)))) * np.nextafter(0.0, 1.0)
+               for _ in range(60)]
+    held = [None] * len(tables)
+    tables += [table for table, _ in two_user_run_inputs]
+    held += [current for _, current in two_user_run_inputs]
+    cases = []
+    for table, current in zip(tables, held):
+        n = table.shape[1]
+        cold = solve_exact(table)
+        starts = (None, cold.assignment if current is None else current,
+                  solve_greedy(table).assignment, rng.integers(0, 2, n))
+        cases += [(table, start, solve_exact(table, start)) for start in starts]
+    monkeypatch.setattr(subcarrier_alloc, "_search_two", subcarrier_alloc._search)
+    for table, start, got in cases:
+        assert_same_node_for_node(got, solve_exact(table, start))
+    assert sum(got.nodes for _, _, got in cases) > 2 * len(cases)
+
+
+def test_solve_all_cells_runs_both_searches_as_the_generic_one_does(monkeypatch):
+    # One, two and three users: one call runs the two-user search on cell 1
+    # and the generic search on cell 2.
+    s = make_scenario(cells=3, subcarriers=8, users=(1, 2, 3), seed=43)
+    power = np.full((3, 8), s.p_max / 8)
+    held = np.array([np.arange(8) % k for k in s.users_per_cell])
+    ran = []
+
+    def counted(search):
+        def wrapped(cols, *rest):
+            ran.append((search.__name__, len(cols[0])))
+            return search(cols, *rest)
+        return wrapped
+
+    with monkeypatch.context() as patch:
+        for name in ("_search", "_search_two"):
+            patch.setattr(subcarrier_alloc, name, counted(getattr(subcarrier_alloc, name)))
+        ours = [solve_all_cells(s, power, current=current) for current in (None, held)]
+    assert ("_search_two", 2) in ran and ("_search", 3) in ran
+    assert ("_search", 2) not in ran
+    monkeypatch.setattr(subcarrier_alloc, "_search_two", subcarrier_alloc._search)
+    for got, current in zip(ours, (None, held)):
+        assert got.tobytes() == solve_all_cells(s, power, current=current).tobytes()
 
 
 @pytest.mark.parametrize("point", ["first vertex", "last vertex", "uniform"])
