@@ -11,8 +11,7 @@ the command-line harness.
 from .bus import ExchangeRecord, MessageBus, PhaseError, TraceRow, relay
 from .coordinator import (CoordinatorAbort, RunConfig, RunResult,
                           initial_point, run)
-from .lr_power import (LrDivergenceError, LrResult, best_response,
-                       dual_step_size, lr_solve, project_simplex,
+from .lr_power import (LrDivergenceError, LrResult, best_response, lr_solve,
                        update_multipliers)
 from .ocd_power import (KktResidual, NewtonStep, OcdResult, OcdState,
                         OcdStepError, global_kkt_residual, init_cell_states,

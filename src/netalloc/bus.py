@@ -5,13 +5,16 @@ one report per cell, rebroadcasts to every cell the reports of all the other
 cells, and checks whether the power iterates have settled.  It never touches
 the optimization variables.  `relay` is that loop, shared by both power
 methods; it owns the exchange, the stop rule, the trace rows and the
-iteration and rows attached to a `PhaseError`.  The bus tracks message and
-byte totals so runs can report their coordination overhead; every scalar
-costs eight bytes on the wire and each gather or broadcast is one message,
-giving 2M messages per exchange for M cells.  The bus also carries the round
-a run is in and the run's clock origin, so `relay` stamps each trace row
-once, with its final round and elapsed time; a phase on a bus of its own is
-round 0, timed from the bus's creation.
+iteration and rows attached to a `PhaseError`.  A sweep reports what
+`relay` reads, the objective and the per-cell worst rates, as a
+`rate_model.WsmrResult`.  The bus tracks message and byte totals so runs
+can report their coordination overhead: every scalar costs eight bytes on
+the wire, and each cell's report is gathered once and broadcast to the M - 1
+other cells, one message each way, so an exchange of reports of S scalars
+in all is 2M messages and 8MS bytes.  The bus also carries the round a run
+is in and the run's clock origin, so `relay` stamps each trace row once,
+with its final round and elapsed time; a phase on a bus of its own is round
+0, timed from the bus's creation.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +49,6 @@ class ExchangeRecord:
     the sum of both directions, priced once when the record is built."""
 
     messages: int
-    gather_bytes: tuple[int, ...]
-    broadcast_bytes: tuple[int, ...]
     total_bytes: int
 
 
@@ -80,12 +80,9 @@ def _exchange_record(scalars_per_cell: tuple) -> ExchangeRecord:
     for m, count in enumerate(scalars_per_cell):
         if count is None or count < 0:
             raise ValueError(f"cell {m}: bad report size {count!r}")
-    gather = tuple(BYTES_PER_SCALAR * c for c in scalars_per_cell)
-    total = sum(gather)
-    broadcast = tuple(total - g for g in gather)
-    return ExchangeRecord(messages=2 * num_cells, gather_bytes=gather,
-                          broadcast_bytes=broadcast,
-                          total_bytes=total + sum(broadcast))
+    # Each report is gathered once and broadcast to the M - 1 other cells.
+    return ExchangeRecord(messages=2 * num_cells,
+                          total_bytes=BYTES_PER_SCALAR * num_cells * sum(scalars_per_cell))
 
 
 class MessageBus:
@@ -115,24 +112,6 @@ class MessageBus:
         return record
 
 
-class SweepReport(NamedTuple):
-    """What `relay` reads of a sweep: the objective `value` at the reported
-    power and the per-cell worst user rates."""
-
-    value: float
-    min_rates: tuple[float, ...]
-
-    @classmethod
-    def from_sums(cls, sums: np.ndarray, real: np.ndarray,
-                  weights: np.ndarray) -> "SweepReport":
-        """The report of padded (cell, max_users) user-rate `sums`, with
-        `real` marking the user slots that exist and one weight per cell:
-        the weighted sum of the per-cell minima over real slots, with the
-        arithmetic of `rate_model.wsmr`."""
-        mins = np.minimum.reduce(sums, axis=1, where=real, initial=np.inf)
-        return cls(float(np.dot(weights, mins)), tuple(mins.tolist()))
-
-
 def relay(sweep, power: np.ndarray, report_sizes: list[int], *, psi: float,
           max_iters: int, bus: MessageBus | None = None):
     """Iterate a power method until the stacked power iterates settle.
@@ -140,9 +119,9 @@ def relay(sweep, power: np.ndarray, report_sizes: list[int], *, psi: float,
     Each iteration exchanges `report_sizes` through the bus, then calls
     `sweep(iteration, power)`, which advances every cell from the previous
     raw iterate and returns (next raw iterate, report of the power the cells
-    report: a `SweepReport`, or any object with the objective `value` and
-    the per-cell `min_rates`).  One `TraceRow` is appended per iteration,
-    with phase "power" and the bus's round and clock.  The loop stops once
+    report: a `rate_model.WsmrResult`, or any object with the objective
+    `value` and the per-cell `min_rates`).  One `TraceRow` is appended per
+    iteration, with phase "power" and the bus's round and clock.  The loop stops once
     the raw iterate moves less than `psi` in Euclidean norm, or after
     `max_iters` iterations.  A PhaseError from the sweep leaves with its iteration and
     the rows before it.  Returns (last raw iterate, trace, converged).

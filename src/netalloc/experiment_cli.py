@@ -60,12 +60,16 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
 
-def _scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cells", type=int, default=3)
+def _scenario_flags(parser: argparse.ArgumentParser, *, network: bool = True) -> None:
+    """The scenario flags; without `network`, those of the oracle, which
+    builds its own one-cell instances: no --cells or --weights."""
+    if network:
+        parser.add_argument("--cells", type=int, default=3)
     parser.add_argument("--subcarriers", type=int, default=32)
     parser.add_argument("--users-per-cell", type=_int_list, default=(2,),
                         metavar="K[,K...]",
-                        help="users per cell; one value applies to all cells")
+                        help="users per cell; one value applies to all cells"
+                        if network else "users per trial, cycled over the trials")
     parser.add_argument("--radius", type=float, default=40.0,
                         help="cell radius in meters")
     parser.add_argument("--pmax", type=float, default=1.0,
@@ -73,8 +77,9 @@ def _scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--noise-dbw", type=float, default=-60.0,
                         help="per-subcarrier noise power in dBW")
     parser.add_argument("--snr-gap-db", type=float, default=0.0)
-    parser.add_argument("--weights", type=_float_list, default=(1.0,),
-                        metavar="W[,W...]", help="per-cell weights")
+    if network:
+        parser.add_argument("--weights", type=_float_list, default=(1.0,),
+                            metavar="W[,W...]", help="per-cell weights")
     parser.add_argument("--pathloss-exponent", type=float, default=3.5)
     parser.add_argument("--seed", type=int, default=0)
 
@@ -301,6 +306,15 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _oracle_users(args: argparse.Namespace, check: str) -> tuple[int, ...]:
+    """The user counts `check` cycles over its trials: --users-per-cell if
+    given, else two users for the assignment check and one, then two, for the
+    power check."""
+    if args.users_per_cell is not None:
+        return args.users_per_cell
+    return (2,) if check == "assignment" else (1, 2)
+
+
 def _oracle_usage_error(args: argparse.Namespace,
                         checks: tuple[str, ...]) -> str | None:
     """Why the oracle flags describe nothing it can check, or None."""
@@ -309,10 +323,11 @@ def _oracle_usage_error(args: argparse.Namespace,
     if args.seed < 0:
         return f"--seed must be nonnegative, got {args.seed}"
     if "assignment" in checks:
-        users = max(args.users_per_cell)
-        if min(args.users_per_cell) < 1 or args.subcarriers < 1:
+        counts = _oracle_users(args, "assignment")
+        users = max(counts)
+        if min(counts) < 1 or args.subcarriers < 1:
             return (f"assignment oracle needs at least one user and one "
-                    f"subcarrier; got {args.users_per_cell} and {args.subcarriers}")
+                    f"subcarrier; got {counts} and {args.subcarriers}")
         if users ** args.subcarriers > MAX_ASSIGNMENT_MAPS:
             return (f"assignment oracle limited to K^N <= {MAX_ASSIGNMENT_MAPS}; "
                     f"got {users}^{args.subcarriers}")
@@ -322,8 +337,15 @@ def _oracle_usage_error(args: argparse.Namespace,
                     f"{MAX_GRID_SUBCARRIERS}; got {args.power_subcarriers}")
         if args.grid < 2:
             return f"--grid needs at least 2 points per axis, got {args.grid}"
+        counts = _oracle_users(args, "power")
+        # More users than subcarriers leaves a user with none, so the
+        # objective is 0 at every power and the check would pass vacuously.
+        if max(counts) > args.power_subcarriers:
+            return (f"power oracle needs at most N = {args.power_subcarriers} users "
+                    f"per cell; got {counts}")
         try:
-            _power_oracle_params(args).validated()
+            for users in counts:
+                replace(_power_oracle_params(args), users_per_cell=users).validated()
         except ScenarioValidationError as exc:
             return str(exc)
     return None
@@ -333,7 +355,7 @@ def _power_oracle_params(args: argparse.Namespace) -> ScenarioParams:
     """The power oracle's single-cell instance, before its per-trial users
     and seed."""
     return ScenarioParams(
-        num_cells=1, num_subcarriers=args.power_subcarriers, users_per_cell=1,
+        num_cells=1, num_subcarriers=args.power_subcarriers,
         cell_radius=args.radius, p_max=args.pmax,
         noise_power=db_to_linear(args.noise_dbw),
         snr_gap=db_to_linear(args.snr_gap_db),
@@ -353,10 +375,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     if "assignment" in checks:
         nodes = [0, 0, 0]
-        # Trial t's table has the t-th entry of --users-per-cell users,
-        # cycling, so one run can check cells of several sizes.
+        # Trial t's table has the t-th of the check's user counts, cycling,
+        # so one run can check cells of several sizes.
+        counts = _oracle_users(args, "assignment")
         for trial in range(args.trials):
-            users = args.users_per_cell[trial % len(args.users_per_cell)]
+            users = counts[trial % len(counts)]
             table = rng.exponential(1.0, size=(users, args.subcarriers))
             slow = exhaustive_min_rate(table)
             # Cold, and warm-started from the greedy assignment and from a
@@ -380,9 +403,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     if "power" in checks:
         base = _power_oracle_params(args)
+        counts = _oracle_users(args, "power")
         for trial in range(args.trials):
             scenario = generate_scenario(replace(
-                base, users_per_cell=1 + trial % 2,
+                base, users_per_cell=counts[trial % len(counts)],
                 seed=int(rng.integers(0, 2 ** 31))))
             _, assignment = initial_point(scenario)
             solved = ocd_solve(scenario, assignment,
@@ -433,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = commands.add_parser("oracle",
                                  help="cross-check solvers against brute force")
-    _scenario_flags(oracle)
+    _scenario_flags(oracle, network=False)
     oracle.add_argument("--check", choices=("assignment", "power", "both"),
                         default="both")
     oracle.add_argument("--trials", type=int, default=20)
@@ -441,8 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="grid points per axis for the power oracle")
     oracle.add_argument("--power-subcarriers", type=int, default=2,
                         help="subcarriers for the power-oracle instances")
-    # Table-enumeration sizes, not the montecarlo defaults.
-    oracle.set_defaults(handler=cmd_oracle, subcarriers=10)
+    # Table-enumeration sizes, not the montecarlo defaults; each check has
+    # its own default user counts (see `_oracle_users`).
+    oracle.set_defaults(handler=cmd_oracle, subcarriers=10, users_per_cell=None)
 
     return parser
 

@@ -17,14 +17,13 @@ phase runs: the `AssignedLinks` view, a `WaterFillingPlan` for the (cell,
 subcarrier) rows at p_max, a `SimplexPlan` for the multiplier rows (padded to
 the largest cell) and the first denominators.  A sweep is then one array pass
 over all cells with one link evaluation: water-filling against the
-denominators the previous sweep's rate evaluation left, one `link_terms` call
-at the new powers (this sweep's rates and the next sweep's denominators),
-the multiplier step, and a `bus.SweepReport` of what the relay reads: the
-objective and the per-cell worst user rates, from the padded per-user rate
-sums and the phase's weight array, with the same arithmetic as
-`rate_model.wsmr`.  The plans work in place on their own
-intermediates, and a `SimplexPlan` whose slots are all real with positive
-totals skips its masks.  The public `best_response`, `project_simplex` and
+denominators the previous sweep's evaluation left, one
+`AssignedLinks.evaluate` call at the new powers (this sweep's padded
+per-user rate sums and the next sweep's denominators), the multiplier step,
+and a `rate_model.WsmrResult` of those sums, the objective and the per-cell
+worst user rates that the relay reads.  The plans work in place on their
+own intermediates, and a `SimplexPlan` whose slots are all real with
+positive totals skips its masks.  The public `best_response` and
 `update_multipliers` build a plan and call it.  Rows repeat the per-cell
 arithmetic bit for bit, except a cell's average rate once rows have 8 or
 more user slots: numpy's pairwise summation blocks a padded row sum
@@ -41,11 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bus import MessageBus, PhaseError, SweepReport, TraceRow, relay
+from .bus import MessageBus, PhaseError, TraceRow, relay
 # `wsmr` is not called here (a sweep reports from the rate sums it already
 # has); the name stays bound because perfbench's tracer rebinds `wsmr` in
 # every power module and its tests expect it here.
-from .rate_model import (assigned_links, link_terms, validate_power,  # noqa: F401
+from .rate_model import (WsmrResult, assigned_links, validate_power,  # noqa: F401
                          wsmr)
 from .scenario import Scenario
 
@@ -121,26 +120,11 @@ class SimplexPlan:
         return out.reshape(self.shape)
 
     def step(self, lam: np.ndarray, residuals: np.ndarray, t: int) -> np.ndarray:
-        """Projected subgradient step of size `dual_step_size(t)`."""
-        moved = dual_step_size(t) * residuals
+        """Projected subgradient step from `lam` along `residuals`, of the
+        diminishing size ALPHA0 / (1 + BETA * t) for outer iteration t."""
+        moved = ALPHA0 / (1.0 + BETA * t) * residuals
         moved += lam
         return self(moved)
-
-
-def project_simplex(v: np.ndarray, total, real: np.ndarray | bool) -> np.ndarray:
-    """Euclidean projection of each row's real slots onto {x >= 0, sum(x) = total}.
-
-    Works row-wise on the last axis of a 1-D or 2-D `v`; `total` holds one
-    nonnegative total per row and `real` (broadcast to `v`, so `True` marks
-    every slot) the slots that exist.  See `SimplexPlan`.
-    """
-    v = np.asarray(v, dtype=float)
-    return SimplexPlan(total, real, v.shape)(v)
-
-
-def dual_step_size(t: int) -> float:
-    """Diminishing multiplier step ALPHA0 / (1 + BETA * t) for outer iteration t."""
-    return ALPHA0 / (1.0 + BETA * t)
 
 
 def update_multipliers(lam: np.ndarray, residuals: np.ndarray, weights, t: int,
@@ -150,8 +134,8 @@ def update_multipliers(lam: np.ndarray, residuals: np.ndarray, weights, t: int,
     `lam` and `residuals` hold one row per cell, padded to the largest cell,
     with `real` marking the user slots that exist.  `residuals[m, u]` should
     be positive when user u lags its cell (here: cell average rate minus the
-    user's rate).  Every row steps by `dual_step_size(t)` times its residual
-    and is projected back onto the simplex summing to the cell weight.
+    user's rate).  Every row takes the step of `SimplexPlan.step` and is
+    projected back onto the simplex summing to the cell weight.
     """
     lam = np.asarray(lam, dtype=float)
     return SimplexPlan(weights, real, lam.shape).step(lam, np.asarray(residuals), t)
@@ -242,27 +226,24 @@ def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarr
     real = scenario.real_users
     counts = np.array(scenario.users_per_cell, dtype=float)[:, None]
     weights = np.array(scenario.weights, dtype=float)
-    cells = np.arange(scenario.num_cells)
     own_gain = links.own_gains
-    held_slot = cells[:, None] * scenario.max_users + links.user   # flat index into lam
     lam = np.where(real, weights[:, None] / counts, 0.0)
     water = WaterFillingPlan(own_gain.shape, scenario.p_max)
     simplex = SimplexPlan(weights, real, lam.shape)
     # The relay hands each sweep the iterate the previous one returned, so
     # the denominators at it are the previous sweep's.
-    _, denom = link_terms(links, initial_power)
+    _, denom, _ = links.evaluate(initial_power)
 
     def sweep(iteration, power):
         nonlocal lam, denom
-        power_now = water(own_gain / denom, lam.take(held_slot))
+        power_now = water(own_gain / denom, lam.take(links.slot))
         if not np.isfinite(power_now).all():
             raise LrDivergenceError("power iterate is not finite")
-        signal, denom = link_terms(links, power_now)
-        sums = links.per_user(np.log1p(signal / denom)).sum(axis=2)   # padded slots 0
+        _, denom, sums = links.evaluate(power_now)        # padded slots 0
         mean = np.add.reduce(sums, axis=1, keepdims=True)
         mean /= counts
         lam = simplex.step(lam, mean - sums, iteration - 1)
-        return power_now, SweepReport.from_sums(sums, real, weights)
+        return power_now, WsmrResult.from_sums(sums, real, weights)
 
     power, trace, converged = relay(
         sweep, np.asarray(initial_power, dtype=float), report_sizes,

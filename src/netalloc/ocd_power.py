@@ -17,11 +17,13 @@ arrays, then steps all cells with one set of array operations and returns
 the next `OcdState`.  What stays fixed while the assignment does lives in
 one `OcdPhase`, built once per `ocd_solve` call: the held links, the
 gap-scaled coupling gains and the fixed rows of the reduced system.  The
-phase also evaluates each power snapshot once (noise plus interference, its
-sum with the signal, and the users' rate sums), and a sweep's report and the
-next Newton step read the same snapshot, so t sweeps make t + 1 link
-evaluations.  A step eliminates slacks and multipliers in closed form,
-leaving a reduced (N+1)x(N+1) system in the cell's powers and aux rate.
+phase also evaluates each power snapshot once, through the held links'
+`AssignedLinks.evaluate` (noise plus interference, its sum with the signal,
+and the users' padded rate sums), and a sweep's report, a
+`rate_model.WsmrResult` of those sums, and the next Newton step read the
+same snapshot, so t sweeps make t + 1 link evaluations.  A step eliminates
+slacks and multipliers in closed form, leaving a reduced (N+1)x(N+1) system
+in the cell's powers and aux rate.
 That matrix is a diagonal plus rank K + 1 (the K rate rows and the budget row),
 except that its aux diagonal entry is 0; bordering the aux coordinate with
 eps = mean of the power diagonal, once added and once subtracted as a row of
@@ -49,12 +51,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bus import MessageBus, PhaseError, SweepReport, TraceRow, relay
+from .bus import MessageBus, PhaseError, TraceRow, relay
 # `wsmr` is not called here (a sweep reports from the rate sums it forms);
 # the name stays bound because perfbench's tracer rebinds `wsmr` in every
 # power module and its tests expect it here.
-from .rate_model import (AssignedLinks, assigned_links, cell_user_rates,  # noqa: F401
-                         link_terms, rate_gradient, validate_power, wsmr)
+from .rate_model import (AssignedLinks, WsmrResult, assigned_links,  # noqa: F401
+                         cell_user_rates, rate_gradient, validate_power, wsmr)
 from .scenario import Scenario
 
 FRACTION_TO_BOUNDARY = 0.995
@@ -177,11 +179,9 @@ class OcdPhase:
     its `AssignedLinks` view, and passes it to `newton_step` in place of the
     assignment.  It holds the held links' view `links`; the gap-scaled
     coupling gains `into`, into[m, o, n] station m's gain into cell o's held
-    link on n, each cell's own block zeroed; the flat index `held_slot` of
-    each held link's multiplier in the padded (M, Kmax) user rows; the cell
-    `weights`; and the fixed rows of every cell's reduced system (see
-    `_solve_reduced`): the budget row over the powers and the aux border
-    e_aux.
+    link on n, each cell's own block zeroed; the cell `weights`; and the
+    fixed rows of every cell's reduced system (see `_solve_reduced`): the
+    budget row over the powers and the aux border e_aux.
 
     `snapshot(power)` evaluates the held links at a power and keeps the
     result until it is asked for a power with other bits.  So a sweep's
@@ -196,7 +196,6 @@ class OcdPhase:
         self.links = links
         self.into = links.gains * links.snr_gap
         self.into[cells, cells] = 0.0
-        self.held_slot = cells[:, None] * scenario.max_users + links.user
         self.weights = np.array(scenario.weights, dtype=float)
         self.budget = np.zeros((m_cells, 1, n_sub + 1))
         self.budget[..., :n_sub] = 1.0
@@ -206,13 +205,11 @@ class OcdPhase:
         self._snapshot = None
 
     def snapshot(self, power: np.ndarray) -> Snapshot:
-        """The held links at `power`: one `link_terms` call per new power."""
+        """The held links at `power`: one evaluation per new power."""
         power = np.asarray(power, dtype=float)
         bits = power.tobytes()
         if bits != self._bits:
-            links = self.links
-            signal, denom = link_terms(links, power)
-            rate_sums = links.per_user(np.log1p(signal / denom)).sum(axis=2)
+            signal, denom, rate_sums = self.links.evaluate(power)
             self._bits = bits
             self._snapshot = Snapshot(denom, denom + signal, rate_sums)
         return self._snapshot
@@ -267,7 +264,7 @@ def _subproblem_terms(scenario: Scenario, assignment,
     denom, full = snap.denom, snap.full
     d_rate = links.per_user(links.own_gains / full)
 
-    lam_held = state.lam.take(phase.held_slot)
+    lam_held = state.lam.take(links.slot)
     weighted = lam_held * (1.0 / full - 1.0 / denom)
     weighted_sq = lam_held * (1.0 / (denom * denom) - 1.0 / (full * full))
     grad = np.empty((scenario.num_cells, n_sub + 1))
@@ -384,21 +381,22 @@ def newton_step(scenario: Scenario, assignment,
 
     Takes the assignment, its `AssignedLinks` view or an `OcdPhase`; given
     no phase, it builds one.  `_subproblem_terms` reads the phase's snapshot
-    at `state.power` for all cells, evaluated at most once (one link-kernel
-    call).  Each cell linearizes the primal-dual conditions of its subproblem
-    (variables, slacks and multipliers of its own constraints only) and
-    eliminates slacks and multipliers in closed form, leaving one reduced
-    system in the powers and aux rate (Nocedal & Wright, ch. 19).  That
-    matrix is diagonal plus rank K + 1 (the rate rows and the budget row)
-    with a zero aux diagonal, so all cells are solved at once through their
-    (K + 2)x(K + 2) Woodbury capacitance, the aux coordinate bordered with
-    eps = mean(D), with two refinement steps; see `_solve_reduced`.  Slacks
-    and multipliers are recovered from the primal direction, each cell's
-    four blocks are damped by a shared fraction-to-boundary step, and the
-    barrier decays.  The elimination divides by the slacks, so every slack
-    must be strictly positive; otherwise, or when a reduced system is
-    singular or yields a non-finite direction, OcdStepError is raised for
-    the first failing cell.  There is no regularization retry.
+    at `state.power` for all cells, evaluated at most once (one
+    `AssignedLinks.evaluate` call).  Each cell linearizes the primal-dual
+    conditions of its subproblem (variables, slacks and multipliers of its
+    own constraints only) and eliminates slacks and multipliers in closed
+    form, leaving one reduced system in the powers and aux rate (Nocedal &
+    Wright, ch. 19).  That matrix is diagonal plus rank K + 1 (the rate rows
+    and the budget row) with a zero aux diagonal, so all cells are solved at
+    once through their (K + 2)x(K + 2) Woodbury capacitance, the aux
+    coordinate bordered with eps = mean(D), with two refinement steps; see
+    `_solve_reduced`.  Slacks and multipliers are recovered from the primal
+    direction, each cell's four blocks are damped by a shared
+    fraction-to-boundary step, and the barrier decays.  The elimination
+    divides by the slacks, so every slack must be strictly positive;
+    otherwise, or when a reduced system is singular or yields a non-finite
+    direction, OcdStepError is raised for the first failing cell.  There is
+    no regularization retry.
     """
     n_sub = scenario.num_subcarriers
     power, aux, lam, mu = state.power, state.aux_rate, state.lam, state.mu
@@ -455,13 +453,6 @@ def _power_floor(scenario: Scenario) -> float:
     return min(SLACK_FLOOR, scenario.p_max / scenario.num_subcarriers ** 2)
 
 
-def _padded_users(scenario: Scenario, rows) -> np.ndarray:
-    """Per-cell user rows as one (M, Kmax) array; padded slots hold 0."""
-    out = np.zeros(scenario.real_users.shape)
-    out[scenario.real_users] = np.concatenate(rows)
-    return out
-
-
 def _state_at(scenario: Scenario, power: np.ndarray, rates: np.ndarray,
               aux_rate: np.ndarray, lam: np.ndarray, mu: np.ndarray,
               barrier: float) -> OcdState:
@@ -493,7 +484,7 @@ def init_cell_states(scenario: Scenario, assignment, power: np.ndarray) -> OcdSt
     rows = np.flatnonzero(excess > 0.0)
     lifted[rows, lifted[rows].argmax(axis=1)] -= excess[rows]
     real = scenario.real_users
-    rates = _padded_users(scenario, cell_user_rates(scenario, lifted, assignment))
+    rates = cell_user_rates(scenario, lifted, assignment)
     aux = AUX_RATE_INIT_FACTOR * np.where(real, rates, np.inf).min(axis=1)
     per_user = np.asarray(scenario.weights) / np.asarray(scenario.users_per_cell)
     lam = np.where(real, np.maximum(per_user, SLACK_FLOOR)[:, None], 0.0)
@@ -531,8 +522,8 @@ def ocd_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndar
         nonlocal state, reported
         state = newton_step(scenario, phase, state).state
         reported = project_power(state.power, scenario.p_max)
-        return state.power, SweepReport.from_sums(phase.snapshot(reported).rate_sums,
-                                                  real, phase.weights)
+        return state.power, WsmrResult.from_sums(phase.snapshot(reported).rate_sums,
+                                                 real, phase.weights)
 
     # The relay's last raw iterate is the last sweep's state.power, so the
     # projection that sweep reported is the returned power.
@@ -553,10 +544,11 @@ def states_from_point(scenario: Scenario, assignment: np.ndarray,
     positive); they do not affect the first-order residuals.
     """
     power = np.array(power, dtype=float)
-    rates = _padded_users(scenario, cell_user_rates(scenario, power, assignment))
-    return _state_at(scenario, power, rates, np.array(aux_rates, dtype=float),
-                     _padded_users(scenario, lam), np.array(mu, dtype=float),
-                     BARRIER_FLOOR)
+    padded_lam = np.zeros(scenario.real_users.shape)
+    padded_lam[scenario.real_users] = np.concatenate(lam)
+    return _state_at(scenario, power, cell_user_rates(scenario, power, assignment),
+                     np.array(aux_rates, dtype=float), padded_lam,
+                     np.array(mu, dtype=float), BARRIER_FLOOR)
 
 
 def stacked_cell_residuals(scenario: Scenario, assignment: np.ndarray,
@@ -604,7 +596,7 @@ def global_kkt_residual(scenario: Scenario, assignment: np.ndarray,
     stat, primal, comp = [], [], []
     for m in range(scenario.num_cells):
         stat.append(np.concatenate((stat_p[m], [stat_aux[m]])))
-        h = aux_rates[m] - user_rates[m]
+        h = aux_rates[m] - user_rates[m, :scenario.users_per_cell[m]]
         g = np.concatenate(([power[m].sum() - scenario.p_max], -power[m]))
         primal.append(np.concatenate((np.maximum(h, 0.0), np.maximum(g, 0.0))))
         comp.append(np.concatenate((lam[m] * h, mu[m] * g)))

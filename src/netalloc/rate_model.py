@@ -15,8 +15,13 @@ Cells couple only through that noise-plus-interference term, so one kernel,
 subcarrier) links, padded rows included, for the subcarrier rate tables, or
 the (cell, subcarrier) links an assignment holds, gathered once per power
 phase into an `AssignedLinks` view on which the power path never reads a
-padded row.  `sinr`, `rate_subcarrier` and `rate_gradient` compute single
-links on their own, as independent checks of the kernel.
+padded row.  `AssignedLinks.evaluate` is the one place that turns a power
+into per-user rates: the held links' signal and denominator and every
+user's rate sum, padded to (M, Kmax).  `cell_user_rates` returns those sums,
+and `WsmrResult.from_sums` reduces them to the objective; `wsmr` and both
+power methods' sweeps report through it.  `sinr`, `rate_subcarrier` and
+`rate_gradient` compute single links on their own, as independent checks of
+the kernel.
 
 Everything here takes the full (num_cells, num_subcarriers) power matrix P and
 the (num_cells, max_users, num_subcarriers) 0/1 assignment A or its view.
@@ -25,6 +30,7 @@ the (num_cells, max_users, num_subcarriers) 0/1 assignment A or its view.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,7 +146,8 @@ def rate_subcarrier(scenario: Scenario, power: np.ndarray, u: int, m: int, n: in
 class AssignedLinks:
     """The links an assignment (mask `held`) holds, user[m, n] on subcarrier n of
     cell m: gains[l, m, n] = gains[l, m, user[m, n], n] (0 if none), noise[m, n],
-    and the own-cell gains own_gains[m, n] = gains[m, m, n]."""
+    the own-cell gains own_gains[m, n] = gains[m, m, n], and slot[m, n], the
+    flat index of the holder's entry in a padded (M, Kmax) user array."""
 
     held: np.ndarray
     user: np.ndarray
@@ -148,10 +155,18 @@ class AssignedLinks:
     noise: np.ndarray
     snr_gap: float
     own_gains: np.ndarray
+    slot: np.ndarray
 
     def per_user(self, values: np.ndarray) -> np.ndarray:
         """(cell, subcarrier) link values put at their users' slots, else 0."""
         return np.where(self.held, values[:, None, :], 0.0)
+
+    def evaluate(self, power: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(signal, denom, sums) at `power`: the held links' `link_terms` and
+        the padded (M, Kmax) sums of every user's rates over its held links,
+        exactly 0 in the slots of users that hold none."""
+        signal, denom = link_terms(self, power)
+        return signal, denom, self.per_user(np.log1p(signal / denom)).sum(axis=2)
 
 
 def assigned_links(scenario: Scenario, assignment, *,
@@ -164,11 +179,11 @@ def assigned_links(scenario: Scenario, assignment, *,
     validate_assignment(scenario, assignment, require_complete=require_complete)
     held = np.asarray(assignment) == 1
     user = held.argmax(axis=1)
-    at = np.arange(scenario.num_cells)[:, None], user, np.arange(scenario.num_subcarriers)
-    gains = np.where(held.any(axis=1), scenario.gains[(slice(None), *at)], 0.0)
     cells = np.arange(scenario.num_cells)
+    at = cells[:, None], user, np.arange(scenario.num_subcarriers)
+    gains = np.where(held.any(axis=1), scenario.gains[(slice(None), *at)], 0.0)
     return AssignedLinks(held, user, gains, scenario.noise[at], scenario.snr_gap,
-                         gains[cells, cells])
+                         gains[cells, cells], cells[:, None] * scenario.max_users + user)
 
 
 def link_terms(scenario: Scenario | AssignedLinks,
@@ -196,43 +211,31 @@ def link_rates(scenario: Scenario | AssignedLinks, power: np.ndarray) -> np.ndar
     return np.log1p(signal / denom)
 
 
-def cell_user_rates(scenario: Scenario, power: np.ndarray,
-                    assignment) -> tuple[np.ndarray, ...]:
-    """Per cell, the K_m users' rates summed over their assigned subcarriers."""
-    links = assigned_links(scenario, assignment)
-    sums = links.per_user(link_rates(links, power)).sum(axis=2)
-    return tuple(sums[m, :k_m] for m, k_m in enumerate(scenario.users_per_cell))
+def cell_user_rates(scenario: Scenario, power: np.ndarray, assignment) -> np.ndarray:
+    """Every user's rate summed over its assigned subcarriers, as a padded
+    (M, Kmax) array; padded user slots hold exactly 0."""
+    return assigned_links(scenario, assignment).evaluate(power)[2]
 
 
-@dataclass(frozen=True)
-class WsmrResult:
-    """Weighted sum of per-cell minimum rates plus the supporting detail.
-
-    `user_rates[m]` holds the rates of cell m's K_m users.
-    """
+class WsmrResult(NamedTuple):
+    """The network objective `value` and the per-cell worst user rates."""
 
     value: float
     min_rates: tuple[float, ...]
-    argmin_users: tuple[int, ...]
-    user_rates: tuple[np.ndarray, ...]
+
+    @classmethod
+    def from_sums(cls, sums: np.ndarray, real: np.ndarray, weights) -> "WsmrResult":
+        """The objective of padded (M, Kmax) user-rate `sums`, with `real`
+        marking the user slots that exist and one weight per cell: the
+        weighted sum of the per-cell minima over real slots."""
+        mins = np.minimum.reduce(sums, axis=1, where=real, initial=np.inf)
+        return cls(float(np.dot(weights, mins)), tuple(mins.tolist()))
 
 
 def wsmr(scenario: Scenario, power: np.ndarray, assignment) -> WsmrResult:
-    """Network objective: sum over cells of weight * worst own-user rate.
-
-    Ties in the per-cell minimum resolve to the lowest user index: the
-    minimum is taken with padded user slots at +inf, which sort after every
-    real user.
-    """
-    links = assigned_links(scenario, assignment)
-    sums = links.per_user(link_rates(links, power)).sum(axis=2)
-    padded = np.where(scenario.real_users, sums, np.inf)
-    mins = np.minimum.reduce(padded, axis=1)
-    return WsmrResult(value=float(np.dot(scenario.weights, mins)),
-                      min_rates=tuple(mins.tolist()),
-                      argmin_users=tuple(padded.argmin(axis=1).tolist()),
-                      user_rates=tuple(sums[m, :k_m] for m, k_m
-                                       in enumerate(scenario.users_per_cell)))
+    """Network objective: sum over cells of weight * worst own-user rate."""
+    sums = assigned_links(scenario, assignment).evaluate(power)[2]
+    return WsmrResult.from_sums(sums, scenario.real_users, scenario.weights)
 
 
 def rate_gradient(scenario: Scenario, power: np.ndarray, u: int, m: int, n: int) -> np.ndarray:

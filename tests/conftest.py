@@ -46,20 +46,24 @@ def fd_rate_gradient(scenario, power, u, m, n):
     return grad
 
 
-def per_cell_wsmr(scenario, power, assignment):
-    """`wsmr` cell by cell from `link_rates`: each cell's K_m rows summed over
-    the subcarriers, then the first minimum of each cell; the reference the
-    padded all-cell route must equal bit for bit."""
-    from netalloc import WsmrResult, link_rates
+def per_cell_user_rates(scenario, power, assignment):
+    """`cell_user_rates` cell by cell from `link_rates`: each cell's K_m rows
+    summed over the subcarriers, one array per cell."""
+    from netalloc import link_rates
 
     rates = link_rates(scenario, power)
     a = np.asarray(assignment)
-    user_rates = tuple((rates[m, :k_m] * a[m, :k_m]).sum(axis=1)
-                       for m, k_m in enumerate(scenario.users_per_cell))
-    argmins = tuple(int(np.argmin(r)) for r in user_rates)
-    mins = tuple(float(r[i]) for r, i in zip(user_rates, argmins))
-    return WsmrResult(value=float(np.dot(scenario.weights, mins)), min_rates=mins,
-                      argmin_users=argmins, user_rates=user_rates)
+    return tuple((rates[m, :k_m] * a[m, :k_m]).sum(axis=1)
+                 for m, k_m in enumerate(scenario.users_per_cell))
+
+
+def per_cell_wsmr(scenario, power, assignment):
+    """`wsmr` cell by cell: the minimum of each cell's `per_cell_user_rates`;
+    the reference the padded all-cell route must equal bit for bit."""
+    from netalloc import WsmrResult
+
+    mins = tuple(float(r.min()) for r in per_cell_user_rates(scenario, power, assignment))
+    return WsmrResult(value=float(np.dot(scenario.weights, mins)), min_rates=mins)
 
 
 @pytest.fixture

@@ -258,11 +258,16 @@ def test_oracle_assignment_check_cycles_the_users_per_cell(monkeypatch, capsys):
         return real(table, current)
 
     monkeypatch.setattr(cli, "solve_exact", recorded)
-    code = main(["oracle", "--check", "assignment", "--trials", "4", "--cells", "3",
+    code = main(["oracle", "--check", "assignment", "--trials", "4",
                  "--users-per-cell", "1,2,3", "--subcarriers", "5", "--seed", "3"])
     assert code == 0
     assert "verdict: ok" in capsys.readouterr().out
     assert sizes == [(k, 5) for k in (1, 2, 3, 1) for _ in range(3)]
+    # Without the flag every table has two users.
+    sizes.clear()
+    assert main(["oracle", "--check", "assignment", "--trials", "2",
+                 "--subcarriers", "5"]) == 0
+    assert sizes == [(2, 5)] * 6
 
 
 def test_oracle_assignment_check_covers_the_warm_path(monkeypatch, capsys):
@@ -338,13 +343,29 @@ def test_oracle_requires_warm_solves_to_return_the_cold_assignment(monkeypatch, 
     assert "verdict: FAIL" in out
 
 
-def test_oracle_power_check(capsys):
+def test_oracle_power_check(monkeypatch, capsys):
+    import netalloc.experiment_cli as cli
+    real, users = cli.generate_scenario, []
+
+    def recorded(params):
+        users.append(params.users_per_cell)
+        return real(params)
+
+    monkeypatch.setattr(cli, "generate_scenario", recorded)
     code = main(["oracle", "--check", "power", "--trials", "2",
                  "--grid", "80", "--seed", "3"])
     assert code == 0
     out = capsys.readouterr().out
     assert "power: trials=2" in out
     assert "verdict: ok" in out
+    # One user, then two, unless --users-per-cell gives the counts to cycle.
+    assert users == [(1,), (2,)]
+    users.clear()
+    code = main(["oracle", "--check", "power", "--trials", "3", "--grid", "80",
+                 "--users-per-cell", "2,1"])
+    assert code == 0
+    assert "verdict: ok" in capsys.readouterr().out
+    assert users == [(2,), (1,), (2,)]
 
 
 def test_oracle_refuses_oversized_instances(capsys):
@@ -355,6 +376,17 @@ def test_oracle_refuses_oversized_instances(capsys):
     code = main(["oracle", "--check", "power", "--power-subcarriers", "3"])
     assert code == 2
     assert "limited to" in capsys.readouterr().err
+    # A user without a subcarrier makes every objective 0: nothing to check.
+    code = main(["oracle", "--check", "power", "--users-per-cell", "1,3"])
+    assert code == 2
+    assert "at most N = 2 users" in capsys.readouterr().err
+    # The oracle builds its own one-cell instances and tables, so it has no
+    # network flags to ignore.
+    for flags in (["--cells", "3"], ["--weights", "1,2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--check", "assignment", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, message", [

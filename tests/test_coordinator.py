@@ -28,9 +28,10 @@ def test_message_bus_exchange_accounting():
     # Three cells, each reporting 8 powers, one auxiliary rate, 2 multipliers.
     record = MessageBus().exchange([8 + 1 + 2] * 3)
     assert record.messages == 6
-    assert record.gather_bytes == (88, 88, 88)
-    assert record.broadcast_bytes == (176, 176, 176)
     assert record.total_bytes == 792
+    # Unequal reports: 24 + 40 bytes gathered, each broadcast to the other cell.
+    record = MessageBus().exchange([3, 5])
+    assert (record.messages, record.total_bytes) == (4, 128)
 
 
 def test_message_bus_accumulates_and_validates():

@@ -3,12 +3,12 @@ import pytest
 
 import netalloc.lr_power as lr_module
 import netalloc.rate_model as rate_module
-from netalloc import (LrDivergenceError, MessageBus, best_response,
-                      dual_step_size, link_terms, lr_solve, project_simplex,
-                      solve_all_cells, update_multipliers, wsmr)
+from netalloc import (LrDivergenceError, MessageBus, best_response, link_terms,
+                      lr_solve, solve_all_cells, update_multipliers, wsmr)
 from netalloc.bus import relay
+from netalloc.lr_power import ALPHA0, BETA, SimplexPlan
 
-from conftest import hand_scenario, make_scenario, per_cell_wsmr
+from conftest import hand_scenario, make_scenario, per_cell_user_rates, per_cell_wsmr
 
 
 def desk_instance(seed=0):
@@ -51,13 +51,14 @@ def water_filling_by_bisection(coeff, weight, budget):
 
 
 def test_simplex_projection_examples():
-    assert project_simplex(np.array([0.5, 0.5]), 1.0, True) == \
-        pytest.approx([0.5, 0.5], abs=1e-15)
-    assert project_simplex(np.array([2.0, 0.0]), 1.0, True) == \
-        pytest.approx([1.0, 0.0], abs=1e-15)
-    assert (project_simplex(np.array([3.0, -1.0]), 0.0, True) == 0.0).all()
+    v = np.array([0.5, 0.5])
+    assert SimplexPlan(1.0, True, v.shape)(v) == pytest.approx([0.5, 0.5], abs=1e-15)
+    v = np.array([2.0, 0.0])
+    assert SimplexPlan(1.0, True, v.shape)(v) == pytest.approx([1.0, 0.0], abs=1e-15)
+    v = np.array([3.0, -1.0])
+    assert (SimplexPlan(0.0, True, v.shape)(v) == 0.0).all()
     with pytest.raises(ValueError):
-        project_simplex(np.array([1.0]), -0.5, True)
+        SimplexPlan(-0.5, True, (1,))
 
 
 def test_simplex_projection_matches_bisection():
@@ -66,7 +67,7 @@ def test_simplex_projection_matches_bisection():
         n = int(rng.integers(1, 9))
         v = rng.normal(scale=2.0, size=n)
         total = float(rng.uniform(0.1, 3.0))
-        fast = project_simplex(v, total, True)
+        fast = SimplexPlan(total, True, v.shape)(v)
         slow = simplex_by_bisection(v, total)
         assert np.abs(fast - slow).max() < 1e-9
         assert fast.sum() == pytest.approx(total, rel=1e-10)
@@ -74,10 +75,16 @@ def test_simplex_projection_matches_bisection():
 
 
 def test_dual_step_size_schedule():
-    assert dual_step_size(0) == 1.0
-    assert dual_step_size(10) == pytest.approx(0.5, rel=1e-15)
-    sizes = [dual_step_size(t) for t in range(20)]
+    # Inside the simplex a mean-free step is not projected, so it moves lam
+    # by the step size ALPHA0 / (1 + BETA * t) times the residual.
+    lam, residuals = np.array([0.5, 0.5]), np.array([0.1, -0.1])
+    plan = SimplexPlan(1.0, True, lam.shape)
+    sizes = [(plan.step(lam, residuals, t) - lam)[0] / 0.1 for t in range(20)]
+    assert sizes[0] == pytest.approx(1.0, rel=1e-12)
+    assert sizes[10] == pytest.approx(0.5, rel=1e-12)
     assert all(a > b for a, b in zip(sizes, sizes[1:]))
+    assert plan.step(lam, residuals, 7).tobytes() == \
+        plan(lam + ALPHA0 / (1.0 + BETA * 7) * residuals).tobytes()
 
 
 def test_update_multipliers_plain_step():
@@ -98,7 +105,7 @@ def test_update_multipliers_zero_residual_fixed_point():
 def test_update_multipliers_shifts_toward_lagging_user():
     rng = np.random.default_rng(9)
     for _ in range(20):
-        lam = [project_simplex(rng.uniform(size=3), 1.0, True)]
+        lam = [SimplexPlan(1.0, True, (3,))(rng.uniform(size=3))]
         res = rng.normal(size=3)
         res -= res.mean()
         out = update_multipliers(lam, [res], (1.0,), int(rng.integers(50)), True)
@@ -192,7 +199,9 @@ def test_solver_trace_and_stop_rule():
     assert result.trace[-1].delta_p_norm < 0.05
     assert all(row.delta_p_norm >= 0.05 for row in result.trace[:-1])
     # coordinator.run takes the phase's objective from the last row.
-    assert result.trace[-1].wsmr == wsmr(s, result.power, assignment).value
+    final = wsmr(s, result.power, assignment)
+    assert (result.trace[-1].wsmr, result.trace[-1].min_rates) == \
+        (final.value, final.min_rates)
     one = lr_solve(s, assignment, power, psi=1e-12, max_iters=1)
     assert one.iterations == 1 and not one.converged
 
@@ -261,7 +270,6 @@ def test_one_link_evaluation_per_sweep(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(rate_module, "link_terms", counted)
-    monkeypatch.setattr(lr_module, "link_terms", counted)
     result = lr_solve(s, assignment, power, psi=1e-12, max_iters=25)
     assert result.iterations == 25
     assert calls["count"] == result.iterations + 1
@@ -317,11 +325,11 @@ def per_cell_lr(s, assignment, power, *, psi, max_iters):
             weight = np.where(own, lam[m][:, None], 0.0).sum(axis=0)
             rows.append(best_response_per_row(coeff, weight, s.p_max))
         power_now = np.vstack(rows)
-        reported = per_cell_wsmr(s, power_now, assignment)
-        step = dual_step_size(iteration - 1)
+        step = ALPHA0 / (1.0 + BETA * (iteration - 1))
         lam = [project_simplex_per_row(lam_m + step * (r.mean() - r), w_m)
-               for lam_m, r, w_m in zip(lam, reported.user_rates, s.weights)]
-        return power_now, reported
+               for lam_m, r, w_m in zip(lam, per_cell_user_rates(s, power_now, assignment),
+                                        s.weights)]
+        return power_now, per_cell_wsmr(s, power_now, assignment)
 
     sizes = [s.num_subcarriers + k for k in s.users_per_cell]
     power, trace, _ = relay(sweep, power, sizes, psi=psi, max_iters=max_iters)
@@ -388,13 +396,13 @@ def test_row_wise_project_simplex_matches_rows():
         v[~real] = np.nan        # padded slots must never be read
         total = rng.uniform(0.1, 3.0, size=rows)
         total[rng.uniform(size=rows) < 0.2] = 0.0
-        batched = project_simplex(v, total, real)
+        batched = SimplexPlan(total, real, v.shape)(v)
         assert (batched[~real] == 0.0).all()
         for r in range(rows):
             k = sizes[r]
             want = project_simplex_per_row(v[r, :k], total[r]).tobytes()
             assert batched[r, :k].tobytes() == want
-            assert project_simplex(v[r, :k], total[r], True).tobytes() == want
+            assert SimplexPlan(total[r], True, (k,))(v[r, :k]).tobytes() == want
 
 
 def test_plans_match_rows_on_edge_cases():

@@ -6,7 +6,8 @@ from netalloc import (AssignmentValidationError, PowerValidationError,
                       rate_gradient, rate_subcarrier, sinr, solve_all_cells,
                       validate_assignment, validate_power, wsmr)
 
-from conftest import fd_rate_gradient, hand_scenario, make_scenario, per_cell_wsmr
+from conftest import (fd_rate_gradient, hand_scenario, make_scenario,
+                      per_cell_user_rates, per_cell_wsmr)
 
 # Frozen reference values, computed independently at high precision:
 #   ln(1 + 1*1e-4 / (1e-6*1))            for the interference-free link
@@ -60,11 +61,11 @@ def test_cell_user_rates_sums_assigned_subcarriers():
     s = hand_scenario(gains, users_per_cell=1, p_max=2.0)
     power = np.array([[1.0, 1.0], [0.0, 1.0]])
     assignment = np.ones((2, 1, 2), dtype=np.int8)
-    value = cell_user_rates(s, power, assignment)[0][0]
+    value = cell_user_rates(s, power, assignment)[0, 0]
     assert value == pytest.approx(RATE_SUM, rel=1e-13)
 
     nothing = np.zeros((2, 1, 2), dtype=np.int8)
-    assert cell_user_rates(s, power, nothing)[0][0] == 0.0
+    assert cell_user_rates(s, power, nothing)[0, 0] == 0.0
 
 
 def test_vectorized_rates_match_scalar():
@@ -83,7 +84,7 @@ def test_cell_user_rates_symmetric_subcarriers():
     s = hand_scenario(gains, users_per_cell=1, p_max=4.0)
     power = np.ones((1, 4))
     assignment = np.ones((1, 1, 4), dtype=np.int8)
-    assert cell_user_rates(s, power, assignment)[0][0] == \
+    assert cell_user_rates(s, power, assignment)[0, 0] == \
         pytest.approx(4 * LN_101, rel=1e-12)
 
 
@@ -97,9 +98,7 @@ def test_wsmr_weighted_sum_of_min_rates():
     result = wsmr(s, power, assignment)
     mins = []
     for m in range(2):
-        rates = cell_user_rates(s, power, assignment)[m]
-        mins.append(rates.min())
-        assert result.argmin_users[m] == int(np.argmin(rates))
+        mins.append(cell_user_rates(s, power, assignment)[m].min())
     assert result.min_rates == pytest.approx(tuple(mins), rel=1e-12)
     assert result.value == pytest.approx(mins[0] + 2.0 * mins[1], rel=1e-12)
 
@@ -109,11 +108,12 @@ def test_wsmr_user_rates_match_cell_user_rates():
     power = np.linspace(0.02, 0.16, 18).reshape(3, 6)
     assignment = solve_all_cells(s, power)
     result = wsmr(s, power, assignment)
-    assert len(result.user_rates) == 3
-    for m in range(3):
-        assert np.array_equal(result.user_rates[m],
-                              cell_user_rates(s, power, assignment)[m])
-        assert result.min_rates[m] == result.user_rates[m].min()
+    rates = cell_user_rates(s, power, assignment)
+    assert rates.shape == (3, 3)
+    assert len(result.min_rates) == 3
+    for m, k in enumerate(s.users_per_cell):
+        assert (rates[m, k:] == 0.0).all()
+        assert result.min_rates[m] == rates[m, :k].min()
 
 
 def test_wsmr_zero_power_and_weight_scaling():
@@ -130,7 +130,7 @@ def test_wsmr_zero_power_and_weight_scaling():
     s3 = dataclasses.replace(s, params=scaled_params)
     scaled = wsmr(s3, power, assignment)
     assert scaled.value == pytest.approx(3.0 * base.value, rel=1e-12)
-    assert scaled.argmin_users == base.argmin_users
+    assert scaled.min_rates == base.min_rates
 
 
 def test_wsmr_symmetric_cells_contribute_equally():
@@ -169,12 +169,19 @@ def poison_padding(s):
     return dataclasses.replace(s, gains=gains, noise=noise)
 
 
-def assert_same_wsmr(got, want):
+def assert_same_rates(s, power, assignment):
+    """`wsmr` and `cell_user_rates` equal the per-cell route bit for bit, and
+    `cell_user_rates` holds exactly +0.0 in every padded slot."""
+    got, want = wsmr(s, power, assignment), per_cell_wsmr(s, power, assignment)
     assert got.value == want.value
     assert got.min_rates == want.min_rates
-    assert got.argmin_users == want.argmin_users
-    assert [r.tobytes() for r in got.user_rates] == \
-        [r.tobytes() for r in want.user_rates]
+    rates = cell_user_rates(s, power, assignment)
+    assert rates.shape == s.real_users.shape
+    for m, (row, k) in enumerate(zip(per_cell_user_rates(s, power, assignment),
+                                     s.users_per_cell)):
+        assert rates[m, :k].tobytes() == row.tobytes()
+        assert rates[m, k:].tobytes() == np.zeros(s.max_users - k).tobytes()
+    return rates
 
 
 def test_wsmr_matches_per_cell_formula_bit_for_bit():
@@ -185,9 +192,7 @@ def test_wsmr_matches_per_cell_formula_bit_for_bit():
         power = rng.uniform(0.0, s.p_max / 6, size=(3, 6))
         for assignment in (solve_all_cells(s, power, mode="greedy"),
                            np.zeros((3, 3, 6), dtype=np.int8)):
-            got = wsmr(s, power, assignment)
-            assert_same_wsmr(got, per_cell_wsmr(s, power, assignment))
-            assert all(u < k for u, k in zip(got.argmin_users, s.users_per_cell))
+            assert_same_rates(s, power, assignment)
 
 
 def test_held_link_kernel_matches_the_full_link_set_bit_for_bit():
@@ -208,7 +213,7 @@ def test_held_link_kernel_matches_the_full_link_set_bit_for_bit():
             assert got.tobytes() == full[cells, user, subcarriers].tobytes()
 
 
-def test_wsmr_ties_go_to_lowest_real_user():
+def test_wsmr_with_tied_users_matches_per_cell_formula():
     # Equal gains and powers give every subcarrier the same rate, so users
     # with equally many subcarriers tie; cell 1's padded row is NaN.
     s = poison_padding(hand_scenario(np.full((2, 2, 3, 8), 1e-4), users_per_cell=(3, 2)))
@@ -217,11 +222,10 @@ def test_wsmr_ties_go_to_lowest_real_user():
     for n, u in enumerate([0, 0, 0, 0, 1, 1, 2, 2]):
         assignment[0, u, n] = 1
     assignment[1, np.arange(8) % 2, np.arange(8)] = 1
-    got = wsmr(s, power, assignment)
-    assert_same_wsmr(got, per_cell_wsmr(s, power, assignment))
-    assert got.user_rates[0][1] == got.user_rates[0][2]
-    assert got.user_rates[1][0] == got.user_rates[1][1]
-    assert got.argmin_users == (1, 0)
+    rates = assert_same_rates(s, power, assignment)
+    assert rates[0, 1] == rates[0, 2]
+    assert rates[1, 0] == rates[1, 1]
+    assert wsmr(s, power, assignment).min_rates == (rates[0, 1], rates[1, 0])
 
 
 def test_gradient_at_zero_power_equals_gain_over_noise():
