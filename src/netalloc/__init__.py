@@ -22,13 +22,12 @@ from .oracles import (GridOptimum, OracleSizeError, exhaustive_min_rate,
 from .rate_model import (AssignedLinks, AssignmentValidationError,
                          PowerValidationError, WsmrResult, assigned_links,
                          cell_user_rates, link_rates, link_terms,
-                         rate_gradient, rate_subcarrier, sinr,
-                         validate_assignment, validate_power, wsmr)
+                         rate_gradient, validate_assignment, validate_power,
+                         wsmr)
 from .scenario import (Scenario, ScenarioFormatError, ScenarioParams,
                        ScenarioValidationError, db_to_linear,
-                       generate_scenario, hex_layout, linear_to_db,
-                       load_scenario, save_scenario, scenario_violations,
-                       scenarios_equal, validate_scenario)
+                       generate_scenario, hex_layout, load_scenario,
+                       save_scenario, scenario_violations)
 from .subcarrier_alloc import (AssignmentResult, RateTableError, rate_table,
                                solve_all_cells, solve_exact, solve_greedy)
 

@@ -11,8 +11,8 @@ state equals one the run already left a subcarrier phase in (or started
 from), and "rounds" after `max_rounds`.  A round is a deterministic function
 of that state, so once it repeats every later round replays a known one and
 no better value can appear: two-block alternation need not converge
-(Grippo & Sciandrone, Oper. Res. Lett. 2000).  The run keeps one SHA-256
-digest per visited state, 32 bytes a round.
+(Grippo & Sciandrone, Oper. Res. Lett. 2000).  The run keeps the exact
+bytes of every visited state, power then assignment, so equality is exact.
 
 Both power methods run in `bus.relay` on the run's bus, which carries the
 run's round and clock origin, so a phase's rows arrive stamped for the run,
@@ -31,7 +31,6 @@ no traffic.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 
@@ -121,12 +120,6 @@ def initial_point(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return power, assignment
 
 
-def _state_key(power: np.ndarray, assignment: np.ndarray) -> bytes:
-    """A 32-byte digest of a (power, assignment) state; both arrays have a
-    fixed shape and dtype for a scenario, so equal digests mean equal bytes."""
-    return hashlib.sha256(power.tobytes() + assignment.tobytes()).digest()
-
-
 def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
     """Full alternating run; see the module docstring for the schedule."""
     config.validated()
@@ -140,7 +133,7 @@ def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
     best_power = power.copy()
     best_assignment = assignment.copy()
     previous_round_value = current.value
-    visited = {_state_key(power, assignment)}
+    visited = {power.tobytes() + assignment.tobytes()}
     stop_reason = "rounds"
 
     rounds = 0
@@ -198,7 +191,7 @@ def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
         if relative < config.wsmr_tol:
             stop_reason = "tolerance"
             break
-        key = _state_key(power, assignment)
+        key = power.tobytes() + assignment.tobytes()
         if key in visited:
             stop_reason = "cycle"
             break

@@ -210,13 +210,16 @@ def run_ensemble(params: ScenarioParams, *, realizations: int, base_seed: int,
     details is empty unless `collect`.  Rows come back sorted by (seed,
     method, pmax); details come back in seed order.  `realizations` and
     `base_seed` must be of type `int` exactly (`True` would pass for 1),
-    positive and nonnegative; a bad one raises ValueError before any
-    realization runs.
+    positive and nonnegative, and every `pmax_values` entry a valid `p_max`;
+    a bad one raises ValueError (ScenarioValidationError for a budget)
+    before any realization runs.
     """
     if type(realizations) is not int or realizations < 1:
         raise ValueError(f"realizations must be a positive integer, got {realizations!r}")
     if type(base_seed) is not int or base_seed < 0:
         raise ValueError(f"base_seed must be a nonnegative integer, got {base_seed!r}")
+    for pmax in pmax_values or ():
+        replace(params, p_max=pmax).validated()
     outcomes = [_realize(params, base_seed + i, config, pmax, collect)
                 for i in range(realizations)
                 for pmax in (pmax_values if pmax_values else (None,))]
@@ -289,9 +292,13 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     config = _config_from_flags(args)
     if config is None:
         return EXIT_USAGE
-    rows, _ = run_ensemble(params, realizations=args.realizations,
-                           base_seed=args.seed, config=config,
-                           pmax_values=args.pmax_sweep)
+    try:
+        rows, _ = run_ensemble(params, realizations=args.realizations,
+                               base_seed=args.seed, config=config,
+                               pmax_values=args.pmax_sweep)
+    except ScenarioValidationError as exc:
+        print(f"error: --pmax-sweep: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     write_ensemble_csv(rows, args.out)
     for method in METHODS:
         values = [r.wsmr for r in rows if r.method == method]
@@ -328,6 +335,11 @@ def _oracle_usage_error(args: argparse.Namespace,
         if min(counts) < 1 or args.subcarriers < 1:
             return (f"assignment oracle needs at least one user and one "
                     f"subcarrier; got {counts} and {args.subcarriers}")
+        # As in the power check: a user without a subcarrier makes every
+        # optimum 0, and the check would pass vacuously.
+        if users > args.subcarriers:
+            return (f"assignment oracle needs at most N = {args.subcarriers} users "
+                    f"per cell; got {counts}")
         if users ** args.subcarriers > MAX_ASSIGNMENT_MAPS:
             return (f"assignment oracle limited to K^N <= {MAX_ASSIGNMENT_MAPS}; "
                     f"got {users}^{args.subcarriers}")

@@ -19,9 +19,9 @@ padded row.  `AssignedLinks.evaluate` is the one place that turns a power
 into per-user rates: the held links' signal and denominator and every
 user's rate sum, padded to (M, Kmax).  `cell_user_rates` returns those sums,
 and `WsmrResult.from_sums` reduces them to the objective; `wsmr` and both
-power methods' sweeps report through it.  `sinr`, `rate_subcarrier` and
-`rate_gradient` compute single links on their own, as independent checks of
-the kernel.
+power methods' sweeps report through it.  `rate_gradient` differentiates
+one link on its own, as an independent check of the kernel; the scalar
+single-link references live with the tests.
 
 Everything here takes the full (num_cells, num_subcarriers) power matrix P and
 the (num_cells, max_users, num_subcarriers) 0/1 assignment A or its view.
@@ -124,22 +124,6 @@ def validate_assignment(scenario: Scenario, assignment: np.ndarray, *,
         raise AssignmentValidationError(
             f"cell {m} subcarrier {n} is unassigned but a complete "
             f"assignment was required")
-
-
-def sinr(scenario: Scenario, power: np.ndarray, u: int, m: int, n: int) -> float:
-    """Signal-to-interference-plus-noise ratio of user (m, u) on subcarrier n."""
-    _check_user(scenario, m, u)
-    _check_subcarrier(scenario, n)
-    power = np.asarray(power, dtype=float)
-    signal = power[m, n] * scenario.gains[m, m, u, n]
-    others = sum(power[l, n] * scenario.gains[l, m, u, n]
-                 for l in range(scenario.num_cells) if l != m)
-    return signal / ((scenario.noise[m, u, n] + others) * scenario.snr_gap)
-
-
-def rate_subcarrier(scenario: Scenario, power: np.ndarray, u: int, m: int, n: int) -> float:
-    """Rate of user (m, u) on subcarrier n, in nats per channel use."""
-    return float(np.log1p(sinr(scenario, power, u, m, n)))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ ScenarioParams, including the RNG seed, so the same parameters always produce
 bit-identical scenarios.
 
 Radio quantities are stored in linear units (watts, dimensionless gains).
-Decibel conversion happens at the edges (CLI flags, user code) via
-`db_to_linear` / `linear_to_db`.
+Decibel values are converted at the edges (CLI flags, user code) with
+`db_to_linear`.
 """
 
 from __future__ import annotations
@@ -41,13 +41,6 @@ class ScenarioFormatError(ValueError):
 def db_to_linear(value_db: float) -> float:
     """Convert a decibel quantity to its linear ratio (0 dB -> 1.0)."""
     return 10.0 ** (float(value_db) / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    """Convert a positive linear ratio to decibels."""
-    if value <= 0.0:
-        raise ValueError(f"linear value must be positive, got {value!r}")
-    return 10.0 * math.log10(value)
 
 
 def _as_per_cell(value, num_cells: int, name: str) -> tuple:
@@ -219,14 +212,14 @@ def hex_layout(num_cells: int, cell_radius: float) -> np.ndarray:
     return xy
 
 
-def generate_scenario(params: ScenarioParams, *, unit_fades: bool = False) -> Scenario:
+def generate_scenario(params: ScenarioParams) -> Scenario:
     """Draw a random scenario from `params`.
 
     Users are placed uniformly over the annulus between MIN_USER_DISTANCE and
-    the cell radius around their own station.  Each station-to-user-to-
-    subcarrier link gets an independent unit-mean exponential fade on top of
-    distance pathloss.  `unit_fades` skips the fade draws (gain becomes pure
-    pathloss), which makes closed-form checks possible in tests.
+    the cell radius around their own station: two uniforms per user, cell by
+    cell.  Then each station-to-user-to-subcarrier link gets an independent
+    unit-mean exponential fade on top of distance pathloss, drawn as one
+    (K_m, N) block per (station l, cell m) pair, l outermost.
     """
     params.validated()
     m_cells = params.num_cells
@@ -255,10 +248,7 @@ def generate_scenario(params: ScenarioParams, *, unit_fades: bool = False) -> Sc
             dist = np.linalg.norm(user_pos[m] - bs[l], axis=1)
             dist = np.maximum(dist, MIN_USER_DISTANCE)
             path = dist ** (-params.pathloss_exponent)
-            if unit_fades:
-                fade = np.ones((k_m, n_sub))
-            else:
-                fade = rng.exponential(1.0, size=(k_m, n_sub))
+            fade = rng.exponential(1.0, size=(k_m, n_sub))
             gains[l, m, :k_m, :] = path[:, None] * fade
 
     noise = np.full((m_cells, k_max, n_sub), params.noise_power)
@@ -304,21 +294,6 @@ def scenario_violations(scenario: Scenario) -> list[str]:
             bad.append(f"noise[m={m}][u={u}][n={n}]: must be finite and "
                        f"strictly positive, got {nz[n]!r}")
     return bad
-
-
-def validate_scenario(scenario: Scenario) -> None:
-    """Raise ScenarioValidationError listing all violations, if any."""
-    bad = scenario_violations(scenario)
-    if bad:
-        raise ScenarioValidationError("; ".join(bad))
-
-
-def scenarios_equal(a: Scenario, b: Scenario) -> bool:
-    """Bit-exact equality of parameters, geometry and channel data."""
-    return (a.params == b.params and np.array_equal(a.bs_positions, b.bs_positions)
-            and len(a.user_positions) == len(b.user_positions)
-            and all(map(np.array_equal, a.user_positions, b.user_positions))
-            and np.array_equal(a.gains, b.gains) and np.array_equal(a.noise, b.noise))
 
 
 def save_scenario(scenario: Scenario, path: str | os.PathLike) -> None:

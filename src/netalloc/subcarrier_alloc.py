@@ -228,7 +228,7 @@ def _polish(cols: list, picks: list, totals: list) -> list:
 
 
 def _held_floor(table: np.ndarray, current, order: np.ndarray, cols: list,
-                ycols: np.ndarray | None = None) -> float:
+                ycols: np.ndarray) -> float:
     """Prune floor from the assignment a cell already holds; minus infinity
     without one.
 
@@ -236,8 +236,8 @@ def _held_floor(table: np.ndarray, current, order: np.ndarray, cols: list,
     (subcarriers in branching `order`), with totals summed in that order:
     the held one; the Lagrangian rounding at the dual point y, which gives
     each subcarrier to the user with the largest y-weighted rate in the
-    (N, K) array `ycols` (ycols[d, u] = y_u * cols[d][u]; lowest user index
-    on ties; computed from `_dual_point(cols)` when absent); and the better
+    (N, K) array `ycols` (ycols[d, u] = y_u * cols[d][u] with y from
+    `_dual_point(cols)`; lowest user index on ties); and the better
     of those two, held on a tie, polished by `_polish`.  The floor is the
     best of the three values shrunk by `FLOOR_MARGIN`.  Every candidate is
     a feasible assignment, so no value exceeds the optimum, whatever y or
@@ -256,8 +256,6 @@ def _held_floor(table: np.ndarray, current, order: np.ndarray, cols: list,
     held = raw[order].tolist()
     if min(held) < 0 or max(held) >= k:
         raise RateTableError(f"current has a user index outside 0..{k - 1}")
-    if ycols is None:
-        ycols = np.array(cols) * _dual_point(cols)
     # argmax takes the first maximum: the lowest user index wins ties.
     rounded = ycols.argmax(axis=1).tolist()
     start, totals = held, _totals(cols, held)
@@ -547,13 +545,13 @@ def solve_all_cells(scenario: Scenario, power: np.ndarray, *,
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
+    shape = (scenario.num_cells, scenario.num_subcarriers)
+    if current is not None and np.shape(current) != shape:
+        raise RateTableError(f"current must be a {shape} user-index array, "
+                             f"got shape {np.shape(current)}")
     if mode == "greedy":
         users = _greedy_all_cells(scenario, power)
     else:
-        shape = (scenario.num_cells, scenario.num_subcarriers)
-        if current is not None and np.shape(current) != shape:
-            raise RateTableError(f"current must be a {shape} user-index array, "
-                                 f"got shape {np.shape(current)}")
         users = np.array([
             solve_exact(table, None if current is None else current[m]).assignment
             for m, table in enumerate(rate_table(scenario, power))])

@@ -29,11 +29,32 @@ def hand_scenario(gains, users_per_cell, *, p_max=1.0, noise_power=1e-6,
         noise=np.full((m_cells, k_max, n_sub), noise_power))
 
 
+def scenarios_equal(a, b):
+    """Bit-exact equality of parameters, geometry and channel data."""
+    return (a.params == b.params and np.array_equal(a.bs_positions, b.bs_positions)
+            and len(a.user_positions) == len(b.user_positions)
+            and all(map(np.array_equal, a.user_positions, b.user_positions))
+            and np.array_equal(a.gains, b.gains) and np.array_equal(a.noise, b.noise))
+
+
+def sinr(scenario, power, u, m, n):
+    """SINR of user (m, u) on subcarrier n, one link at a time: the noise plus
+    every other station's signal summed here, not by `link_terms`."""
+    power = np.asarray(power, dtype=float)
+    signal = power[m, n] * scenario.gains[m, m, u, n]
+    others = sum(power[l, n] * scenario.gains[l, m, u, n]
+                 for l in range(scenario.num_cells) if l != m)
+    return signal / ((scenario.noise[m, u, n] + others) * scenario.snr_gap)
+
+
+def rate_subcarrier(scenario, power, u, m, n):
+    """Rate of user (m, u) on subcarrier n, in nats per channel use."""
+    return float(np.log1p(sinr(scenario, power, u, m, n)))
+
+
 def fd_rate_gradient(scenario, power, u, m, n):
     """Central-difference gradient of the (u, m, n) rate in every station's
     power on subcarrier n; the independent verification route."""
-    from netalloc import rate_subcarrier
-
     grad = np.empty(scenario.num_cells)
     for l in range(scenario.num_cells):
         h = 1e-6 * max(power[l, n], 1.0)

@@ -9,8 +9,10 @@ import pytest
 
 import netalloc
 from netalloc import (ScenarioParams, generate_scenario, initial_point,
-                      load_scenario, scenarios_equal, wsmr)
+                      load_scenario, wsmr)
 from netalloc.experiment_cli import ENSEMBLE_HEADER, TRACE_HEADER, main
+
+from conftest import scenarios_equal
 
 FLOAT_12 = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,}$")
 
@@ -211,6 +213,22 @@ def test_run_ensemble_refuses_bad_counts_before_running(monkeypatch, name, value
         cli.run_ensemble(ScenarioParams(2, 4, 1), config=netalloc.RunConfig(), **counts)
 
 
+@pytest.mark.parametrize("sweep", ["0,1", "1,nan", "1,-0.5"])
+def test_montecarlo_refuses_a_bad_budget_before_running(monkeypatch, tmp_path, capsys, sweep):
+    # A usage error before the first realization, even after valid budgets.
+    import netalloc.experiment_cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a realization ran")
+
+    monkeypatch.setattr(cli, "_realize", never)
+    out = tmp_path / "mc.csv"
+    assert main(montecarlo_args(out, extra=("--pmax-sweep", sweep))) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ") and "p_max" in err
+    assert not out.exists()
+
+
 BAD_SOLVER_FLAGS = [["--psi", "0"], ["--psi", "nan"], ["--max-iter", "0"],
                     ["--rounds", "0"], ["--wsmr-tol", "-1"]]
 
@@ -401,6 +419,11 @@ def test_oracle_refuses_oversized_instances(capsys):
     (["--check", "both", "--trials", "1", "--grid", "1"], "--grid"),
     (["--check", "assignment", "--seed", "-1"], "--seed"),
     (["--check", "power", "--seed", "-1"], "--seed"),
+    # More users than subcarriers makes every optimum 0: a vacuous pass.
+    (["--check", "assignment", "--users-per-cell", "4", "--subcarriers", "3"],
+     "at most N = 3 users"),
+    (["--check", "assignment", "--users-per-cell", "1,2", "--subcarriers", "1"],
+     "at most N = 1 users"),
 ])
 def test_oracle_refuses_sizes_it_cannot_check(capsys, flags, message):
     # A usage error, not a solver abort, and never an empty `verdict: ok`.

@@ -10,11 +10,11 @@ import netalloc.rate_model as rate_module
 from netalloc import (AssignmentValidationError, MessageBus, OcdStepError,
                       cell_user_rates, global_kkt_residual,
                       grid_power_optimum, init_cell_states, newton_step,
-                      ocd_solve, project_power, rate_subcarrier,
-                      solve_all_cells, stacked_cell_residuals,
-                      states_from_point, validate_power, wsmr)
+                      ocd_solve, project_power, solve_all_cells,
+                      stacked_cell_residuals, states_from_point,
+                      validate_power, wsmr)
 
-from conftest import hand_scenario, make_scenario
+from conftest import hand_scenario, make_scenario, rate_subcarrier
 
 LN_101 = 4.61512051684126
 

@@ -3,11 +3,11 @@ import pytest
 
 from netalloc import (AssignmentValidationError, PowerValidationError,
                       assigned_links, cell_user_rates, link_rates, link_terms,
-                      rate_gradient, rate_subcarrier, sinr, solve_all_cells,
-                      validate_assignment, validate_power, wsmr)
+                      rate_gradient, solve_all_cells, validate_assignment,
+                      validate_power, wsmr)
 
 from conftest import (fd_rate_gradient, hand_scenario, make_scenario,
-                      per_cell_user_rates, per_cell_wsmr)
+                      per_cell_user_rates, per_cell_wsmr, rate_subcarrier, sinr)
 
 # Frozen reference values, computed independently at high precision:
 #   ln(1 + 1*1e-4 / (1e-6*1))            for the interference-free link
@@ -298,8 +298,8 @@ def test_index_errors():
     s = make_scenario(cells=2, subcarriers=3, users=1, seed=0)
     power = np.full((2, 3), 0.1)
     with pytest.raises(IndexError):
-        sinr(s, power, 1, 0, 0)
+        rate_gradient(s, power, 1, 0, 0)
     with pytest.raises(IndexError):
-        sinr(s, power, 0, 2, 0)
+        rate_gradient(s, power, 0, 2, 0)
     with pytest.raises(IndexError):
-        sinr(s, power, 0, 0, 3)
+        rate_gradient(s, power, 0, 0, 3)

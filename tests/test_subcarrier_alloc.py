@@ -389,6 +389,10 @@ def test_solve_all_cells_rejects_a_misshapen_current():
             solve_all_cells(s, power, current=np.zeros((rows, 8), dtype=np.int64))
     with pytest.raises(RateTableError, match="shape"):
         solve_all_cells(s, power, current=np.zeros((3, 7), dtype=np.int64))
+    # Greedy mode ignores a well-shaped `current` but refuses a misshapen one.
+    for shape in ((2, 8), (3, 7)):
+        with pytest.raises(RateTableError, match="shape"):
+            solve_all_cells(s, power, mode="greedy", current=np.zeros(shape, dtype=np.int64))
 
 
 def unpruned_polish(cols, picks):
@@ -484,9 +488,15 @@ def test_local_search_floor_shrinks_the_search(monkeypatch):
     assert sum(r.nodes for r in polished) < sum(r.nodes for r in plain)
 
 
+def dual_ycols(cols):
+    """`solve_exact`'s ycols: each rate times its user's weight at the dual point."""
+    return np.array(cols) * subcarrier_alloc._dual_point(cols)
+
+
 def floor_of(table, current):
     order = _column_order(table)
-    return _held_floor(table, current, order, table[:, order].T.tolist())
+    cols = table[:, order].T.tolist()
+    return _held_floor(table, current, order, cols, dual_ycols(cols))
 
 
 def test_held_floor_lies_between_the_held_value_and_the_optimum():
@@ -544,7 +554,7 @@ def test_floor_polishes_the_lagrangian_rounding_at_the_dual_point(monkeypatch):
         assert starts == branching(table, [rounded if better else held])
 
 
-def held_polish_floor(table, current, order, cols, ycols=None):
+def held_polish_floor(table, current, order, cols, ycols):
     """The floor without the Lagrangian rounding: the better of the held
     assignment and its polish, each valued by `bincount` on `table`."""
     if current is None:
@@ -603,7 +613,7 @@ def reference_solve_exact(table, current=None):
     k, n_sub = table.shape
     order = _column_order(table)
     cols = table[:, order].T.tolist()
-    floor = _held_floor(table, current, order, cols)
+    floor = _held_floor(table, current, order, cols, dual_ycols(cols))
     rest = [[0.0] * k for _ in range(n_sub + 1)]
     rest_best = [0.0] * (n_sub + 1)
     for d in range(n_sub - 1, -1, -1):
@@ -667,7 +677,7 @@ def entering_solve_exact(table, current=None):
     cols = table[:, order].T.tolist()
     y = subcarrier_alloc._dual_point(cols)
     ycols = [list(map(operator.mul, y, col)) for col in cols]
-    floor = _held_floor(table, current, order, cols)
+    floor = _held_floor(table, current, order, cols, np.array(ycols))
     rest = [[0.0] * k]
     for col in reversed(cols):
         rest.append(list(map(operator.add, rest[-1], col)))
