@@ -65,6 +65,11 @@ class RunConfig:
     subcarrier_mode: str = "exact"
 
     def validated(self) -> "RunConfig":
+        # Bools pass the range checks (`True > 0.0`), so they are refused first.
+        for name in ("psi", "wsmr_tol"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (self.psi > 0.0 and np.isfinite(self.psi)):
             raise ValueError(f"psi must be finite and positive, got {self.psi!r}")
         if type(self.max_power_iters) is not int or self.max_power_iters < 1:

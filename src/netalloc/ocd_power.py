@@ -179,9 +179,16 @@ class OcdPhase:
     its `AssignedLinks` view, and passes it to `newton_step` in place of the
     assignment.  It holds the held links' view `links`; the gap-scaled
     coupling gains `into`, into[m, o, n] station m's gain into cell o's held
-    link on n, each cell's own block zeroed; the cell `weights`; and the
-    fixed rows of every cell's reduced system (see `_solve_reduced`): the
-    budget row over the powers and the aux border e_aux.
+    link on n, each cell's own block zeroed, and `into_sq`, their squares,
+    so the curvature contraction in `_subproblem_terms` reads two operands;
+    the cell `weights`; and the fixed rows of every cell's reduced system
+    (see `_solve_reduced`): the budget row over the powers and the aux
+    border e_aux.
+
+    `masked` is False when every user slot is real (every cell has Kmax
+    users).  Then `_subproblem_terms` and `newton_step` skip their
+    `np.where(real, ...)` masks on the rate rows, which would select every
+    entry and change no bit; a ragged scenario keeps the masked route.
 
     `snapshot(power)` evaluates the held links at a power and keeps the
     result until it is asked for a power with other bits.  So a sweep's
@@ -196,6 +203,8 @@ class OcdPhase:
         self.links = links
         self.into = links.gains * links.snr_gap
         self.into[cells, cells] = 0.0
+        self.into_sq = self.into * self.into
+        self.masked = not scenario.real_users.all()
         self.weights = np.array(scenario.weights, dtype=float)
         self.budget = np.zeros((m_cells, 1, n_sub + 1))
         self.budget[..., :n_sub] = 1.0
@@ -271,12 +280,14 @@ def _subproblem_terms(scenario: Scenario, assignment,
     grad[:, :n_sub] = np.einsum("mon,on->mn", into, weighted)
     grad[:, n_sub] = phase.weights
     curv = np.zeros(grad.shape)
-    curv[:, :n_sub] = np.einsum("mon,mon,on->mn", into, into, weighted_sq)
+    curv[:, :n_sub] = np.einsum("mon,on->mn", phase.into_sq, weighted_sq)
     jac_h = np.zeros(real.shape + (n_sub + 1,))
     jac_h[..., :n_sub] = -d_rate
     jac_h[..., n_sub] = real
-    return SubproblemTerms(grad=grad, curv=curv,
-                           h=np.where(real, state.aux_rate[:, None] - snap.rate_sums, 0.0),
+    h = state.aux_rate[:, None] - snap.rate_sums
+    if phase.masked:
+        h = np.where(real, h, 0.0)
+    return SubproblemTerms(grad=grad, curv=curv, h=h,
                            jac_h=jac_h, curv_h=d_rate * d_rate, real=real)
 
 
@@ -415,9 +426,12 @@ def newton_step(scenario: Scenario, assignment,
     hess = np.minimum(t.curv[:, :n_sub] - np.einsum("mk,mkn->mn", lam, t.curv_h),
                       -REGULARIZATION)
     r_stat = t.grad - np.einsum("mkj,mk->mj", t.jac_h, lam) - _jac_g_transpose(mu)
-    r_ph = np.where(t.real, t.h + slack_h, 0.0)
+    r_ph = t.h + slack_h
     r_pg = _local_constraints(power, scenario.p_max) + slack_g
-    r_ch = np.where(t.real, lam * slack_h - barrier, 0.0)
+    r_ch = lam * slack_h - barrier
+    if phase.masked:
+        r_ph = np.where(t.real, r_ph, 0.0)
+        r_ch = np.where(t.real, r_ch, 0.0)
     r_cg = mu * slack_g - barrier
     rhs = (-r_stat + np.einsum("mkj,mk->mj", t.jac_h, (lam * r_ph - r_ch) / slack_h)
            + _jac_g_transpose((mu * r_pg - r_cg) / slack_g))

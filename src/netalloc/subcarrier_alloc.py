@@ -10,6 +10,14 @@ Two solvers: an exact depth-first branch and bound and a one-pass greedy.
 Both are deterministic, including tie handling, so repeated runs give
 byte-identical results.
 
+The greedy loop has two kernels too.  At two users `_greedy_picks_two`
+keeps the two totals as scalars and picks user 0 when its total is at or
+below user 1's; every other K runs the generic `_greedy_picks` loop, which
+picks the first user holding the lowest total and is the reference for the
+two-user kernel.  Both make the same adds in the same order, so they pick
+the same users and return the same bytes, in `solve_greedy`, in the greedy
+mode of `solve_all_cells` and as the incumbent that seeds `solve_exact`.
+
 The exact search prunes a branch whose upper bound does not beat the
 incumbent (seeded by greedy).  Its main bound is Lagrangian (Fisher, Mgmt.
 Sci. 1981): for any point y on the simplex, the y-weighted sum of the users'
@@ -133,10 +141,13 @@ def _greedy(order: np.ndarray, cols: list) -> AssignmentResult:
     return AssignmentResult(assignment=assign, min_rate=low, nodes=0)
 
 
-def _greedy_picks(cols: list, k: int) -> tuple[list, float]:
-    """The greedy loop over `cols` in branching order, for users 0..k-1:
-    (the user picked at each depth, the worst user total).  Entries of
-    cols[d] past k are never read."""
+def _greedy_picks(cols, k: int) -> tuple[list, float]:
+    """The greedy loop over `cols`, an iterable whose d-th item holds the k
+    users' rates on the subcarrier at depth d in branching order: (the user
+    picked at each depth, the worst user total).  At two users it is
+    `_greedy_picks_two`; this loop is the reference for it."""
+    if k == 2:
+        return _greedy_picks_two(cols)
     totals = [0.0] * k
     picks = []
     for col in cols:
@@ -146,25 +157,43 @@ def _greedy_picks(cols: list, k: int) -> tuple[list, float]:
     return picks, min(totals)
 
 
+def _greedy_picks_two(cols) -> tuple[list, float]:
+    """`_greedy_picks` at two users, on two scalar totals: the same adds in
+    the same order.  a <= b is `totals.index(min(totals)) == 0` for finite
+    totals, and the worst total is taken the same way."""
+    a = b = 0.0
+    picks = []
+    for x, y in cols:
+        if a <= b:
+            a += x
+            picks.append(0)
+        else:
+            b += y
+            picks.append(1)
+    return picks, a if a <= b else b
+
+
 def _greedy_all_cells(scenario: Scenario, power: np.ndarray) -> np.ndarray:
     """Every cell's greedy assignment as a (M, N) user-index array.
 
     One pass over the padded (M, Kmax, N) rates: one check of the real
     users' entries, one stable row-wise sort of the columns by their best
-    real-user rate, and one `tolist`; then `solve_greedy`'s loop per cell,
-    which never reads a padded user.  Each row equals `solve_greedy` on
-    that cell's rate table, bit for bit.
+    real-user rate, and one `tolist` of the sorted rates, user-major as
+    they lie.  Then `solve_greedy`'s loop per cell, on the cell's real user
+    rows zipped into per-depth columns, so no padded user is read: the
+    two-user kernel at K_m = 2, the generic loop at every other K_m.  Each
+    row equals `solve_greedy` on that cell's rate table, bit for bit.
     """
     rates = link_rates(scenario, power)
     real = scenario.real_users
     _check_entries(rates[real])
     best = np.max(rates, axis=1, where=real[..., None], initial=-np.inf)
     order = np.argsort(-best, axis=1, kind="stable")
-    cols = np.take_along_axis(rates, order[:, None, :], axis=2).transpose(0, 2, 1).tolist()
+    rows = np.take_along_axis(rates, order[:, None, :], axis=2).tolist()
     users = np.empty(order.shape, dtype=np.int64)
     users[np.arange(len(order))[:, None], order] = [
-        _greedy_picks(cell_cols, k)[0]
-        for cell_cols, k in zip(cols, scenario.users_per_cell)]
+        _greedy_picks(zip(*cell_rows[:k]), k)[0]
+        for cell_rows, k in zip(rows, scenario.users_per_cell)]
     return users
 
 

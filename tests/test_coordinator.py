@@ -174,6 +174,15 @@ def test_config_validation():
             RunConfig(**kw).validated()
 
 
+@pytest.mark.parametrize("name", ["psi", "wsmr_tol"])
+def test_config_refuses_bools_as_reals(name):
+    # `True > 0.0` holds and `False >= 0.0` too, so a range check alone
+    # would take them; a config must carry a real number.
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            RunConfig(**{name: flag}).validated()
+
+
 def test_run_improves_and_reports_consistently():
     s = desk_scenario()
     power, assignment = initial_point(s)

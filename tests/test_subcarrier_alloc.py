@@ -88,8 +88,15 @@ def test_greedy_matches_its_definition_bit_for_bit():
     rng = np.random.default_rng(67)
     tables = [rng.exponential(size=(int(rng.integers(1, 6)), int(rng.integers(1, 70))))
               for _ in range(100)]
-    # Small integers: ties in the column order and in the running totals.
+    # Small integers: ties in the column order and in the running totals,
+    # at three users and at two (the two-user kernel), where all-zero
+    # columns leave the totals tied after an add.
     tables += [rng.integers(0, 3, size=(3, 7)).astype(float) for _ in range(50)]
+    for _ in range(80):
+        table = rng.integers(0, 3, size=(2, int(rng.integers(1, 12)))).astype(float)
+        table[:, rng.random(table.shape[1]) < 0.3] = 0.0
+        tables.append(table)
+    tables += [np.zeros((2, 5)), np.ones((2, 6))]
     for table in tables:
         assign, low = reference_greedy(table)
         result = solve_greedy(table)
@@ -205,21 +212,24 @@ def greedy_per_cell(s, power):
 def test_greedy_mode_assigns_every_cell_as_solve_greedy_does():
     # One pass over the padded rates must give each cell what its own
     # `solve_greedy` gives: unequal cells (padded user rows are never read),
+    # two users in every cell (no padding; the two-user kernel everywhere),
     # duplicated subcarriers (ties in the column order) and subcarriers no
     # station powers (all-zero columns, ties in the running totals).
     cases = []
     for seed in range(4):
-        s = make_scenario(cells=3, subcarriers=9, users=(1, 2, 3), seed=seed)
-        cases.append((s, np.random.default_rng(seed).uniform(size=(3, 9)) * s.p_max / 9))
-    s = make_scenario(cells=3, subcarriers=8, users=(3, 1, 2), seed=5)
-    cols = [0, 0, 1, 2, 1, 5, 6, 6]
-    tied = dataclasses.replace(s, gains=s.gains[..., cols], noise=s.noise[..., cols])
-    power = np.full((3, 8), s.p_max / 8)
-    cases.append((tied, power))
-    dark = power.copy()
-    dark[:, [2, 5]] = 0.0
-    dark[1, :4] = 0.0
-    cases.append((tied, dark))
+        for users in ((1, 2, 3), 2):
+            s = make_scenario(cells=3, subcarriers=9, users=users, seed=seed)
+            cases.append((s, np.random.default_rng(seed).uniform(size=(3, 9)) * s.p_max / 9))
+    for users in ((3, 1, 2), 2):
+        s = make_scenario(cells=3, subcarriers=8, users=users, seed=5)
+        cols = [0, 0, 1, 2, 1, 5, 6, 6]
+        tied = dataclasses.replace(s, gains=s.gains[..., cols], noise=s.noise[..., cols])
+        power = np.full((3, 8), s.p_max / 8)
+        cases.append((tied, power))
+        dark = power.copy()
+        dark[:, [2, 5]] = 0.0
+        dark[1, :4] = 0.0
+        cases.append((tied, dark))
     for s, power in cases:
         got = solve_all_cells(s, power, mode="greedy")
         assert got.dtype == np.int8
