@@ -126,6 +126,9 @@ def relay(sweep, power: np.ndarray, report_sizes: list[int], *, psi: float,
     `max_iters` iterations.  A PhaseError from the sweep leaves with its iteration and
     the rows before it.  Returns (last raw iterate, trace, converged).
     """
+    # Bools pass the range check (`True > 0.0`), so they are refused first.
+    if isinstance(psi, (bool, np.bool_)):
+        raise ValueError(f"psi must be a real number, got {psi!r}")
     if not (psi > 0.0 and np.isfinite(psi)):
         raise ValueError(f"psi must be finite and positive, got {psi!r}")
     if type(max_iters) is not int or max_iters < 1:

@@ -23,8 +23,11 @@ per-user rate sums and the next sweep's denominators), the multiplier step,
 and a `rate_model.WsmrResult` of those sums, the objective and the per-cell
 worst user rates that the relay reads.  The plans work in place on their
 own intermediates, and a `SimplexPlan` whose slots are all real with
-positive totals skips its masks.  The public `best_response` and
-`update_multipliers` build a plan and call it.  Rows repeat the per-cell
+positive totals skips its masks.  If those rows also have width 2, as at
+two users per cell, the projection is closed form: the sort route's
+arithmetic on the pair without the sort, chosen by one comparison (see
+`SimplexPlan`).  The public `best_response` and `update_multipliers` build
+a plan and call it.  Rows repeat the per-cell
 arithmetic bit for bit, except a cell's average rate once rows have 8 or
 more user slots: numpy's pairwise summation blocks a padded row sum
 differently.
@@ -70,24 +73,33 @@ class SimplexPlan:
     once for fixed totals and real slots and then called on any number of
     value arrays of `shape`.
 
-    `total` holds one nonnegative total per row (checked here) and `real`
-    (broadcast to `shape`, so `True` marks every slot) the slots that exist.
+    `total` holds one finite nonnegative total per row (checked here) and
+    `real` (broadcast to `shape`, so `True` marks every slot) the slots that
+    exist.
     Padded slots are masked, never computed with, and come out zero, as does
     every row of total zero; when every slot is real and every total
     positive, nothing needs masking and `masked` is False.  Each row sorts
     its real values in decreasing order ahead of its padded slots and keeps
     the longest prefix that stays above its shift (Duchi et al., ICML 2008).
+
+    Rows of width 2 that need no masking (`two`) skip the sort: the shift
+    of a row (a, b) is h = ((a + b) - total) / 2 when min(a, b) - h > 0 and
+    max(a, b) - total otherwise, the same operations the sort route makes,
+    so the bits are the same.  Every other width, and any ragged or
+    zero-total plan, takes the sort route.
     """
 
     def __init__(self, total, real: np.ndarray | bool, shape: tuple[int, ...]):
         total = np.asarray(total, dtype=float).reshape(-1, 1)
-        if total.min() < 0.0:
-            raise ValueError(f"simplex total must be nonnegative, got {total.ravel()!r}")
+        if not (np.isfinite(total).all() and total.min() >= 0.0):
+            raise ValueError(
+                f"simplex total must be finite and nonnegative, got {total.ravel()!r}")
         width = shape[-1]
         self.shape, self.total = shape, total
         self.real = (np.zeros(shape, dtype=bool) | real).reshape(-1, width)
         self.live = self.real & (total > 0.0)
         self.masked = not self.live.all()
+        self.two = width == 2 and not self.masked
         # Sort keys are -value on real slots and +inf on padded ones, so real
         # slots fill each row's prefix, in decreasing order of value.
         self.pad_key = np.where(self.real, 0.0, np.inf)
@@ -98,6 +110,8 @@ class SimplexPlan:
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         vals = v.reshape(self.real.shape)
+        if self.two:
+            return self._project_two(vals)
         if self.masked:
             vals = np.where(self.real, vals, 0.0)
         at = (self.pad_key - vals).argsort(axis=-1, kind="stable")
@@ -119,9 +133,31 @@ class SimplexPlan:
             out = np.where(self.live, out, 0.0)
         return out.reshape(self.shape)
 
+    def _project_two(self, vals: np.ndarray) -> np.ndarray:
+        """The sort route's arithmetic on rows (a, b) of two live slots.
+
+        The sorted row is (max, min); its rank-2 shift is h, its rank-1
+        shift max - total.  For floats x - y > 0 exactly when x > y, so the
+        rank test compares min(a, b) with h directly; a + b is the sorted
+        pair's sum, as addition commutes, and a -0.0/+0.0 tie gives the
+        same shift either way.
+        """
+        a, b = vals[:, :1], vals[:, 1:]
+        half = a + b
+        half -= self.total
+        half /= 2.0
+        shift = np.maximum(a, b)
+        shift -= self.total
+        np.copyto(shift, half, where=np.minimum(a, b) > half)
+        out = vals - shift
+        np.maximum(out, 0.0, out=out)
+        return out.reshape(self.shape)
+
     def step(self, lam: np.ndarray, residuals: np.ndarray, t: int) -> np.ndarray:
         """Projected subgradient step from `lam` along `residuals`, of the
-        diminishing size ALPHA0 / (1 + BETA * t) for outer iteration t."""
+        diminishing size ALPHA0 / (1 + BETA * t) for outer iteration t >= 0."""
+        if not t >= 0:
+            raise ValueError(f"step index t must be nonnegative, got {t!r}")
         moved = ALPHA0 / (1.0 + BETA * t) * residuals
         moved += lam
         return self(moved)
@@ -152,14 +188,17 @@ class WaterFillingPlan:
     index order), and the level of the first k of them is sum(weight) /
     (budget + sum(1 / coeff)); the active set is the longest prefix whose
     last entry still lies above its level.  Entries with zero weight or zero
-    coefficient get no power, and nothing gets power at a budget of zero.
+    coefficient get no power, and nothing gets power at a budget of zero;
+    the budget must be finite and nonnegative.
     """
 
     def __init__(self, shape: tuple[int, ...], budget: float):
+        if not 0.0 <= budget < np.inf:
+            raise ValueError(f"budget must be finite and nonnegative, got {budget!r}")
         width = shape[-1]
         self.shape, self.budget = shape, budget
         self.rows = (int(np.prod(shape[:-1])), width)
-        self.dry = budget <= 0.0 or 0 in self.rows
+        self.dry = budget == 0.0 or 0 in self.rows
         self.ranks = np.arange(1, width + 1)
         self.offsets = np.arange(self.rows[0])[:, None] * width
         self.before = self.offsets - 1     # before + rank: flat index of that rank

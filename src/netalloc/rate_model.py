@@ -150,7 +150,9 @@ class AssignedLinks:
         the padded (M, Kmax) sums of every user's rates over its held links,
         exactly 0 in the slots of users that hold none."""
         signal, denom = link_terms(self, power)
-        return signal, denom, self.per_user(np.log1p(signal / denom)).sum(axis=2)
+        rates = signal / denom
+        np.log1p(rates, out=rates)
+        return signal, denom, np.add.reduce(self.per_user(rates), axis=2)
 
 
 def assigned_links(scenario: Scenario, assignment, *,
@@ -184,15 +186,19 @@ def link_terms(scenario: Scenario | AssignedLinks,
         own_gains = gains[cells, cells]
     own_power = power.reshape((len(power),) + (1,) * (gains.ndim - 3) + power.shape[1:])
     signal = own_gains * own_power
-    total = (gains * own_power[:, None]).sum(axis=0)
-    denom = (scenario.noise + (total - signal)) * scenario.snr_gap
+    # (noise + (total - signal)) * snr_gap, formed in the buffer of total.
+    denom = np.add.reduce(gains * own_power[:, None], axis=0)
+    denom -= signal
+    denom += scenario.noise
+    denom *= scenario.snr_gap
     return signal, denom
 
 
 def link_rates(scenario: Scenario | AssignedLinks, power: np.ndarray) -> np.ndarray:
     """Rate of every link of a scenario or an `AssignedLinks` view."""
     signal, denom = link_terms(scenario, power)
-    return np.log1p(signal / denom)
+    rates = signal / denom
+    return np.log1p(rates, out=rates)
 
 
 def cell_user_rates(scenario: Scenario, power: np.ndarray, assignment) -> np.ndarray:

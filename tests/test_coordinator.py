@@ -488,3 +488,18 @@ def test_a_run_back_at_its_start_stops_on_a_cycle(monkeypatch):
     start_power, start_assignment = initial_point(s)
     assert result.final_power.tobytes() == start_power.tobytes()
     assert result.final_assignment.tobytes() == start_assignment.tobytes()
+
+
+def test_relay_refuses_bools_as_psi():
+    # `True > 0.0` holds, so a range check alone would run the phase with a
+    # psi of 1.0; the relay refuses it as `RunConfig.validated()` does.
+    def never(iteration, power):
+        raise AssertionError("the sweep must not run")
+    s = desk_scenario()
+    power, assignment = initial_point(s)
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError, match="psi must be a real number"):
+            relay(never, np.zeros(1), [1], psi=flag, max_iters=5)
+        for solve in (lr_solve, ocd_solve):
+            with pytest.raises(ValueError, match="psi must be a real number"):
+                solve(s, assignment, power, psi=flag)

@@ -469,3 +469,119 @@ def test_plan_outputs_own_their_memory():
         for out in (first, second):
             assert not any(np.shares_memory(out, x) for x in held)
         assert not np.shares_memory(first, second)
+
+
+def two_slot_rows(rng):
+    """(values, totals) of rows of two live slots that reach every corner of
+    the two-slot projection: random rows, tied rows, rows with min(a, b)
+    within a few ulps of the rank-2 shift h = ((a + b) - total) / 2, so that
+    both shifts and the boundary between them occur, rows scaled by 1e300
+    and 1e-300, and rows with subnormal or large totals."""
+    parts = []
+    v = rng.normal(scale=2.0, size=(300, 2))
+    v[:60, 1] = v[:60, 0]                                   # a = b
+    v[60:80] = np.round(v[60:80])
+    parts.append((v, rng.uniform(0.01, 3.0, size=300)))
+    a, total = rng.uniform(0.0, 4.0, size=400), rng.uniform(0.01, 3.0, size=400)
+    b = a - total
+    b += rng.integers(-3, 4, size=400) * np.spacing(b)      # min(a, b) near h
+    parts.append((np.stack([b, a], axis=1), total))
+    for scale in (1e300, 1e-300):
+        v = rng.normal(scale=2.0, size=(100, 2)) * scale
+        parts.append((v, rng.uniform(0.01, 3.0, size=100) * scale))
+    v = rng.normal(size=(100, 2)) * 1e-310
+    parts.append((v, rng.integers(1, 4000, size=100) * 5e-324))  # subnormal totals
+    v = rng.normal(size=(100, 2))
+    parts.append((v, rng.uniform(1.0, 1e300, size=100)))         # large totals
+    return (np.concatenate([v for v, _ in parts]),
+            np.concatenate([t for _, t in parts]))
+
+
+def test_two_slot_projection_is_the_sort_route_bit_for_bit():
+    rng = np.random.default_rng(53)
+    v, total = two_slot_rows(rng)
+    plan = SimplexPlan(total, True, v.shape)
+    assert plan.two
+    got = plan(v)
+    plan.two = False                                        # the generic sort route
+    assert got.tobytes() == plan(v).tobytes()
+    # Both shifts are taken, and rows sit on the boundary between them with
+    # the two shifts apart.
+    lo, hi = v.min(axis=1), v.max(axis=1)
+    half = ((v[:, 0] + v[:, 1]) - total) / 2.0
+    assert (lo > half).sum() > 100 and (lo < half).sum() > 100
+    assert ((lo == half) & (hi - total != half)).any()
+    for r in range(0, len(v), 7):
+        one = SimplexPlan(total[r], True, (2,))
+        assert one.two and one(v[r]).tobytes() == got[r].tobytes()
+
+
+def test_ragged_and_zero_weight_rows_take_the_generic_route():
+    real = np.array([[True, True], [True, False], [True, True]])
+    assert SimplexPlan([1.0, 0.5, 2.0], True, (3, 2)).two
+    assert not SimplexPlan([1.0, 0.5, 2.0], real, (3, 2)).two
+    assert not SimplexPlan([1.0, 0.0, 2.0], True, (3, 2)).two
+    assert not SimplexPlan(1.0, True, (3,)).two
+    assert not SimplexPlan([1.0, 0.5], True, (2, 1)).two
+    rng = np.random.default_rng(61)
+    for total, live in (([0.7, 1.5, 2.0], real), ([0.7, 0.0, 2.0], True)):
+        plan = SimplexPlan(total, live, (3, 2))
+        live = np.broadcast_to(live, (3, 2))
+        for _ in range(20):
+            v = rng.normal(scale=2.0, size=(3, 2))
+            v[~live] = np.nan                                   # never read
+            got = plan(v)
+            for r, k in enumerate(live.sum(axis=1)):
+                want = project_simplex_per_row(v[r, :k], total[r]).tobytes()
+                assert got[r, :k].tobytes() == want
+                assert (got[r, k:] == 0.0).all()
+
+
+@pytest.mark.parametrize("users", [1, 2, 3, (1, 2, 3)])
+def test_lr_report_equals_from_sums(monkeypatch, users):
+    # Each trace row must be `WsmrResult.from_sums` of the rate sums at the
+    # power that sweep returned, recomputed from the scenario.
+    s = make_scenario(cells=3, subcarriers=6, users=users, seed=5,
+                      weights=(0.5, 1.0, 2.0))
+    power = np.full((3, 6), s.p_max / 6)
+    assignment = solve_all_cells(s, power)
+    powers = []
+    real = lr_module.WaterFillingPlan.__call__
+
+    def recording(plan, coeff, weight):
+        powers.append(real(plan, coeff, weight))
+        return powers[-1]
+
+    monkeypatch.setattr(lr_module.WaterFillingPlan, "__call__", recording)
+    result = lr_solve(s, assignment, power, psi=1e-12, max_iters=40)
+    assert len(powers) == len(result.trace) > 5
+    for p, row in zip(powers, result.trace):
+        sums = rate_module.cell_user_rates(s, p, assignment)
+        want = rate_module.WsmrResult.from_sums(sums, s.real_users, s.weights)
+        assert (row.wsmr, row.min_rates) == (want.value, want.min_rates)
+        assert type(row.wsmr) is float and all(type(x) is float for x in row.min_rates)
+
+
+@pytest.mark.parametrize("total", [np.nan, np.inf, -np.inf, -0.5])
+def test_simplex_refuses_totals_that_are_not_finite_and_nonnegative(total):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        SimplexPlan([1.0, total], True, (2, 2))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        update_multipliers(np.ones((1, 2)), np.zeros((1, 2)), [total], 0, True)
+
+
+@pytest.mark.parametrize("t", [-1, -10, np.nan])
+def test_multiplier_step_refuses_a_negative_index(t):
+    # At t = -10 the step size ALPHA0 / (1 + BETA * t) divides by zero.
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        update_multipliers(np.ones((1, 2)), np.zeros((1, 2)), [1.0], t, True)
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        SimplexPlan(1.0, True, (3,)).step(np.ones(3) / 3, np.zeros(3), t)
+
+
+@pytest.mark.parametrize("budget", [np.nan, np.inf, -np.inf, -1.0])
+def test_water_filling_refuses_budgets_that_are_not_finite_and_nonnegative(budget):
+    with pytest.raises(ValueError, match="budget must be finite and nonnegative"):
+        best_response(np.ones(3), np.ones(3), budget)
+    with pytest.raises(ValueError, match="budget must be finite and nonnegative"):
+        lr_module.WaterFillingPlan((2, 3), budget)

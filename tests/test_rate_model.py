@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netalloc import (AssignmentValidationError, PowerValidationError,
+from netalloc import (AssignedLinks, AssignmentValidationError, PowerValidationError,
                       assigned_links, cell_user_rates, link_rates, link_terms,
                       rate_gradient, solve_all_cells, validate_assignment,
                       validate_power, wsmr)
@@ -303,3 +303,45 @@ def test_index_errors():
         rate_gradient(s, power, 0, 2, 0)
     with pytest.raises(IndexError):
         rate_gradient(s, power, 0, 0, 3)
+
+
+def link_terms_as_fresh_arrays(links, power):
+    """`link_terms` as the expression of fresh arrays it replaced, noise
+    added first: (noise + (total - signal)) * snr_gap."""
+    gains = links.gains
+    if isinstance(links, AssignedLinks):
+        own_gains = links.own_gains
+    else:
+        cells = np.arange(len(gains))
+        own_gains = gains[cells, cells]
+    own_power = power.reshape((len(power),) + (1,) * (gains.ndim - 3) + power.shape[1:])
+    signal = own_gains * own_power
+    total = (gains * own_power[:, None]).sum(axis=0)
+    return signal, (links.noise + (total - signal)) * links.snr_gap
+
+
+@pytest.mark.parametrize("users", [2, 3, (1, 2, 3, 2)])
+def test_in_place_link_kernel_matches_the_fresh_array_expression(users):
+    # The kernel forms its denominator in the buffer of the interference
+    # total; every link of a scenario and of its held-link view, the rates
+    # and the per-user sums keep the bits of the fresh-array expression.
+    rng = np.random.default_rng(59)
+    for seed in range(4):
+        s = make_scenario(cells=4, subcarriers=7, users=users, seed=seed,
+                          snr_gap=float(rng.uniform(1.0, 9.0)))
+        power = rng.uniform(0.0, s.p_max / 7, size=(4, 7))
+        power[rng.uniform(size=power.shape) < 0.2] = 0.0
+        assignment = solve_all_cells(s, power, mode="greedy")
+        links = assigned_links(s, assignment, require_complete=True)
+        for view in (s, links):
+            want = link_terms_as_fresh_arrays(view, power)
+            got = link_terms(view, power)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+            rates = np.log1p(want[0] / want[1])
+            assert link_rates(view, power).tobytes() == rates.tobytes()
+        signal, denom, sums = links.evaluate(power)
+        want_signal, want_denom = link_terms_as_fresh_arrays(links, power)
+        want_sums = links.per_user(np.log1p(want_signal / want_denom)).sum(axis=2)
+        assert signal.tobytes() == want_signal.tobytes()
+        assert denom.tobytes() == want_denom.tobytes()
+        assert sums.tobytes() == want_sums.tobytes()
