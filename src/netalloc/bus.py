@@ -5,16 +5,19 @@ one report per cell, rebroadcasts to every cell the reports of all the other
 cells, and checks whether the power iterates have settled.  It never touches
 the optimization variables.  `relay` is that loop, shared by both power
 methods; it owns the exchange, the stop rule, the trace rows and the
-iteration and rows attached to a `PhaseError`.  A sweep reports what
+iteration and rows attached to a `PhaseError`.  `check_stop_rule` is the
+one check of the stop rule's psi and iteration cap, which `relay` and
+`coordinator.RunConfig.validated()` both call.  A sweep reports what
 `relay` reads, the objective and the per-cell worst rates, as a
 `rate_model.WsmrResult`.  The bus tracks message and byte totals so runs
 can report their coordination overhead: every scalar costs eight bytes on
 the wire, and each cell's report is gathered once and broadcast to the M - 1
 other cells, one message each way, so an exchange of reports of S scalars
 in all is 2M messages and 8MS bytes.  The bus also carries the round a run
-is in and the run's clock origin, so `relay` stamps each trace row once,
-with its final round and elapsed time; a phase on a bus of its own is round
-0, timed from the bus's creation.
+is in and the run's clock origin, and `MessageBus.row` builds every trace
+row from them and the running totals: `relay`'s power rows and a run's
+subcarrier rows alike.  A phase on a bus of its own is round 0, timed from
+the bus's creation.
 """
 
 from __future__ import annotations
@@ -111,6 +114,28 @@ class MessageBus:
         self.bytes_total += record.total_bytes
         return record
 
+    def row(self, phase: str, iteration: int, report, delta_p_norm: float) -> TraceRow:
+        """The trace row of `report` (its objective `value` and per-cell
+        `min_rates`), stamped with the bus's round, running totals and clock."""
+        return TraceRow(
+            round=self.round, phase=phase, iteration=iteration, wsmr=report.value,
+            delta_p_norm=delta_p_norm, min_rates=report.min_rates,
+            messages=self.messages_total, bytes=self.bytes_total,
+            elapsed_s=time.perf_counter() - self.started)
+
+
+def check_stop_rule(psi: float, max_iters: int, cap: str = "max_iters") -> None:
+    """Refuse a stop rule `relay` cannot run: psi must be a finite, positive
+    real and the iteration cap, named `cap` in the message, a positive
+    integer."""
+    # Bools pass the range check (`True > 0.0`), so they are refused first.
+    if isinstance(psi, (bool, np.bool_)):
+        raise ValueError(f"psi must be a real number, got {psi!r}")
+    if not (psi > 0.0 and np.isfinite(psi)):
+        raise ValueError(f"psi must be finite and positive, got {psi!r}")
+    if type(max_iters) is not int or max_iters < 1:
+        raise ValueError(f"{cap} must be a positive integer, got {max_iters!r}")
+
 
 def relay(sweep, power: np.ndarray, report_sizes: list[int], *, psi: float,
           max_iters: int, bus: MessageBus | None = None):
@@ -121,18 +146,13 @@ def relay(sweep, power: np.ndarray, report_sizes: list[int], *, psi: float,
     raw iterate and returns (next raw iterate, report of the power the cells
     report: a `rate_model.WsmrResult`, or any object with the objective
     `value` and the per-cell `min_rates`).  One `TraceRow` is appended per
-    iteration, with phase "power" and the bus's round and clock.  The loop stops once
+    iteration, with phase "power", built by `bus.row`.  The loop stops once
     the raw iterate moves less than `psi` in Euclidean norm, or after
-    `max_iters` iterations.  A PhaseError from the sweep leaves with its iteration and
+    `max_iters` iterations; `check_stop_rule` refuses a psi or cap it cannot
+    run.  A PhaseError from the sweep leaves with its iteration and
     the rows before it.  Returns (last raw iterate, trace, converged).
     """
-    # Bools pass the range check (`True > 0.0`), so they are refused first.
-    if isinstance(psi, (bool, np.bool_)):
-        raise ValueError(f"psi must be a real number, got {psi!r}")
-    if not (psi > 0.0 and np.isfinite(psi)):
-        raise ValueError(f"psi must be finite and positive, got {psi!r}")
-    if type(max_iters) is not int or max_iters < 1:
-        raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
+    check_stop_rule(psi, max_iters)
     if bus is None:
         bus = MessageBus()
     trace: list[TraceRow] = []
@@ -147,11 +167,7 @@ def relay(sweep, power: np.ndarray, report_sizes: list[int], *, psi: float,
         # np.linalg.norm's own arithmetic for a whole array.
         moved = (power_now - power).ravel()
         delta = math.sqrt(moved.dot(moved))
-        trace.append(TraceRow(
-            round=bus.round, phase="power", iteration=iteration, wsmr=reported.value,
-            delta_p_norm=delta, min_rates=reported.min_rates,
-            messages=bus.messages_total, bytes=bus.bytes_total,
-            elapsed_s=time.perf_counter() - bus.started))
+        trace.append(bus.row("power", iteration, reported, delta))
         power = power_now
         if delta < psi:
             return power, trace, True

@@ -17,9 +17,13 @@ bytes of every visited state, power then assignment, so equality is exact.
 Both power methods run in `bus.relay` on the run's bus, which carries the
 run's round and clock origin, so a phase's rows arrive stamped for the run,
 and a failed phase raises a `PhaseError`, which the run turns into
-`CoordinatorAbort`.  Each assignment is validated and gathered once, into
-the `AssignedLinks` view that both its objective evaluation and the next
-power phase read.
+`CoordinatorAbort`.  The run's subcarrier rows come from the same
+`MessageBus.row`, and `RunConfig.validated()` checks psi and the power
+iteration cap with the relay's own `bus.check_stop_rule`.  The two
+vocabularies have one owner each: `POWER_METHODS` here, and
+`subcarrier_alloc.SUBCARRIER_MODES`.  Each assignment is validated and
+gathered once, into the `AssignedLinks` view that both its objective
+evaluation and the next power phase read.
 
 The run keeps the best (power, assignment) pair ever evaluated, including
 the starting configuration, so a late non-improving round cannot degrade the
@@ -31,20 +35,18 @@ no traffic.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bus import MessageBus, PhaseError, TraceRow
+from .bus import MessageBus, PhaseError, TraceRow, check_stop_rule
 from .lr_power import lr_solve
 from .ocd_power import ocd_solve
 from .rate_model import assigned_links, wsmr
 from .scenario import Scenario
-from .subcarrier_alloc import solve_all_cells
+from .subcarrier_alloc import SUBCARRIER_MODES, solve_all_cells
 
 POWER_METHODS = ("ocd", "lr")
-SUBCARRIER_MODES = ("exact", "greedy")
 
 
 class CoordinatorAbort(RuntimeError):
@@ -65,19 +67,13 @@ class RunConfig:
     subcarrier_mode: str = "exact"
 
     def validated(self) -> "RunConfig":
-        # Bools pass the range checks (`True > 0.0`), so they are refused first.
-        for name in ("psi", "wsmr_tol"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not (self.psi > 0.0 and np.isfinite(self.psi)):
-            raise ValueError(f"psi must be finite and positive, got {self.psi!r}")
-        if type(self.max_power_iters) is not int or self.max_power_iters < 1:
-            raise ValueError(
-                f"max_power_iters must be a positive integer, got {self.max_power_iters!r}")
+        check_stop_rule(self.psi, self.max_power_iters, "max_power_iters")
         if type(self.max_rounds) is not int or self.max_rounds < 1:
             raise ValueError(
                 f"max_rounds must be a positive integer, got {self.max_rounds!r}")
+        # `False >= 0.0` holds, so a bool is refused before the range check.
+        if isinstance(self.wsmr_tol, (bool, np.bool_)):
+            raise ValueError(f"wsmr_tol must be a real number, got {self.wsmr_tol!r}")
         if not (self.wsmr_tol >= 0.0):
             raise ValueError(f"wsmr_tol must be nonnegative, got {self.wsmr_tol!r}")
         if self.power_method not in POWER_METHODS:
@@ -134,9 +130,7 @@ def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
 
     links = assigned_links(scenario, assignment)
     current = wsmr(scenario, power, links)
-    best_value = current.value
-    best_power = power.copy()
-    best_assignment = assignment.copy()
+    best = (current.value, power.copy(), assignment.copy())
     previous_round_value = current.value
     visited = {power.tobytes() + assignment.tobytes()}
     stop_reason = "rounds"
@@ -167,27 +161,19 @@ def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
             first_phase_converged = result.converged
         last_phase_converged = result.converged
 
-        # The last row is the objective at exactly `result.power`.
-        after_power = result.trace[-1].wsmr
-        if after_power > best_value:
-            best_value = after_power
-            best_power = power.copy()
-            best_assignment = assignment.copy()
-
         # The held assignment warm-starts the exact solve; the result is the same.
+        held = assignment
         assignment = solve_all_cells(scenario, power, mode=config.subcarrier_mode,
                                      current=links.user)
         links = assigned_links(scenario, assignment)
         after_sub = wsmr(scenario, power, links)
-        trace.append(TraceRow(
-            round=round_index, phase="subcarrier", iteration=1,
-            wsmr=after_sub.value, delta_p_norm=0.0, min_rates=after_sub.min_rates,
-            messages=bus.messages_total, bytes=bus.bytes_total,
-            elapsed_s=time.perf_counter() - bus.started))
-        if after_sub.value > best_value:
-            best_value = after_sub.value
-            best_power = power.copy()
-            best_assignment = assignment.copy()
+        trace.append(bus.row("subcarrier", 1, after_sub, 0.0))
+        # The last power row is the objective at exactly `result.power` under
+        # the held assignment; the subcarrier row, under the new one.
+        for value, state_assignment in ((result.trace[-1].wsmr, held),
+                                        (after_sub.value, assignment)):
+            if value > best[0]:
+                best = (value, power.copy(), state_assignment.copy())
 
         rounds = round_index + 1
         relative = (abs(after_sub.value - previous_round_value)
@@ -202,6 +188,7 @@ def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
             break
         visited.add(key)
 
+    best_value, best_power, best_assignment = best
     return RunResult(
         best_power=best_power, best_assignment=best_assignment,
         best_wsmr=best_value, final_power=power, final_assignment=assignment,

@@ -23,16 +23,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coordinator import (CoordinatorAbort, RunConfig, TraceRow, initial_point,
-                          run)
+from .coordinator import (POWER_METHODS, CoordinatorAbort, RunConfig, TraceRow,
+                          initial_point, run)
 from .oracles import (MAX_ASSIGNMENT_MAPS, MAX_GRID_SUBCARRIERS,
-                      OracleSizeError, exhaustive_min_rate, grid_power_optimum)
+                      exhaustive_min_rate, grid_power_optimum)
 from .ocd_power import ocd_solve
 from .rate_model import wsmr
 from .scenario import (Scenario, ScenarioFormatError, ScenarioParams,
                        ScenarioValidationError, db_to_linear,
                        generate_scenario, load_scenario, save_scenario)
-from .subcarrier_alloc import solve_exact, solve_greedy
+from .subcarrier_alloc import SUBCARRIER_MODES, solve_exact, solve_greedy
 
 EXIT_OK = 0
 EXIT_ABORT = 1
@@ -95,7 +95,7 @@ def _params_from_flags(args: argparse.Namespace) -> ScenarioParams:
 
 
 def _solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", choices=("ocd", "lr"), default="ocd")
+    parser.add_argument("--method", choices=POWER_METHODS, default="ocd")
     parser.add_argument("--psi", type=float, default=0.1,
                         help="power movement threshold of the stop test")
     parser.add_argument("--max-iter", type=int, default=200,
@@ -104,8 +104,7 @@ def _solver_flags(parser: argparse.ArgumentParser) -> None:
                         help="max alternating rounds")
     parser.add_argument("--wsmr-tol", type=float, default=1e-3,
                         help="relative objective change that ends the run")
-    parser.add_argument("--subcarrier", choices=("exact", "greedy"),
-                        default="exact")
+    parser.add_argument("--subcarrier", choices=SUBCARRIER_MODES, default="exact")
 
 
 def _config_from_flags(args: argparse.Namespace) -> RunConfig | None:
@@ -340,7 +339,10 @@ def _oracle_usage_error(args: argparse.Namespace,
         if users > args.subcarriers:
             return (f"assignment oracle needs at most N = {args.subcarriers} users "
                     f"per cell; got {counts}")
-        if users ** args.subcarriers > MAX_ASSIGNMENT_MAPS:
+        # Past the limit's bit length, K^N exceeds it for every K >= 2, so
+        # the capped exponent decides without forming a huge power.
+        if users ** min(args.subcarriers, MAX_ASSIGNMENT_MAPS.bit_length()) \
+                > MAX_ASSIGNMENT_MAPS:
             return (f"assignment oracle limited to K^N <= {MAX_ASSIGNMENT_MAPS}; "
                     f"got {users}^{args.subcarriers}")
     if "power" in checks:

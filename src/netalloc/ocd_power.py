@@ -14,11 +14,13 @@ all cells (a Jacobi sweep).  The iterate is one `OcdState` that holds every
 cell as a row, its user axis padded to the largest cell.  `newton_step` is
 the sweep: it forms every cell's subproblem terms once, as padded all-cell
 arrays, then steps all cells with one set of array operations and returns
-the next `OcdState`.  What stays fixed while the assignment does lives in
-one `OcdPhase`, built once per `ocd_solve` call: the held links, the
-gap-scaled coupling gains and the fixed rows of the reduced system.  The
-phase also evaluates each power snapshot once, through the held links'
-`AssignedLinks.evaluate` (noise plus interference, its sum with the signal,
+the next `OcdState`.  Uniform and ragged cells take the same route: the
+padded user slots' rate rows are masked in every sweep, and on uniform
+cells the masks select every entry.  What stays fixed while the assignment
+does lives in one `OcdPhase`, built once per `ocd_solve` call: the held
+links, the gap-scaled coupling gains and the fixed rows of the reduced
+system.  The phase also evaluates each power snapshot once, keeping the
+held links' `AssignedLinks.evaluate` (the signal, noise plus interference
 and the users' padded rate sums), and a sweep's report, a
 `rate_model.WsmrResult` of those sums, and the next Newton step read the
 same snapshot, so t sweeps make t + 1 link evaluations.  A step eliminates
@@ -47,7 +49,6 @@ through independent code paths so the identity can be checked numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -162,16 +163,6 @@ def project_power(power: np.ndarray, p_max: float) -> np.ndarray:
     return out
 
 
-class Snapshot(NamedTuple):
-    """The held links evaluated at one power: every link's noise plus
-    interference `denom` and its sum `full` with the signal, both (M, N),
-    and the padded (M, Kmax) `rate_sums` of every user's assigned rates."""
-
-    denom: np.ndarray
-    full: np.ndarray
-    rate_sums: np.ndarray
-
-
 class OcdPhase:
     """What stays fixed while the assignment does, and the last snapshot.
 
@@ -185,15 +176,13 @@ class OcdPhase:
     (see `_solve_reduced`): the budget row over the powers and the aux
     border e_aux.
 
-    `masked` is False when every user slot is real (every cell has Kmax
-    users).  Then `_subproblem_terms` and `newton_step` skip their
-    `np.where(real, ...)` masks on the rate rows, which would select every
-    entry and change no bit; a ragged scenario keeps the masked route.
-
-    `snapshot(power)` evaluates the held links at a power and keeps the
-    result until it is asked for a power with other bits.  So a sweep's
-    report and the next Newton step, which read the same power whenever
-    projecting it changes nothing, share one evaluation.
+    `snapshot(power)` returns the held links' `AssignedLinks.evaluate` at a
+    power, (signal, denom, rate_sums), and keeps it until it is asked for a
+    power with other bits.  So a sweep's report and the next Newton step,
+    which read the same power whenever projecting it changes nothing, share
+    one evaluation.  `_subproblem_terms` adds the signal to the denominator
+    where it reads them, so an evaluation that only feeds a report skips
+    that add.
     """
 
     def __init__(self, scenario: Scenario, assignment):
@@ -204,7 +193,6 @@ class OcdPhase:
         self.into = links.gains * links.snr_gap
         self.into[cells, cells] = 0.0
         self.into_sq = self.into * self.into
-        self.masked = not scenario.real_users.all()
         self.weights = np.array(scenario.weights, dtype=float)
         self.budget = np.zeros((m_cells, 1, n_sub + 1))
         self.budget[..., :n_sub] = 1.0
@@ -213,14 +201,13 @@ class OcdPhase:
         self._bits = None
         self._snapshot = None
 
-    def snapshot(self, power: np.ndarray) -> Snapshot:
+    def snapshot(self, power: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The held links at `power`: one evaluation per new power."""
         power = np.asarray(power, dtype=float)
         bits = power.tobytes()
         if bits != self._bits:
-            signal, denom, rate_sums = self.links.evaluate(power)
             self._bits = bits
-            self._snapshot = Snapshot(denom, denom + signal, rate_sums)
+            self._snapshot = self.links.evaluate(power)
         return self._snapshot
 
 
@@ -269,8 +256,8 @@ def _subproblem_terms(scenario: Scenario, assignment,
     links, into = phase.links, phase.into
     n_sub = scenario.num_subcarriers
     real = scenario.real_users
-    snap = phase.snapshot(state.power)
-    denom, full = snap.denom, snap.full
+    signal, denom, rate_sums = phase.snapshot(state.power)
+    full = denom + signal
     d_rate = links.per_user(links.own_gains / full)
 
     lam_held = state.lam.take(links.slot)
@@ -284,9 +271,7 @@ def _subproblem_terms(scenario: Scenario, assignment,
     jac_h = np.zeros(real.shape + (n_sub + 1,))
     jac_h[..., :n_sub] = -d_rate
     jac_h[..., n_sub] = real
-    h = state.aux_rate[:, None] - snap.rate_sums
-    if phase.masked:
-        h = np.where(real, h, 0.0)
+    h = np.where(real, state.aux_rate[:, None] - rate_sums, 0.0)
     return SubproblemTerms(grad=grad, curv=curv, h=h,
                            jac_h=jac_h, curv_h=d_rate * d_rate, real=real)
 
@@ -426,12 +411,9 @@ def newton_step(scenario: Scenario, assignment,
     hess = np.minimum(t.curv[:, :n_sub] - np.einsum("mk,mkn->mn", lam, t.curv_h),
                       -REGULARIZATION)
     r_stat = t.grad - np.einsum("mkj,mk->mj", t.jac_h, lam) - _jac_g_transpose(mu)
-    r_ph = t.h + slack_h
+    r_ph = np.where(t.real, t.h + slack_h, 0.0)
     r_pg = _local_constraints(power, scenario.p_max) + slack_g
-    r_ch = lam * slack_h - barrier
-    if phase.masked:
-        r_ph = np.where(t.real, r_ph, 0.0)
-        r_ch = np.where(t.real, r_ch, 0.0)
+    r_ch = np.where(t.real, lam * slack_h - barrier, 0.0)
     r_cg = mu * slack_g - barrier
     rhs = (-r_stat + np.einsum("mkj,mk->mj", t.jac_h, (lam * r_ph - r_ch) / slack_h)
            + _jac_g_transpose((mu * r_pg - r_cg) / slack_g))
@@ -536,8 +518,8 @@ def ocd_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndar
         nonlocal state, reported
         state = newton_step(scenario, phase, state).state
         reported = project_power(state.power, scenario.p_max)
-        return state.power, WsmrResult.from_sums(phase.snapshot(reported).rate_sums,
-                                                 real, phase.weights)
+        _, _, rate_sums = phase.snapshot(reported)
+        return state.power, WsmrResult.from_sums(rate_sums, real, phase.weights)
 
     # The relay's last raw iterate is the last sweep's state.power, so the
     # projection that sweep reported is the returned power.

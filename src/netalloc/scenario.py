@@ -358,21 +358,20 @@ def load_scenario(path: str | os.PathLike) -> Scenario:
     n_sub = params.num_subcarriers
     k_max = max(params.users_per_cell)
 
-    def shaped(key, value, want_shape, ctx):
+    def shaped(value, want_shape, ctx):
         arr = np.asarray(value, dtype=float)
         if arr.shape != want_shape:
             raise ScenarioFormatError(
                 f"{path}: {ctx}: expected shape {want_shape}, got {arr.shape}")
         return arr
 
-    bs = shaped("bs_positions", _require(doc, "bs_positions", path),
-                (m_cells, 2), "bs_positions")
+    bs = shaped(_require(doc, "bs_positions", path), (m_cells, 2), "bs_positions")
     raw_users = _require(doc, "user_positions", path)
     if len(raw_users) != m_cells:
         raise ScenarioFormatError(
             f"{path}: user_positions: expected {m_cells} cells, got {len(raw_users)}")
     user_pos = tuple(
-        shaped("user_positions", raw_users[m], (params.users_per_cell[m], 2),
+        shaped(raw_users[m], (params.users_per_cell[m], 2),
                f"user_positions[{m}]")
         for m in range(m_cells))
 
@@ -388,7 +387,7 @@ def load_scenario(path: str | os.PathLike) -> Scenario:
                 f"got {len(raw_gains[l])}")
         for m in range(m_cells):
             k_m = params.users_per_cell[m]
-            block = shaped("gains", raw_gains[l][m], (k_m, n_sub),
+            block = shaped(raw_gains[l][m], (k_m, n_sub),
                            f"gains[l={l}][m={m}]")
             gains[l, m, :k_m, :] = block
 
@@ -399,8 +398,7 @@ def load_scenario(path: str | os.PathLike) -> Scenario:
     noise = np.full((m_cells, k_max, n_sub), params.noise_power)
     for m in range(m_cells):
         noise[m, :params.users_per_cell[m], :] = shaped(
-            "noise", raw_noise[m], (params.users_per_cell[m], n_sub),
-            f"noise[m={m}]")
+            raw_noise[m], (params.users_per_cell[m], n_sub), f"noise[m={m}]")
 
     scenario = Scenario(params=params, bs_positions=bs, user_positions=user_pos,
                         gains=gains, noise=noise)

@@ -74,6 +74,9 @@ from .rate_model import link_rates
 from .scenario import Scenario
 
 
+# The `mode` values of `solve_all_cells`, which `coordinator.RunConfig` and
+# the CLI's --subcarrier accept.
+SUBCARRIER_MODES = ("exact", "greedy")
 # Relative shrink of the held assignment's value before it prunes the search.
 FLOOR_MARGIN = 1e-12
 # Projected subgradient steps towards the dual point at K >= 3, and the
@@ -572,8 +575,8 @@ def solve_all_cells(scenario: Scenario, power: np.ndarray, *,
     shape raises `RateTableError`.  Greedy has no use for it, and assigns
     every cell in one pass (see `_greedy_all_cells`).
     """
-    if mode not in ("exact", "greedy"):
-        raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
+    if mode not in SUBCARRIER_MODES:
+        raise ValueError(f"mode must be one of {SUBCARRIER_MODES}, got {mode!r}")
     shape = (scenario.num_cells, scenario.num_subcarriers)
     if current is not None and np.shape(current) != shape:
         raise RateTableError(f"current must be a {shape} user-index array, "

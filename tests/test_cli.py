@@ -424,6 +424,9 @@ def test_oracle_refuses_oversized_instances(capsys):
      "at most N = 3 users"),
     (["--check", "assignment", "--users-per-cell", "1,2", "--subcarriers", "1"],
      "at most N = 1 users"),
+    # Refused at once: deciding K^N > 4096 needs no 100-million-digit power.
+    (["--check", "assignment", "--users-per-cell", "3", "--subcarriers", "100000000"],
+     "K^N <= 4096; got 3^100000000"),
 ])
 def test_oracle_refuses_sizes_it_cannot_check(capsys, flags, message):
     # A usage error, not a solver abort, and never an empty `verdict: ok`.

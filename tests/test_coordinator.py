@@ -134,6 +134,20 @@ def test_relay_validation():
     assert bus.messages_total == 0
 
 
+@pytest.mark.parametrize("psi, cap", [
+    (0.0, 5), (-1.0, 5), (np.nan, 5), (np.inf, 5), (True, 5), (np.True_, 5),
+    (0.1, 0), (0.1, 1.5), (0.1, True)])
+def test_relay_refuses_what_the_config_refuses(psi, cap):
+    # One stop-rule check serves both; only the cap's name differs.
+    def never(iteration, power):
+        raise AssertionError("the sweep must not run")
+    with pytest.raises(ValueError) as refused:
+        RunConfig(psi=psi, max_power_iters=cap).validated()
+    with pytest.raises(ValueError) as relayed:
+        relay(never, np.zeros(1), [1], psi=psi, max_iters=cap)
+    assert str(relayed.value) == str(refused.value).replace("max_power_iters", "max_iters")
+
+
 def test_relay_attaches_iteration_and_rows_to_phase_errors():
     class ToyError(PhaseError):
         pass
@@ -221,6 +235,12 @@ def test_run_trace_structure():
             list(range(1, len(power_rows) + 1))
     assert result.power_iterations == \
         sum(1 for r in result.trace if r.phase == "power")
+    # A subcarrier phase is cell-local: its row carries the running totals
+    # of the power row before it.
+    for before, row in zip(result.trace, result.trace[1:]):
+        if row.phase == "subcarrier":
+            assert before.phase == "power"
+            assert (row.messages, row.bytes) == (before.messages, before.bytes)
     elapsed = [r.elapsed_s for r in result.trace]
     assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
 

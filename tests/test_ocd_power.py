@@ -581,28 +581,6 @@ def test_padded_user_slots_stay_exact():
         assert state.barrier == ocd_module.BARRIER_FLOOR
 
 
-def test_all_real_path_steps_as_the_masked_path_does(monkeypatch):
-    # At uniform K every user slot is real and the phase skips the masks
-    # on the rate residuals; forced back on, every sweep's arrays keep
-    # their bytes.  A ragged scenario's phase always masks.
-    assert ocd_module.OcdPhase(*desk_instance(users=(1, 2, 3))[:2]).masked
-    for users in (1, 2, 3):
-        s, assignment, power = desk_instance(seed=users, users=users)
-        fast = ocd_module.OcdPhase(s, assignment)
-        masked = ocd_module.OcdPhase(s, assignment)
-        assert not fast.masked
-        monkeypatch.setattr(masked, "masked", True)
-        ours = theirs = init_cell_states(s, assignment, power)
-        for _ in range(40):
-            got, want = newton_step(s, fast, ours), newton_step(s, masked, theirs)
-            for name in ("d_power", "d_aux_rate", "d_lam", "d_mu", "alpha"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-            ours, theirs = got.state, want.state
-            for field in dataclasses.fields(ours):
-                assert (np.asarray(getattr(ours, field.name)).tobytes()
-                        == np.asarray(getattr(theirs, field.name)).tobytes())
-
-
 def test_residual_routes_agree_on_an_incomplete_assignment():
     # A subcarrier nobody holds carries no rate and no coupling: the
     # held-link route gives it zero gains, the global route skips it.
