@@ -25,7 +25,7 @@ import numpy as np
 
 from .coordinator import (POWER_METHODS, CoordinatorAbort, RunConfig, TraceRow,
                           initial_point, run)
-from .oracles import (MAX_ASSIGNMENT_MAPS, MAX_GRID_SUBCARRIERS,
+from .oracles import (MAX_ASSIGNMENT_MAPS, MAX_GRID_POINTS, MAX_GRID_SUBCARRIERS,
                       exhaustive_min_rate, grid_power_optimum)
 from .ocd_power import ocd_solve
 from .rate_model import wsmr
@@ -351,6 +351,9 @@ def _oracle_usage_error(args: argparse.Namespace,
                     f"{MAX_GRID_SUBCARRIERS}; got {args.power_subcarriers}")
         if args.grid < 2:
             return f"--grid needs at least 2 points per axis, got {args.grid}"
+        if args.grid ** args.power_subcarriers > MAX_GRID_POINTS:
+            return (f"power grid oracle limited to grid^N <= {MAX_GRID_POINTS}; "
+                    f"got {args.grid}^{args.power_subcarriers}")
         counts = _oracle_users(args, "power")
         # More users than subcarriers leaves a user with none, so the
         # objective is 0 at every power and the check would pass vacuously.

@@ -23,14 +23,22 @@ per-user rate sums and the next sweep's denominators), the multiplier step,
 and a `rate_model.WsmrResult` of those sums, the objective and the per-cell
 worst user rates that the relay reads.  The plans work in place on their
 own intermediates, and a `SimplexPlan` whose slots are all real with
-positive totals skips its masks.  If those rows also have width 2, as at
-two users per cell, the projection is closed form: the sort route's
-arithmetic on the pair without the sort, chosen by one comparison (see
-`SimplexPlan`).  The public `best_response` and `update_multipliers` build
-a plan and call it.  Rows repeat the per-cell
+positive totals skips its masks.  The public `best_response` and
+`update_multipliers` build a plan and call it.  Rows repeat the per-cell
 arithmetic bit for bit, except a cell's average rate once rows have 8 or
 more user slots: numpy's pairwise summation blocks a padded row sum
 differently.
+
+When every cell has two users and a positive weight, as in the paper's
+experiment, the per-user stage of a sweep is a handful of numbers per cell,
+and numpy's per-call overhead dominates it.  There `_pair_pass` takes that
+stage (the cell mean, the multiplier step, the projection and the worst
+rate) on Python floats, one cell at a time.  It repeats the numpy route's
+operations in the same order, so every run keeps its bits: LR's outcome is
+chaotic at the last bit, and any change to the order of the operations
+would move it.  The objective stays numpy's dot of the weights and the
+worst rates.  Ragged and zero-weight cells, and a sweep whose rate sums
+or multipliers are not all finite, take the numpy route.
 
 Both methods run in the same loop, `bus.relay`: same Jacobi information
 pattern, exchange and stop test as the decomposed method, so iteration
@@ -39,6 +47,7 @@ counts and message totals are comparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,12 +90,6 @@ class SimplexPlan:
     positive, nothing needs masking and `masked` is False.  Each row sorts
     its real values in decreasing order ahead of its padded slots and keeps
     the longest prefix that stays above its shift (Duchi et al., ICML 2008).
-
-    Rows of width 2 that need no masking (`two`) skip the sort: the shift
-    of a row (a, b) is h = ((a + b) - total) / 2 when min(a, b) - h > 0 and
-    max(a, b) - total otherwise, the same operations the sort route makes,
-    so the bits are the same.  Every other width, and any ragged or
-    zero-total plan, takes the sort route.
     """
 
     def __init__(self, total, real: np.ndarray | bool, shape: tuple[int, ...]):
@@ -99,7 +102,6 @@ class SimplexPlan:
         self.real = (np.zeros(shape, dtype=bool) | real).reshape(-1, width)
         self.live = self.real & (total > 0.0)
         self.masked = not self.live.all()
-        self.two = width == 2 and not self.masked
         # Sort keys are -value on real slots and +inf on padded ones, so real
         # slots fill each row's prefix, in decreasing order of value.
         self.pad_key = np.where(self.real, 0.0, np.inf)
@@ -110,8 +112,6 @@ class SimplexPlan:
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         vals = v.reshape(self.real.shape)
-        if self.two:
-            return self._project_two(vals)
         if self.masked:
             vals = np.where(self.real, vals, 0.0)
         at = (self.pad_key - vals).argsort(axis=-1, kind="stable")
@@ -131,26 +131,6 @@ class SimplexPlan:
         np.maximum(out, 0.0, out=out)
         if self.masked:
             out = np.where(self.live, out, 0.0)
-        return out.reshape(self.shape)
-
-    def _project_two(self, vals: np.ndarray) -> np.ndarray:
-        """The sort route's arithmetic on rows (a, b) of two live slots.
-
-        The sorted row is (max, min); its rank-2 shift is h, its rank-1
-        shift max - total.  For floats x - y > 0 exactly when x > y, so the
-        rank test compares min(a, b) with h directly; a + b is the sorted
-        pair's sum, as addition commutes, and a -0.0/+0.0 tie gives the
-        same shift either way.
-        """
-        a, b = vals[:, :1], vals[:, 1:]
-        half = a + b
-        half -= self.total
-        half /= 2.0
-        shift = np.maximum(a, b)
-        shift -= self.total
-        np.copyto(shift, half, where=np.minimum(a, b) > half)
-        out = vals - shift
-        np.maximum(out, 0.0, out=out)
         return out.reshape(self.shape)
 
     def step(self, lam: np.ndarray, residuals: np.ndarray, t: int) -> np.ndarray:
@@ -175,6 +155,47 @@ def update_multipliers(lam: np.ndarray, residuals: np.ndarray, weights, t: int,
     """
     lam = np.asarray(lam, dtype=float)
     return SimplexPlan(weights, real, lam.shape).step(lam, np.asarray(residuals), t)
+
+
+def _pair_pass(sums: list, lam: list, weights: list, t: int):
+    """The per-user stage of a sweep at two users per cell, on Python floats.
+
+    `sums` and `lam` are the `tolist` of the (M, 2) rate sums and
+    multipliers, `weights` the M positive cell weights.  Each cell forms
+    what the numpy route forms, with the same operations in the same order:
+    the mean (s0 + s1) / 2, the moved pair (a, b) of `SimplexPlan.step` at
+    index t, the projection's shift that the sort route picks (its rank-2
+    shift h = ((a + b) - weight) / 2 when min(a, b) > h, else its rank-1
+    shift max(a, b) - weight), the new multipliers and the cell's worst rate
+    as `WsmrResult.from_sums` reduces it.  For floats x - y > 0 exactly when
+    x > y, so the rank test compares min(a, b) with h directly.  Ties keep
+    numpy's bits: the shift does not depend on the sign of a tied zero, a
+    multiplier before its clamp at zero is never -0.0, and the worst rate
+    takes the second operand on a tie, as numpy's minimum does on x86.
+
+    Returns (multiplier rows, worst rates), or None as soon as a cell's
+    sums or multipliers are not all finite: there Python's comparisons would
+    drop a NaN that numpy's minimum and maximum carry.
+    """
+    step = ALPHA0 / (1.0 + BETA * t)
+    rows, worsts = [], []
+    for (s0, s1), (l0, l1), w in zip(sums, lam, weights):
+        mean = (s0 + s1) / 2.0
+        # An infinite or NaN term makes the sum infinite or NaN.
+        if not math.isfinite(mean + l0 + l1):
+            return None
+        a = step * (mean - s0) + l0
+        b = step * (mean - s1) + l1
+        half = ((a + b) - w) / 2.0
+        if a < b:
+            shift = half if a > half else b - w
+        else:
+            shift = half if b > half else a - w
+        a -= shift
+        b -= shift
+        rows.append((a if a > 0.0 else 0.0, b if b > 0.0 else 0.0))
+        worsts.append(s0 if s0 < s1 else s1)
+    return rows, worsts
 
 
 class WaterFillingPlan:
@@ -269,6 +290,8 @@ def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarr
     lam = np.where(real, weights[:, None] / counts, 0.0)
     water = WaterFillingPlan(own_gain.shape, scenario.p_max)
     simplex = SimplexPlan(weights, real, lam.shape)
+    pairs = lam.shape[1] == 2 and not simplex.masked
+    weight_list = weights.tolist()
     # The relay hands each sweep the iterate the previous one returned, so
     # the denominators at it are the previous sweep's.
     _, denom, _ = links.evaluate(initial_power)
@@ -279,6 +302,12 @@ def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarr
         if not np.isfinite(power_now).all():
             raise LrDivergenceError("power iterate is not finite")
         _, denom, sums = links.evaluate(power_now)        # padded slots 0
+        stage = (_pair_pass(sums.tolist(), lam.tolist(), weight_list, iteration - 1)
+                 if pairs else None)
+        if stage is not None:
+            rows, worsts = stage
+            lam = np.array(rows)
+            return power_now, WsmrResult(float(np.dot(weights, worsts)), tuple(worsts))
         mean = np.add.reduce(sums, axis=1, keepdims=True)
         mean /= counts
         lam = simplex.step(lam, mean - sums, iteration - 1)

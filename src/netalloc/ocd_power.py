@@ -21,9 +21,10 @@ does lives in one `OcdPhase`, built once per `ocd_solve` call: the held
 links, the gap-scaled coupling gains and the fixed rows of the reduced
 system.  The phase also evaluates each power snapshot once, keeping the
 held links' `AssignedLinks.evaluate` (the signal, noise plus interference
-and the users' padded rate sums), and a sweep's report, a
-`rate_model.WsmrResult` of those sums, and the next Newton step read the
-same snapshot, so t sweeps make t + 1 link evaluations.  A step eliminates
+and the users' padded rate sums).  The starting point and the first Newton
+step read one snapshot, and so do a sweep's report, a
+`rate_model.WsmrResult` of those sums, and the next Newton step, so t
+sweeps make t + 1 link evaluations, the start included.  A step eliminates
 slacks and multipliers in closed form, leaving a reduced (N+1)x(N+1) system
 in the cell's powers and aux rate.
 That matrix is a diagonal plus rank K + 1 (the K rate rows and the budget row),
@@ -472,6 +473,9 @@ def init_cell_states(scenario: Scenario, assignment, power: np.ndarray) -> OcdSt
     rates (making the aux-rate stationarity exact), floored so a zero-weight
     cell still starts strictly interior, and at one for the local
     constraints; slacks match the constraint values up to a small floor.
+    Takes the assignment, its `AssignedLinks` view or an `OcdPhase`, and
+    reads the rates from the phase's snapshot at the starting power, which
+    is the power the first Newton step reads.
     """
     # Lift powers a damped step could take below 0 to the power floor; a row
     # lifted over budget pays from its largest entry.
@@ -480,7 +484,7 @@ def init_cell_states(scenario: Scenario, assignment, power: np.ndarray) -> OcdSt
     rows = np.flatnonzero(excess > 0.0)
     lifted[rows, lifted[rows].argmax(axis=1)] -= excess[rows]
     real = scenario.real_users
-    rates = cell_user_rates(scenario, lifted, assignment)
+    rates = _phase(scenario, assignment).snapshot(lifted)[2]
     aux = AUX_RATE_INIT_FACTOR * np.where(real, rates, np.inf).min(axis=1)
     per_user = np.asarray(scenario.weights) / np.asarray(scenario.users_per_cell)
     lam = np.where(real, np.maximum(per_user, SLACK_FLOOR)[:, None], 0.0)
@@ -500,17 +504,18 @@ def ocd_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndar
     `max_iters` iterations.  The reported and returned powers are projected
     onto the feasible box and budgets; the stop test uses the raw iterates.
 
-    One `OcdPhase` serves every sweep of the call.  A sweep's report and the
-    next Newton step share the phase's snapshot whenever the projection
+    One `OcdPhase` serves the starting point and every sweep of the call.
+    The first Newton step reads the starting point's snapshot, and a sweep's
+    report and the next Newton step share one whenever the projection
     leaves the power's bits as they are, so t sweeps evaluate the links
-    t + 1 times; a sweep whose power the projection moves evaluates both
-    the projected and the raw power.
+    t + 1 times, the start included; a sweep whose power the projection
+    moves evaluates both the projected and the raw power.
     """
     links = assigned_links(scenario, assignment, require_complete=True)
     validate_power(scenario, initial_power)
     report_sizes = [scenario.num_subcarriers + 1 + k for k in scenario.users_per_cell]
-    state = init_cell_states(scenario, links, initial_power)
     phase = OcdPhase(scenario, links)
+    state = init_cell_states(scenario, phase, initial_power)
     real = scenario.real_users
     reported = None
 

@@ -18,6 +18,8 @@ from .scenario import Scenario
 
 MAX_ASSIGNMENT_MAPS = 4096
 MAX_GRID_SUBCARRIERS = 2
+# Points of the power grid, grid^N: each of its few float arrays is 8 MB.
+MAX_GRID_POINTS = 10**6
 
 
 class OracleSizeError(ValueError):
@@ -55,8 +57,8 @@ def grid_power_optimum(scenario: Scenario, assignment: np.ndarray, *,
     """Best min user rate of a single isolated cell over a power grid.
 
     Scans `grid_points` levels per subcarrier over [0, p_max], keeping only
-    budget-feasible combinations.  Limited to one cell (no interference) and
-    at most two subcarriers.
+    budget-feasible combinations.  Limited to one cell (no interference), at
+    most two subcarriers and grid^N <= MAX_GRID_POINTS.
     """
     if scenario.num_cells != 1:
         raise OracleSizeError(
@@ -67,6 +69,9 @@ def grid_power_optimum(scenario: Scenario, assignment: np.ndarray, *,
             f"power grid oracle limited to N <= {MAX_GRID_SUBCARRIERS}, got {n_sub}")
     if grid_points < 2:
         raise OracleSizeError(f"grid needs at least 2 points, got {grid_points}")
+    if grid_points ** n_sub > MAX_GRID_POINTS:
+        raise OracleSizeError(f"power grid oracle limited to grid^N <= {MAX_GRID_POINTS}, "
+                              f"got {grid_points}^{n_sub}")
 
     a = np.asarray(assignment)
     levels = np.linspace(0.0, scenario.p_max, grid_points)

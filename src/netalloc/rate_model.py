@@ -224,7 +224,7 @@ class WsmrResult(NamedTuple):
 
 def wsmr(scenario: Scenario, power: np.ndarray, assignment) -> WsmrResult:
     """Network objective: sum over cells of weight * worst own-user rate."""
-    sums = assigned_links(scenario, assignment).evaluate(power)[2]
+    sums = cell_user_rates(scenario, power, assignment)
     return WsmrResult.from_sums(sums, scenario.real_users, scenario.weights)
 
 

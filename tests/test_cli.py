@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import netalloc
@@ -434,6 +435,23 @@ def test_oracle_refuses_sizes_it_cannot_check(capsys, flags, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("flags", [["--grid", "100000"],
+                                   ["--grid", "1001", "--power-subcarriers", "2"],
+                                   ["--grid", "1000001", "--power-subcarriers", "1"]])
+def test_oracle_refuses_a_grid_it_cannot_hold(monkeypatch, capsys, flags):
+    # grid^N points, a few float arrays of them: --grid 100000 at N = 2 would
+    # ask for about 80 GB per array.  Refused before any grid is built.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the power grid was built")
+
+    monkeypatch.setattr(np, "linspace", unreachable)
+    monkeypatch.setattr(np, "meshgrid", unreachable)
+    assert main(["oracle", "--check", "power", "--trials", "1", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "grid^N <= 1000000" in err
 
 
 def test_console_entry_point_runs():

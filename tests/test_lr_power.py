@@ -497,35 +497,132 @@ def two_slot_rows(rng):
             np.concatenate([t for _, t in parts]))
 
 
+def numpy_stage(sums, lam, weights, t):
+    """The per-user stage of an LR sweep on the numpy route: the cell means,
+    `SimplexPlan.step` (the sort route, at two slots) and the report."""
+    mean = np.add.reduce(sums, axis=1, keepdims=True)
+    mean /= 2.0
+    moved = SimplexPlan(weights, True, lam.shape).step(lam, mean - sums, t)
+    return moved, rate_module.WsmrResult.from_sums(sums, True, weights)
+
+
+def pair_stage_cases(rng):
+    """(sums, lam, weights) of cells with two users.  Tied sums make the
+    moved pair the multipliers themselves, so `two_slot_rows` reaches every
+    corner of the projection: ties, min(a, b) within ulps of h, 1e+-300 and
+    subnormal totals.  Random sums, sums scaled by 1e+-300, subnormal and
+    zero sums of either sign, multipliers of -0.0 and subnormal pairs that
+    take the shift h cover the rest."""
+    lam, weights = two_slot_rows(rng)
+    rows = len(lam)
+    sums = np.repeat(rng.uniform(0.0, 20.0, size=(rows, 1)), 2, axis=1)
+    free = rng.uniform(size=rows) < 0.5
+    sums[free] = rng.uniform(0.0, 20.0, size=(free.sum(), 2))
+    sums[:50] *= 1e300
+    sums[50:100] *= 1e-300
+    sums[100:150] = rng.integers(0, 3, size=(50, 2)) * 5e-324
+    sums[150:200] = rng.choice([0.0, -0.0, 1.0], size=(50, 2))
+    lam[200:250] = rng.choice([0.0, -0.0, 0.5], size=(50, 2))
+    # Subnormal pairs whose shift is h, with odd sums a + b: halving rounds.
+    sums[250:300] = 1.0
+    lam[250:300] = rng.integers(0, 60, size=(50, 2)) * 5e-324
+    weights[250:300] = rng.integers(61, 200, size=50) * 5e-324
+    return sums, lam, weights
+
+
 def test_two_slot_projection_is_the_sort_route_bit_for_bit():
-    rng = np.random.default_rng(53)
-    v, total = two_slot_rows(rng)
-    plan = SimplexPlan(total, True, v.shape)
-    assert plan.two
-    got = plan(v)
-    plan.two = False                                        # the generic sort route
-    assert got.tobytes() == plan(v).tobytes()
-    # Both shifts are taken, and rows sit on the boundary between them with
-    # the two shifts apart.
-    lo, hi = v.min(axis=1), v.max(axis=1)
-    half = ((v[:, 0] + v[:, 1]) - total) / 2.0
-    assert (lo > half).sum() > 100 and (lo < half).sum() > 100
-    assert ((lo == half) & (hi - total != half)).any()
-    for r in range(0, len(v), 7):
-        one = SimplexPlan(total[r], True, (2,))
-        assert one.two and one(v[r]).tobytes() == got[r].tobytes()
+    # The two-user pass against the numpy route: the cell means, the step
+    # and sort-route projection of `SimplexPlan.step`, and the report.
+    for t in (0, 1, 7, 199):
+        rng = np.random.default_rng(53 + t)
+        sums, lam, weights = pair_stage_cases(rng)
+        rows, worsts = lr_module._pair_pass(sums.tolist(), lam.tolist(),
+                                            weights.tolist(), t)
+        moved, report = numpy_stage(sums, lam, weights, t)
+        assert np.array(rows).tobytes() == moved.tobytes()
+        assert np.array(worsts).tobytes() == np.array(report.min_rates).tobytes()
+        assert float(np.dot(weights, worsts)) == report.value
+        # Both shifts are taken, and rows sit on the boundary between them
+        # with the two shifts apart.
+        step = ALPHA0 / (1.0 + BETA * t)
+        a, b = (lam + step * (sums.mean(axis=1, keepdims=True) - sums)).T
+        half = ((a + b) - weights) / 2.0
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        assert (lo > half).sum() > 100 and (lo < half).sum() > 100
+        assert ((lo == half) & (hi - weights != half)).any()
 
 
-def test_ragged_and_zero_weight_rows_take_the_generic_route():
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("at", ["sums", "lam"])
+def test_pair_pass_leaves_values_that_are_not_finite_to_numpy(bad, at):
+    values = {"sums": [[1.0, 2.0], [3.0, 4.0]], "lam": [[0.5, 0.5], [0.25, 0.75]]}
+    values[at][1][1] = bad
+    assert lr_module._pair_pass(values["sums"], values["lam"], [1.0, 1.0], 0) is None
+
+
+def trace_fields(result):
+    """Every field of every trace row but its wall time; their repr keeps
+    each float's bits."""
+    return [tuple(getattr(row, f) for f in row.__dataclass_fields__ if f != "elapsed_s")
+            for row in result.trace]
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (0.5, 1.0, 2.0)])
+def test_lr_solve_takes_the_pair_pass_bit_for_bit(monkeypatch, weights):
+    calls = []
+    real = lr_module._pair_pass
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    for seed in range(5):
+        s = make_scenario(cells=3, subcarriers=8, users=2, seed=seed, weights=weights)
+        power = np.full((3, 8), s.p_max / 8)
+        assignment = solve_all_cells(s, power)
+        monkeypatch.setattr(lr_module, "_pair_pass", counted)
+        calls.clear()
+        fast = lr_solve(s, assignment, power, psi=1e-12, max_iters=200)
+        assert len(calls) == fast.iterations > 20
+        monkeypatch.setattr(lr_module, "_pair_pass", lambda *args: None)
+        generic = lr_solve(s, assignment, power, psi=1e-12, max_iters=200)
+        assert fast.power.tobytes() == generic.power.tobytes()
+        assert [lam.tobytes() for lam in fast.lam] == [lam.tobytes() for lam in generic.lam]
+        assert repr(trace_fields(fast)) == repr(trace_fields(generic))
+
+
+def test_rates_that_overflow_keep_the_generic_route_bits(monkeypatch):
+    # At a subnormal noise power the SINR overflows: a rate sum is infinite,
+    # that sweep takes the numpy route and its multipliers become NaN, and
+    # every later sweep must leave them to the numpy route too.
+    s = make_scenario(cells=2, subcarriers=3, users=2, seed=0, noise_power=1e-320)
+    power = np.full((2, 3), s.p_max / 3)
+    assignment = solve_all_cells(s, power)
+    with np.errstate(all="ignore"):
+        fast = lr_solve(s, assignment, power, psi=1e-9, max_iters=20)
+        monkeypatch.setattr(lr_module, "_pair_pass", lambda *args: None)
+        generic = lr_solve(s, assignment, power, psi=1e-9, max_iters=20)
+    assert np.isnan(generic.lam[0]).all()
+    assert fast.power.tobytes() == generic.power.tobytes()
+    assert [lam.tobytes() for lam in fast.lam] == [lam.tobytes() for lam in generic.lam]
+    assert repr(trace_fields(fast)) == repr(trace_fields(generic))
+
+
+def test_ragged_and_zero_weight_rows_take_the_generic_route(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the two-user pass ran")
+
+    monkeypatch.setattr(lr_module, "_pair_pass", refused)
+    for users, weights in (((2, 1, 2), 1.0), (2, (1.0, 0.0, 2.0)), (3, 1.0), (1, 1.0)):
+        s = make_scenario(cells=3, subcarriers=6, users=users, seed=3, weights=weights)
+        power = np.full((3, 6), s.p_max / 6)
+        lr_solve(s, solve_all_cells(s, power), power, psi=1e-12, max_iters=20)
+    # The generic route at two slots: the masked sort route, row by row.
     real = np.array([[True, True], [True, False], [True, True]])
-    assert SimplexPlan([1.0, 0.5, 2.0], True, (3, 2)).two
-    assert not SimplexPlan([1.0, 0.5, 2.0], real, (3, 2)).two
-    assert not SimplexPlan([1.0, 0.0, 2.0], True, (3, 2)).two
-    assert not SimplexPlan(1.0, True, (3,)).two
-    assert not SimplexPlan([1.0, 0.5], True, (2, 1)).two
     rng = np.random.default_rng(61)
     for total, live in (([0.7, 1.5, 2.0], real), ([0.7, 0.0, 2.0], True)):
         plan = SimplexPlan(total, live, (3, 2))
+        assert plan.masked
         live = np.broadcast_to(live, (3, 2))
         for _ in range(20):
             v = rng.normal(scale=2.0, size=(3, 2))

@@ -8,7 +8,7 @@ import pytest
 import netalloc.ocd_power as ocd_module
 import netalloc.rate_model as rate_module
 from netalloc import (AssignmentValidationError, MessageBus, OcdStepError,
-                      cell_user_rates, global_kkt_residual,
+                      OracleSizeError, cell_user_rates, global_kkt_residual,
                       grid_power_optimum, init_cell_states, newton_step,
                       ocd_solve, project_power, solve_all_cells,
                       stacked_cell_residuals, states_from_point,
@@ -276,9 +276,9 @@ def test_snapshot_evaluates_link_kernel_once(monkeypatch):
 
 
 def test_phase_evaluates_each_snapshot_once(monkeypatch):
-    # A sweep's report and the next Newton step read the same power, so a
-    # phase of t sweeps evaluates the links t + 1 times, besides the one
-    # evaluation of its starting point.
+    # The first Newton step reads the starting point's snapshot, and a
+    # sweep's report and the next Newton step read the same power, so a
+    # phase of t sweeps evaluates the links t + 1 times, the start included.
     s, assignment, power = desk_instance(users=(1, 2, 3))
     real = rate_module.link_terms
     calls = {"count": 0}
@@ -292,7 +292,7 @@ def test_phase_evaluates_each_snapshot_once(monkeypatch):
         calls["count"] = 0
         result = ocd_solve(s, assignment, power, psi=1e-12, max_iters=sweeps)
         assert result.iterations == sweeps
-        assert calls["count"] == 1 + sweeps + 1
+        assert calls["count"] == sweeps + 1
 
 
 def test_report_at_a_power_outside_the_box_is_projected(monkeypatch):
@@ -628,6 +628,19 @@ def test_matches_grid_search_on_tiny_instance():
     achieved = wsmr(s, result.power, assignment).value
     reference = grid_power_optimum(s, assignment, grid_points=200)
     assert achieved >= 0.99 * reference.value
+
+
+def test_grid_oracle_refuses_a_grid_it_cannot_hold(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the power grid was built")
+
+    monkeypatch.setattr(np, "linspace", unreachable)
+    monkeypatch.setattr(np, "meshgrid", unreachable)
+    s = make_scenario(cells=1, subcarriers=2, users=2, seed=3)
+    assignment = np.zeros((1, 2, 2), dtype=int)
+    assignment[0, 0, 0] = assignment[0, 1, 1] = 1
+    with pytest.raises(OracleSizeError, match=r"grid\^N <= 1000000, got 1001\^2"):
+        grid_power_optimum(s, assignment, grid_points=1001)
 
 
 def test_input_validation():
