@@ -17,13 +17,14 @@ bytes of every visited state, power then assignment, so equality is exact.
 Both power methods run in `bus.relay` on the run's bus, which carries the
 run's round and clock origin, so a phase's rows arrive stamped for the run,
 and a failed phase raises a `PhaseError`, which the run turns into
-`CoordinatorAbort`.  The run's subcarrier rows come from the same
-`MessageBus.row`, and `RunConfig.validated()` checks psi and the power
-iteration cap with the relay's own `bus.check_stop_rule`.  The two
-vocabularies have one owner each: `POWER_METHODS` here, and
-`subcarrier_alloc.SUBCARRIER_MODES`.  Each assignment is validated and
-gathered once, into the `AssignedLinks` view that both its objective
-evaluation and the next power phase read.
+`CoordinatorAbort`.  So does a `RateTableError` from a subcarrier phase,
+whose rates are not finite once the SINR overflows.  The run's subcarrier
+rows come from the same `MessageBus.row`, and `RunConfig.validated()`
+checks psi and the power iteration cap with the relay's own
+`bus.check_stop_rule`.  The two vocabularies have one owner each:
+`POWER_METHODS` here, and `subcarrier_alloc.SUBCARRIER_MODES`.  Each
+assignment is validated and gathered once, into the `AssignedLinks` view
+that both its objective evaluation and the next power phase read.
 
 The run keeps the best (power, assignment) pair ever evaluated, including
 the starting configuration, so a late non-improving round cannot degrade the
@@ -44,13 +45,14 @@ from .lr_power import lr_solve
 from .ocd_power import ocd_solve
 from .rate_model import assigned_links, wsmr
 from .scenario import Scenario
-from .subcarrier_alloc import SUBCARRIER_MODES, solve_all_cells
+from .subcarrier_alloc import SUBCARRIER_MODES, RateTableError, solve_all_cells
 
 POWER_METHODS = ("ocd", "lr")
 
 
 class CoordinatorAbort(RuntimeError):
-    """A power phase failed; carries the trace rows produced so far."""
+    """A power or subcarrier phase failed; carries the trace rows produced
+    so far."""
 
     def __init__(self, detail: str, trace: list):
         self.trace = trace
@@ -163,8 +165,11 @@ def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
 
         # The held assignment warm-starts the exact solve; the result is the same.
         held = assignment
-        assignment = solve_all_cells(scenario, power, mode=config.subcarrier_mode,
-                                     current=links.user)
+        try:
+            assignment = solve_all_cells(scenario, power, mode=config.subcarrier_mode,
+                                         current=links.user)
+        except RateTableError as exc:
+            raise CoordinatorAbort(f"subcarrier phase: {exc}", trace) from exc
         links = assigned_links(scenario, assignment)
         after_sub = wsmr(scenario, power, links)
         trace.append(bus.row("subcarrier", 1, after_sub, 0.0))

@@ -30,15 +30,21 @@ more user slots: numpy's pairwise summation blocks a padded row sum
 differently.
 
 When every cell has two users and a positive weight, as in the paper's
-experiment, the per-user stage of a sweep is a handful of numbers per cell,
-and numpy's per-call overhead dominates it.  There `_pair_pass` takes that
-stage (the cell mean, the multiplier step, the projection and the worst
-rate) on Python floats, one cell at a time.  It repeats the numpy route's
-operations in the same order, so every run keeps its bits: LR's outcome is
-chaotic at the last bit, and any change to the order of the operations
-would move it.  The objective stays numpy's dot of the weights and the
-worst rates.  Ragged and zero-weight cells, and a sweep whose rate sums
-or multipliers are not all finite, take the numpy route.
+experiment, a sweep's work is a handful of numbers per cell, and numpy's
+per-call overhead dominates it.  There the multipliers stay Python pairs
+for the whole phase, and two stages run on Python floats: the best
+response, by `WaterFillingPlan.scalar` when the plan holds at most
+`SCALAR_ENTRIES` entries (each subcarrier's weight read from its holder's
+pair), and the per-user stage, by `_pair_pass` (the cell mean, the
+multiplier step, the projection and the worst rate, one cell at a time).
+Both repeat the numpy route's operations in the same order, so every run
+keeps its bits: LR's outcome is chaotic at the last bit, and any change to
+the order of the operations would move it.  The objective stays numpy's
+dot of the weights and the worst rates.  Ragged and zero-weight cells take
+the numpy route, and so do larger plans' water-filling, a row the scalar
+kernel hands back and a sweep whose multipliers are not all finite.  A
+sweep whose power iterate or rate sums are not all finite raises
+`LrDivergenceError`, on either route.
 
 Both methods run in the same loop, `bus.relay`: same Jacobi information
 pattern, exchange and stop test as the decomposed method, so iteration
@@ -48,6 +54,7 @@ counts and message totals are comparable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,8 +167,8 @@ def update_multipliers(lam: np.ndarray, residuals: np.ndarray, weights, t: int,
 def _pair_pass(sums: list, lam: list, weights: list, t: int):
     """The per-user stage of a sweep at two users per cell, on Python floats.
 
-    `sums` and `lam` are the `tolist` of the (M, 2) rate sums and
-    multipliers, `weights` the M positive cell weights.  Each cell forms
+    `sums` is the `tolist` of the (M, 2) rate sums, `lam` the M multiplier
+    pairs and `weights` the M positive cell weights.  Each cell forms
     what the numpy route forms, with the same operations in the same order:
     the mean (s0 + s1) / 2, the moved pair (a, b) of `SimplexPlan.step` at
     index t, the projection's shift that the sort route picks (its rank-2
@@ -173,7 +180,7 @@ def _pair_pass(sums: list, lam: list, weights: list, t: int):
     multiplier before its clamp at zero is never -0.0, and the worst rate
     takes the second operand on a tie, as numpy's minimum does on x86.
 
-    Returns (multiplier rows, worst rates), or None as soon as a cell's
+    Returns (multiplier pairs, worst rates), or None as soon as a cell's
     sums or multipliers are not all finite: there Python's comparisons would
     drop a NaN that numpy's minimum and maximum carry.
     """
@@ -198,6 +205,45 @@ def _pair_pass(sums: list, lam: list, weights: list, t: int):
     return rows, worsts
 
 
+# Plans of at most this many entries (rows x width) take
+# `WaterFillingPlan.scalar` when their weights come as lists.  The scalar
+# kernel's cost grows with the entries, while numpy's ~30 calls cost about
+# the same up to hundreds of them.  On one core of a 2-vCPU VM (Python
+# 3.11, numpy 2.4) the two broke even near 40 entries (5 x 8, 3 x 16), and
+# at 7 x 8 numpy took 24 us against the scalar kernel's 34.
+SCALAR_ENTRIES = 36
+
+
+def _pairwise_sum(values: list) -> float:
+    """The sum of at most 128 floats in numpy's order for a contiguous row
+    (its pairwise summation): one running sum below 8 values, else eight
+    running sums over whole blocks of eight, combined as a tree, then the
+    values after the last whole block."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    i = 8
+    while i + 8 <= n:
+        r0 += values[i]
+        r1 += values[i + 1]
+        r2 += values[i + 2]
+        r3 += values[i + 3]
+        r4 += values[i + 4]
+        r5 += values[i + 5]
+        r6 += values[i + 6]
+        r7 += values[i + 7]
+        i += 8
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    while i < n:
+        total += values[i]
+        i += 1
+    return total
+
+
 class WaterFillingPlan:
     """Row-wise exact weighted water-filling, set up once for a `shape` and a
     budget shared by every row, then called on any number of inputs.
@@ -210,7 +256,14 @@ class WaterFillingPlan:
     (budget + sum(1 / coeff)); the active set is the longest prefix whose
     last entry still lies above its level.  Entries with zero weight or zero
     coefficient get no power, and nothing gets power at a budget of zero;
-    the budget must be finite and nonnegative.
+    the budget must be finite and nonnegative, and the inputs nonnegative.
+
+    A call runs one of two kernels with the same arithmetic.  An array
+    `weight` takes the numpy kernel, one pass over all rows.  Weights given
+    as the nested list of their rows take `scalar`, on Python floats, when
+    the plan is `small`: at most SCALAR_ENTRIES entries and a positive
+    budget.  On a larger or dry plan, or when `scalar` hands a row back,
+    every row takes the numpy kernel.
     """
 
     def __init__(self, shape: tuple[int, ...], budget: float):
@@ -220,11 +273,18 @@ class WaterFillingPlan:
         self.shape, self.budget = shape, budget
         self.rows = (int(np.prod(shape[:-1])), width)
         self.dry = budget == 0.0 or 0 in self.rows
+        self.small = self.rows[0] * width <= SCALAR_ENTRIES and not self.dry
         self.ranks = np.arange(1, width + 1)
         self.offsets = np.arange(self.rows[0])[:, None] * width
         self.before = self.offsets - 1     # before + rank: flat index of that rank
 
-    def __call__(self, coeff: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    def __call__(self, coeff: np.ndarray, weight: np.ndarray | list) -> np.ndarray:
+        if type(weight) is list:
+            if self.small:
+                filled = self.scalar(coeff.reshape(self.rows).tolist(), weight)
+                if filled is not None:
+                    return np.array(filled).reshape(self.shape)
+            weight = np.array(weight).reshape(self.shape)
         gain = (weight * coeff).reshape(self.rows)
         if self.dry:
             return np.zeros(self.shape)
@@ -254,6 +314,63 @@ class WaterFillingPlan:
         p *= np.divide(self.budget, total, out=total)
         return p.reshape(self.shape)
 
+    def scalar(self, coeff: list, weight: list) -> list | None:
+        """The numpy kernel's rows on Python floats: `coeff` and `weight` are
+        lists of rows of floats, in the plan's (rows, width) layout, of any
+        width up to 128 (`_pairwise_sum`).
+
+        Each row repeats the numpy kernel's operations in its order: the
+        stable descending sort of weight * coeff, the running sums of the
+        sorted weights and of 1 / coeff, the level test with rank 1 as the
+        floor, weight / level_k - 1 / coeff clamped at zero, and the rescale
+        by the row total, summed as numpy sums a row (`_pairwise_sum`).  An
+        entry outside the sorted positive prefix gets 0.0, as numpy's masked
+        division leaves it.  Returns the powers, row after row, in one flat
+        list; or None, for the numpy kernel to take every row, when a row's
+        gain sum or power total is not finite (NaN keys sort differently in
+        the two kernels) or its level is not positive (Python raises where
+        numpy divides to inf).
+        """
+        budget = self.budget
+        isfinite = math.isfinite
+        mul = operator.mul
+        out = []
+        for c, w in zip(coeff, weight):
+            gain = list(map(mul, w, c))
+            if not isfinite(sum(gain)):
+                return None
+            n = len(gain)
+            at = sorted(range(n), key=gain.__getitem__, reverse=True)
+            total_w = total_inv = 0.0
+            rank = k = 0
+            for i in at:
+                g = gain[i]
+                if not g > 0.0:
+                    break
+                rank += 1
+                total_w += w[i]
+                total_inv += 1.0 / c[i]
+                level = total_w / (total_inv + budget)
+                if g > level or rank == 1:
+                    k, level_k = rank, level
+            p = [0.0] * n
+            if k:
+                if not level_k > 0.0:
+                    return None
+                for i in at[:k]:
+                    x = w[i] / level_k - 1.0 / c[i]
+                    if x > 0.0:
+                        p[i] = x
+            total = _pairwise_sum(p)
+            if not isfinite(total):
+                return None
+            # budget / max(total, budget) is exactly 1.0 when total <= budget.
+            if total > budget:
+                scale = budget / total
+                p = [x * scale for x in p]
+            out += p
+        return out
+
 
 def best_response(coeff: np.ndarray, weight: np.ndarray,
                   budget: float) -> np.ndarray:
@@ -278,7 +395,13 @@ def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarr
     to the previous iterate's interference, then the multipliers are
     updated from the per-user rate gaps at the new powers.  The relay stops
     like the decomposed method: stacked power movement below `psi`, or
-    `max_iters` outer iterations.
+    `max_iters` outer iterations.  A sweep whose power iterate or rate sums
+    are not all finite raises `LrDivergenceError`, carrying its iteration
+    and the rows before it.  At two users per cell with positive weights
+    the sweep runs on Python floats (see the module docstring): the
+    multipliers are pairs, water-filling takes the scalar kernel on plans of
+    at most `SCALAR_ENTRIES` entries, and the (M, 2) multiplier array is
+    built only for the result or for a sweep `_pair_pass` hands back.
     """
     links = assigned_links(scenario, assignment, require_complete=True)
     validate_power(scenario, initial_power)
@@ -290,7 +413,13 @@ def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarr
     lam = np.where(real, weights[:, None] / counts, 0.0)
     water = WaterFillingPlan(own_gain.shape, scenario.p_max)
     simplex = SimplexPlan(weights, real, lam.shape)
+    # Two users per cell with positive weights: the multipliers stay Python
+    # pairs, and small plans read their weights from them by holder.
     pairs = lam.shape[1] == 2 and not simplex.masked
+    scalar = pairs and water.small
+    if pairs:
+        lam = lam.tolist()
+    holders = links.user.tolist()
     weight_list = weights.tolist()
     # The relay hands each sweep the iterate the previous one returned, so
     # the denominators at it are the previous sweep's.
@@ -298,24 +427,32 @@ def lr_solve(scenario: Scenario, assignment: np.ndarray, initial_power: np.ndarr
 
     def sweep(iteration, power):
         nonlocal lam, denom
-        power_now = water(own_gain / denom, lam.take(links.slot))
+        if scalar:
+            weight = [[pair[u] for u in users] for pair, users in zip(lam, holders)]
+        else:
+            weight = np.asarray(lam).take(links.slot)
+        power_now = water(own_gain / denom, weight)
         if not np.isfinite(power_now).all():
             raise LrDivergenceError("power iterate is not finite")
         _, denom, sums = links.evaluate(power_now)        # padded slots 0
-        stage = (_pair_pass(sums.tolist(), lam.tolist(), weight_list, iteration - 1)
-                 if pairs else None)
-        if stage is not None:
-            rows, worsts = stage
-            lam = np.array(rows)
-            return power_now, WsmrResult(float(np.dot(weights, worsts)), tuple(worsts))
+        if pairs:
+            stage = _pair_pass(sums.tolist(), lam, weight_list, iteration - 1)
+            if stage is not None:
+                lam, worsts = stage
+                return power_now, WsmrResult(float(np.dot(weights, worsts)), tuple(worsts))
+        if not np.isfinite(sums).all():
+            raise LrDivergenceError("rate sums are not finite")
         mean = np.add.reduce(sums, axis=1, keepdims=True)
         mean /= counts
-        lam = simplex.step(lam, mean - sums, iteration - 1)
+        lam = simplex.step(np.asarray(lam), mean - sums, iteration - 1)
+        if pairs:
+            lam = lam.tolist()
         return power_now, WsmrResult.from_sums(sums, real, weights)
 
     power, trace, converged = relay(
         sweep, np.asarray(initial_power, dtype=float), report_sizes,
         psi=psi, max_iters=max_iters, bus=bus)
+    lam = np.asarray(lam)
     return LrResult(power=power,
                     lam=[lam[m, :k] for m, k in enumerate(scenario.users_per_cell)],
                     trace=trace, converged=converged, iterations=len(trace))

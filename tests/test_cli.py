@@ -214,6 +214,46 @@ def test_run_ensemble_refuses_bad_counts_before_running(monkeypatch, name, value
         cli.run_ensemble(ScenarioParams(2, 4, 1), config=netalloc.RunConfig(), **counts)
 
 
+def test_run_ensemble_writes_nan_rows_when_rates_overflow():
+    # At a subnormal noise power both methods' runs abort, and their rows
+    # say so; the starting point's row is still a number.
+    import netalloc.experiment_cli as cli
+
+    params = ScenarioParams(2, 3, 2, noise_power=1e-320)
+    with np.errstate(all="ignore"):
+        rows, _ = cli.run_ensemble(params, realizations=1, base_seed=0,
+                                   config=netalloc.RunConfig())
+    by_method = {row.method: row for row in rows}
+    assert np.isfinite(by_method["init"].wsmr)
+    for method in ("lr", "ocd"):
+        assert np.isnan(by_method[method].wsmr) and not by_method[method].converged
+
+
+def test_solve_and_montecarlo_survive_rates_that_overflow(tmp_path, capsys):
+    # -3200 dBW is a noise power of 1e-320, where the SINR overflows.
+    scn = tmp_path / "scn.json"
+    flags = ["--cells", "2", "--subcarriers", "3", "--noise-dbw", "-3200"]
+    main(["generate", *flags, "--out", str(scn)])
+    capsys.readouterr()
+    for method in ("lr", "ocd"):
+        trace = tmp_path / f"trace-{method}.csv"
+        with np.errstate(all="ignore"):
+            code = main(["solve", str(scn), "--method", method,
+                         "--trace-out", str(trace)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "partial trace written" in err
+        header, rows = read_csv(str(trace))
+        assert tuple(header) == TRACE_HEADER and rows
+    out = tmp_path / "mc.csv"
+    with np.errstate(all="ignore"):
+        assert main(["montecarlo", *flags, "--realizations", "1", "--out", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert "method=lr " in summary and "failed=1" in summary
+    _, rows = read_csv(str(out))
+    assert [row[2] for row in rows if row[1] != "init"] == ["nan", "nan"]
+
+
 @pytest.mark.parametrize("sweep", ["0,1", "1,nan", "1,-0.5"])
 def test_montecarlo_refuses_a_bad_budget_before_running(monkeypatch, tmp_path, capsys, sweep):
     # A usage error before the first realization, even after valid budgets.

@@ -406,6 +406,25 @@ def test_run_abort_carries_partial_trace(monkeypatch, method):
     assert all(r.phase == "power" for r in failed_round_rows)
 
 
+@pytest.mark.parametrize("method, cause", [("ocd", alloc_module.RateTableError),
+                                           ("lr", LrDivergenceError)])
+def test_a_run_whose_rates_overflow_aborts_with_its_trace(method, cause):
+    # At a subnormal noise power the SINR overflows.  OCD's power phases
+    # finish until a subcarrier phase meets rates that are not finite; LR's
+    # second sweep meets rate sums that are not finite.
+    s = make_scenario(cells=2, subcarriers=3, users=2, seed=0, noise_power=1e-320)
+    with np.errstate(all="ignore"), pytest.raises(CoordinatorAbort) as excinfo:
+        run(s, RunConfig(power_method=method))
+    assert isinstance(excinfo.value.__cause__, cause)
+    partial = excinfo.value.trace
+    assert partial and partial[-1].phase == "power"
+    if method == "lr":
+        assert [(r.round, r.iteration) for r in partial] == [(0, 1)]
+    else:
+        assert "subcarrier phase" in str(excinfo.value)
+        assert any(r.phase == "subcarrier" for r in partial)
+
+
 def test_run_respects_round_budget():
     s = desk_scenario(seed=7)
     result = run(s, RunConfig(psi=0.05, max_rounds=2, wsmr_tol=0.0))

@@ -6,7 +6,7 @@ import netalloc.rate_model as rate_module
 from netalloc import (LrDivergenceError, MessageBus, best_response, link_terms,
                       lr_solve, solve_all_cells, update_multipliers, wsmr)
 from netalloc.bus import relay
-from netalloc.lr_power import ALPHA0, BETA, SimplexPlan
+from netalloc.lr_power import ALPHA0, BETA, SCALAR_ENTRIES, SimplexPlan
 
 from conftest import hand_scenario, make_scenario, per_cell_user_rates, per_cell_wsmr
 
@@ -460,6 +460,8 @@ def test_plan_outputs_own_their_memory():
     water = lr_module.WaterFillingPlan((3, 6), 1.0)
     simplex = lr_module.SimplexPlan([1.0, 0.5, 2.0], real, real.shape)
     for plan, args in ((water, lambda: (rng.uniform(size=(3, 6)), rng.uniform(size=(3, 6)))),
+                       (water, lambda: (rng.uniform(size=(3, 6)),
+                                        rng.uniform(size=(3, 6)).tolist())),
                        (simplex, lambda: (rng.normal(size=(3, 3)),))):
         first = plan(*args())
         kept = first.copy()
@@ -560,11 +562,11 @@ def test_pair_pass_leaves_values_that_are_not_finite_to_numpy(bad, at):
     assert lr_module._pair_pass(values["sums"], values["lam"], [1.0, 1.0], 0) is None
 
 
-def trace_fields(result):
+def trace_fields(rows):
     """Every field of every trace row but its wall time; their repr keeps
     each float's bits."""
     return [tuple(getattr(row, f) for f in row.__dataclass_fields__ if f != "elapsed_s")
-            for row in result.trace]
+            for row in rows]
 
 
 @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (0.5, 1.0, 2.0)])
@@ -588,24 +590,42 @@ def test_lr_solve_takes_the_pair_pass_bit_for_bit(monkeypatch, weights):
         generic = lr_solve(s, assignment, power, psi=1e-12, max_iters=200)
         assert fast.power.tobytes() == generic.power.tobytes()
         assert [lam.tobytes() for lam in fast.lam] == [lam.tobytes() for lam in generic.lam]
-        assert repr(trace_fields(fast)) == repr(trace_fields(generic))
+        assert repr(trace_fields(fast.trace)) == repr(trace_fields(generic.trace))
 
 
-def test_rates_that_overflow_keep_the_generic_route_bits(monkeypatch):
-    # At a subnormal noise power the SINR overflows: a rate sum is infinite,
-    # that sweep takes the numpy route and its multipliers become NaN, and
-    # every later sweep must leave them to the numpy route too.
-    s = make_scenario(cells=2, subcarriers=3, users=2, seed=0, noise_power=1e-320)
+def overflow_case(users=2, seed=0):
+    """At a subnormal noise power the SINR overflows: a rate sum of the second
+    LR sweep from the uniform start is infinite."""
+    s = make_scenario(cells=2, subcarriers=3, users=users, seed=seed, noise_power=1e-320)
     power = np.full((2, 3), s.p_max / 3)
-    assignment = solve_all_cells(s, power)
     with np.errstate(all="ignore"):
-        fast = lr_solve(s, assignment, power, psi=1e-9, max_iters=20)
-        monkeypatch.setattr(lr_module, "_pair_pass", lambda *args: None)
-        generic = lr_solve(s, assignment, power, psi=1e-9, max_iters=20)
-    assert np.isnan(generic.lam[0]).all()
-    assert fast.power.tobytes() == generic.power.tobytes()
-    assert [lam.tobytes() for lam in fast.lam] == [lam.tobytes() for lam in generic.lam]
-    assert repr(trace_fields(fast)) == repr(trace_fields(generic))
+        assignment = solve_all_cells(s, power)
+    return s, assignment, power
+
+
+def test_rates_that_overflow_raise_at_the_same_sweep_on_both_routes(monkeypatch):
+    # The two-user route hands a sweep with an infinite rate sum back, and
+    # the generic route raises there, instead of running on with NaN
+    # multipliers to a zero objective.
+    s, assignment, power = overflow_case()
+    raised = []
+    for route in ("pairs", "generic"):
+        if route == "generic":
+            monkeypatch.setattr(lr_module, "_pair_pass", lambda *args: None)
+            monkeypatch.setattr(lr_module, "SCALAR_ENTRIES", 0)
+        with np.errstate(all="ignore"), \
+                pytest.raises(LrDivergenceError, match="rate sums are not finite") as excinfo:
+            lr_solve(s, assignment, power, psi=1e-9, max_iters=20)
+        raised.append(excinfo.value)
+    assert [e.iteration for e in raised] == [2, 2]
+    assert [len(e.trace) for e in raised] == [1, 1]
+    assert repr(trace_fields(raised[0].trace)) == repr(trace_fields(raised[1].trace))
+    # Ragged cells and three users per cell take the generic route only.
+    for users, seed in (((1, 2), 1), (3, 0)):
+        s, assignment, power = overflow_case(users, seed)
+        with np.errstate(all="ignore"), \
+                pytest.raises(LrDivergenceError, match="rate sums are not finite"):
+            lr_solve(s, assignment, power, psi=1e-9, max_iters=20)
 
 
 def test_ragged_and_zero_weight_rows_take_the_generic_route(monkeypatch):
@@ -682,3 +702,142 @@ def test_water_filling_refuses_budgets_that_are_not_finite_and_nonnegative(budge
         best_response(np.ones(3), np.ones(3), budget)
     with pytest.raises(ValueError, match="budget must be finite and nonnegative"):
         lr_module.WaterFillingPlan((2, 3), budget)
+
+
+# The scalar water-filling kernel against the numpy kernel: rows of Python
+# floats must give the numpy kernel's bits, or be handed back to it.  At
+# three cells the widest plan the scalar kernel takes is GATE_WIDTH.
+
+GATE_WIDTH = SCALAR_ENTRIES // 3
+
+
+def test_pairwise_sum_is_numpys_row_sum():
+    rng = np.random.default_rng(71)
+    for n in range(1, 129):
+        v = rng.uniform(size=(10, n)) * 10.0 ** rng.integers(-8, 9, size=(10, n))
+        want = np.add.reduce(v, axis=-1, keepdims=True)
+        got = np.array([[lr_module._pairwise_sum(row)] for row in v.tolist()])
+        assert got.tobytes() == want.tobytes(), n
+
+
+def scalar_rows_handed_back(coeff, weight, budget):
+    """Check every row of the scalar kernel against the numpy kernel and the
+    plan's list route against its array route; returns how many rows the
+    scalar kernel handed back."""
+    with np.errstate(all="ignore"):
+        want = lr_module.WaterFillingPlan(coeff.shape, budget)(coeff, weight)
+        listed = lr_module.WaterFillingPlan(coeff.shape, budget)(coeff, weight.tolist())
+    assert listed.tobytes() == want.tobytes()
+    row_plan = lr_module.WaterFillingPlan(coeff.shape[-1:], budget)
+    handed_back = 0
+    for c, w, p in zip(coeff.tolist(), weight.tolist(), want):
+        got = row_plan.scalar([c], [w])
+        if got is None:
+            handed_back += 1
+        else:
+            assert np.array(got).tobytes() == p.tobytes()
+    return handed_back
+
+
+@pytest.mark.parametrize("width", range(1, 2 * GATE_WIDTH + 1))
+def test_scalar_water_filling_is_the_numpy_kernel_bit_for_bit(width):
+    # Widths on both sides of numpy's eight-value summation block and of the
+    # gate at three cells; ties in weight * coeff, zero and negative-zero entries and rows
+    # with nothing to fill.
+    rng = np.random.default_rng(100 + width)
+    for budget in (1e-300, 1e-3, 1.0, 1e3, 1e300):
+        coeff = 10.0 ** rng.uniform(-3.0, 5.0, size=(40, width))
+        weight = rng.uniform(size=(40, width))
+        weight[:5] = 0.5
+        coeff[:5] = rng.choice([0.5, 2.0, 8.0], size=(5, width))
+        weight[5:10] = rng.choice([0.25, 1.0], size=(5, width))
+        coeff[5:10] = 4.0 * weight[5:10] ** -1           # equal gains
+        weight[10:15, ::2] = 0.0
+        coeff[15:20, 1::3] = 0.0
+        weight[20:25, ::3] = -0.0
+        coeff[25:30, ::4] = -0.0
+        weight[30] = 0.0
+        coeff[31] = 0.0
+        assert scalar_rows_handed_back(coeff, weight, budget) == 0
+
+
+def test_scalar_water_filling_on_extreme_entries():
+    # Subnormal and huge entries and budgets: the scalar kernel keeps the
+    # numpy kernel's bits on every row it takes and hands the rest back,
+    # never raising.
+    rng = np.random.default_rng(73)
+    palette = np.array([0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-8, 0.3, 1.0, 7.0,
+                        1e8, 1e300, 1e308])
+    odds = np.array([2, 2, 1, 1, 1, 4, 8, 8, 8, 4, 1, 1]) / 41
+    taken = handed_back = 0
+    for width in range(1, 2 * GATE_WIDTH + 1):
+        for budget in (1e-300, 1e-30, 1.0, 1e30, 1e300):
+            coeff = rng.choice(palette, size=(30, width), p=odds)
+            weight = rng.choice(palette, size=(30, width), p=odds)
+            back = scalar_rows_handed_back(coeff, weight, budget)
+            handed_back += back
+            taken += 30 - back
+    assert taken > 1000 and handed_back > 1000
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("at", ["coeff", "weight"])
+def test_scalar_water_filling_hands_inf_and_nan_to_numpy(bad, at):
+    rng = np.random.default_rng(79)
+    for width in (1, 7, 8, 9):
+        values = {"coeff": 10.0 ** rng.uniform(-2.0, 3.0, size=(3, width)),
+                  "weight": rng.uniform(size=(3, width))}
+        values[at][1, -1] = bad
+        coeff, weight = values["coeff"], values["weight"]
+        plan = lr_module.WaterFillingPlan(coeff.shape, 1.0)
+        assert plan.scalar(coeff.tolist(), weight.tolist()) is None
+        assert scalar_rows_handed_back(coeff, weight, 1.0) == 1
+
+
+def test_scalar_water_filling_hands_a_level_that_is_not_positive_to_numpy():
+    # The level 5e-324 / (1 + 1e300) rounds to zero: numpy divides to inf,
+    # Python would raise.
+    plan = lr_module.WaterFillingPlan((1,), 1e300)
+    assert plan.scalar([[1.0]], [[5e-324]]) is None
+    assert scalar_rows_handed_back(np.array([[1.0]]), np.array([[5e-324]]), 1e300) == 1
+
+
+def test_lr_solve_takes_the_scalar_route_at_two_users_and_small_plans(monkeypatch):
+    widths = []
+    real = lr_module.WaterFillingPlan.scalar
+
+    def counted(plan, coeff, weight):
+        widths.append(len(coeff[0]))
+        return real(plan, coeff, weight)
+
+    monkeypatch.setattr(lr_module.WaterFillingPlan, "scalar", counted)
+    for cells, subcarriers, users, weights, taken in (
+            (3, 8, 2, 1.0, True), (3, GATE_WIDTH, 2, 1.0, True),
+            (3, GATE_WIDTH + 1, 2, 1.0, False), (7, 8, 2, 1.0, False),
+            (3, 8, (2, 1, 2), 1.0, False), (3, 8, 3, 1.0, False),
+            (3, 8, 2, (1.0, 0.0, 2.0), False)):
+        s = make_scenario(cells=cells, subcarriers=subcarriers, users=users, seed=2,
+                          weights=weights)
+        power = np.full((cells, subcarriers), s.p_max / subcarriers)
+        widths.clear()
+        result = lr_solve(s, solve_all_cells(s, power), power, psi=1e-12, max_iters=30)
+        assert widths == ([subcarriers] * result.iterations if taken else [])
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (0.5, 1.0, 2.0)])
+def test_lr_solve_is_the_same_with_the_scalar_route_off(monkeypatch, weights):
+    for subcarriers in (4, 8, GATE_WIDTH):
+        for seed in range(3):
+            s = make_scenario(cells=3, subcarriers=subcarriers, users=2, seed=seed,
+                              weights=weights)
+            power = np.full((3, subcarriers), s.p_max / subcarriers)
+            assignment = solve_all_cells(s, power)
+            monkeypatch.setattr(lr_module, "SCALAR_ENTRIES", SCALAR_ENTRIES)
+            fast = lr_solve(s, assignment, power, psi=1e-12, max_iters=200)
+            monkeypatch.setattr(lr_module, "SCALAR_ENTRIES", 0)
+            numpy_route = lr_solve(s, assignment, power, psi=1e-12, max_iters=200)
+            assert fast.iterations > 20
+            assert fast.power.tobytes() == numpy_route.power.tobytes()
+            assert ([lam.tobytes() for lam in fast.lam]
+                    == [lam.tobytes() for lam in numpy_route.lam])
+            assert repr(trace_fields(fast.trace)) == repr(trace_fields(numpy_route.trace))
