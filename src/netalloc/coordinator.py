@@ -6,7 +6,9 @@ two distributed power methods to movement below psi, the subcarrier phase
 reassigns every cell's subcarriers at the new powers.  Three rules end the
 rounds, tested in this order after each subcarrier phase, and the first that
 holds names the run's `stop_reason`: "tolerance" when the objective's
-relative change falls below `wsmr_tol`, "cycle" when the (power, assignment)
+relative change |new - previous| / |previous| falls below `wsmr_tol`, at
+any scale (from a previous value of exactly 0 the change is 0 when the new
+value is 0 too, else infinite), "cycle" when the (power, assignment)
 state equals one the run already left a subcarrier phase in (or started
 from), and "rounds" after `max_rounds`.  A round is a deterministic function
 of that state, so once it repeats every later round replays a known one and
@@ -181,8 +183,11 @@ def run(scenario: Scenario, config: RunConfig = RunConfig()) -> RunResult:
                 best = (value, power.copy(), state_assignment.copy())
 
         rounds = round_index + 1
-        relative = (abs(after_sub.value - previous_round_value)
-                    / max(abs(previous_round_value), 1e-12))
+        change = abs(after_sub.value - previous_round_value)
+        if previous_round_value != 0.0:
+            relative = change / abs(previous_round_value)
+        else:
+            relative = 0.0 if change == 0.0 else np.inf
         previous_round_value = after_sub.value
         if relative < config.wsmr_tol:
             stop_reason = "tolerance"

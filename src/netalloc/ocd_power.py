@@ -14,19 +14,22 @@ all cells (a Jacobi sweep).  The iterate is one `OcdState` that holds every
 cell as a row, its user axis padded to the largest cell.  `newton_step` is
 the sweep: it forms every cell's subproblem terms once, as padded all-cell
 arrays, then steps all cells with one set of array operations and returns
-the next `OcdState`.  Uniform and ragged cells take the same route: the
-padded user slots' rate rows are masked in every sweep, and on uniform
-cells the masks select every entry.  What stays fixed while the assignment
-does lives in one `OcdPhase`, built once per `ocd_solve` call: the held
-links, the gap-scaled coupling gains and the fixed rows of the reduced
-system.  The phase also evaluates each power snapshot once, keeping the
-held links' `AssignedLinks.evaluate` (the signal, noise plus interference
-and the users' padded rate sums).  The starting point and the first Newton
-step read one snapshot, and so do a sweep's report, a
-`rate_model.WsmrResult` of those sums, and the next Newton step, so t
-sweeps make t + 1 link evaluations, the start included.  A step eliminates
-slacks and multipliers in closed form, leaving a reduced (N+1)x(N+1) system
-in the cell's powers and aux rate.
+the next `OcdState`.  A primal-dual step treats every inequality the same
+way, so a cell's Kmax rate constraints, its budget and its N nonnegativity
+bounds form one inequality block of Kmax + N + 1 columns, and the step
+forms each slack and multiplier formula once over it.  Uniform and ragged
+cells take the same route: the padded user slots' columns are masked in
+every sweep, and on uniform cells the mask selects every entry.  What stays
+fixed while the assignment does lives in one `OcdPhase`, built once per
+`ocd_solve` call: the held links, the gap-scaled coupling gains, the fixed
+rows of the reduced system and the block's mask.  The phase also evaluates
+each power snapshot once, keeping the held links' `AssignedLinks.evaluate`
+(the signal, noise plus interference and the users' padded rate sums).  The
+starting point and the first Newton step read one snapshot, and so do a
+sweep's report, a `rate_model.WsmrResult` of those sums, and the next
+Newton step, so t sweeps make t + 1 link evaluations, the start included.
+A step eliminates slacks and multipliers in closed form, leaving a reduced
+(N+1)x(N+1) system in the cell's powers and aux rate.
 That matrix is a diagonal plus rank K + 1 (the K rate rows and the budget row),
 except that its aux diagonal entry is 0; bordering the aux coordinate with
 eps = mean of the power diagonal, once added and once subtracted as a row of
@@ -43,8 +46,9 @@ than psi in Euclidean norm.
 
 Stacking each cell's first-order conditions reproduces the first-order
 conditions of the undecomposed problem.  `stacked_cell_residuals` (per-cell
-route) and `global_kkt_residual` (whole-problem route) compute the two sides
-through independent code paths so the identity can be checked numerically.
+route, from the Newton step's own residual assembly) and
+`global_kkt_residual` (whole-problem route) compute the two sides through
+independent code paths so the identity can be checked numerically.
 """
 
 from __future__ import annotations
@@ -100,7 +104,10 @@ class OcdState:
     budget, entries 1..N the per-subcarrier nonnegativity bounds.  `lam` and
     `slack_h` (M, Kmax) cover the own-user minimum-rate constraints; the
     slots of users a cell does not have hold exactly 0 and 1, which a step
-    leaves unchanged.  All cells share one barrier.
+    leaves unchanged.  All cells share one barrier.  `newton_step` packs
+    the four arrays into one inequality block, [slack_h | slack_g | lam |
+    mu], and the state it returns holds views of the updated block; any
+    arrays of these shapes will do as input.
     """
 
     power: np.ndarray
@@ -115,7 +122,12 @@ class OcdState:
 @dataclass(frozen=True)
 class NewtonStep:
     """Every cell's raw Newton direction and step length, one row per cell,
-    plus the damped updated state."""
+    plus the damped updated state.
+
+    `d_lam` (M, Kmax) and `d_mu` (M, N + 1) are views of one multiplier
+    direction over the step's inequality block; `alpha` is each cell's one
+    fraction-to-boundary step over all its slacks and multipliers.
+    """
 
     d_power: np.ndarray
     d_aux_rate: np.ndarray
@@ -173,9 +185,11 @@ class OcdPhase:
     coupling gains `into`, into[m, o, n] station m's gain into cell o's held
     link on n, each cell's own block zeroed, and `into_sq`, their squares,
     so the curvature contraction in `_subproblem_terms` reads two operands;
-    the cell `weights`; and the fixed rows of every cell's reduced system
-    (see `_solve_reduced`): the budget row over the powers and the aux
-    border e_aux.
+    the cell `weights`; the `fixed_rows` of every cell's reduced system (see
+    `_solve_reduced`): the budget row over the powers, then the aux border
+    e_aux; and the `live` mask over one cell's inequality block, (M, Kmax +
+    N + 1): the real user slots, then the budget and the N nonnegativity
+    bounds, which are always live.
 
     `snapshot(power)` returns the held links' `AssignedLinks.evaluate` at a
     power, (signal, denom, rate_sums), and keeps it until it is asked for a
@@ -195,10 +209,11 @@ class OcdPhase:
         self.into[cells, cells] = 0.0
         self.into_sq = self.into * self.into
         self.weights = np.array(scenario.weights, dtype=float)
-        self.budget = np.zeros((m_cells, 1, n_sub + 1))
-        self.budget[..., :n_sub] = 1.0
-        self.e_aux = np.zeros((m_cells, 1, n_sub + 1))
-        self.e_aux[..., n_sub] = 1.0
+        self.fixed_rows = np.zeros((m_cells, 2, n_sub + 1))
+        self.fixed_rows[:, 0, :n_sub] = 1.0
+        self.fixed_rows[:, 1, n_sub] = 1.0
+        self.live = np.concatenate(
+            (scenario.real_users, np.ones((m_cells, n_sub + 1), dtype=bool)), axis=1)
         self._bits = None
         self._snapshot = None
 
@@ -298,12 +313,20 @@ def _jac_g_transpose(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_step(values: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Per row, the fraction-to-boundary step length, at most 1."""
-    shrink = directions < 0.0
-    ratio = np.divide(values, -directions, out=np.full(values.shape, np.inf),
-                      where=shrink)
-    return np.minimum(FRACTION_TO_BOUNDARY * ratio.min(axis=1), 1.0)
+def _kkt_blocks(scenario: Scenario, phase: OcdPhase,
+                state: OcdState) -> tuple[SubproblemTerms, np.ndarray, np.ndarray]:
+    """Every cell's subproblem terms, constraint values and stationarity
+    residual at `state`: the one residual assembly that `newton_step` and
+    `stacked_cell_residuals` share.  The values [h | g] run over the columns
+    of the phase's `live` mask: the Kmax rate slots, then the budget and
+    nonnegativity (see `_local_constraints`).
+    """
+    t = _subproblem_terms(scenario, phase, state)
+    values = np.empty(phase.live.shape)
+    values[:, :scenario.max_users] = t.h
+    values[:, scenario.max_users:] = _local_constraints(state.power, scenario.p_max)
+    stat = t.grad - np.einsum("mkj,mk->mj", t.jac_h, state.lam) - _jac_g_transpose(state.mu)
+    return t, values, stat
 
 
 def _solve_capacitance(cap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -329,10 +352,13 @@ def _solve_reduced(phase: OcdPhase, d_pow: np.ndarray, rows: np.ndarray,
     """Solve every cell's reduced system (D - sum_r w_r v_r v_r^T) x = rhs.
 
     `d_pow` is the (M, N) strictly negative diagonal of the power block and
-    the aux diagonal is 0; each of the R = Kmax + 1 (M, R, N + 1) `rows` v_r
-    carries weight w_r = mult / slack.  The aux coordinate is bordered with
-    eps = mean(D) on both sides, D^ = diag(D, eps) and one more row, the
-    phase's e_aux, of weight eps, so the matrix is D^ - V'^T S' V' and
+    the aux diagonal is 0.  The R = Kmax + 1 rows v_r over the N + 1
+    variables are the (M, Kmax, N + 1) rate `rows`, then the budget row
+    (the first of the phase's `fixed_rows`); each carries weight w_r = mult
+    / slack, where `mult` and `slack` are (M, R) views of the step's block.
+    The aux coordinate is bordered with eps = mean(D) on both sides, D^ =
+    diag(D, eps) and one more row, e_aux (the second fixed row), of weight
+    eps, so the matrix is D^ - V'^T S' V' and
     Woodbury reduces it to the (R + 1)x(R + 1) capacitance S'^-1 - V' D^-1
     V'^T.  Rows whose multiplier is 0 carry no weight and are dropped, so
     slack / mult is never formed for them.  Two refinement steps follow the
@@ -348,11 +374,11 @@ def _solve_reduced(phase: OcdPhase, d_pow: np.ndarray, rows: np.ndarray,
     eps = np.add.reduce(d_pow, axis=1, keepdims=True) / d_pow.shape[1]
     d_hat = np.concatenate((d_pow, eps), axis=1)
     active = mult > 0.0
-    v = np.concatenate((np.where(active[..., None], rows, 0.0), phase.e_aux), axis=1)
+    v = np.concatenate((rows, phase.fixed_rows), axis=1)
+    np.copyto(v[:, :-1], 0.0, where=~active[..., None])
     s = np.concatenate((mult / slack, eps), axis=1)
-    s_inv = np.concatenate(
-        (np.divide(slack, mult, out=np.ones_like(slack), where=active), 1.0 / eps),
-        axis=1)
+    s_inv = np.concatenate((np.divide(slack, mult, out=np.ones_like(slack), where=active),
+                            1.0 / eps), axis=1)
     v_t = v.transpose(0, 2, 1)
     d_inv_v_t = v_t / d_hat[..., None]
     cap = -(v @ d_inv_v_t)
@@ -383,64 +409,67 @@ def newton_step(scenario: Scenario, assignment,
     conditions of its subproblem (variables, slacks and multipliers of its
     own constraints only) and eliminates slacks and multipliers in closed
     form, leaving one reduced system in the powers and aux rate (Nocedal &
-    Wright, ch. 19).  That matrix is diagonal plus rank K + 1 (the rate rows
-    and the budget row) with a zero aux diagonal, so all cells are solved at
-    once through their (K + 2)x(K + 2) Woodbury capacitance, the aux
-    coordinate bordered with eps = mean(D), with two refinement steps; see
-    `_solve_reduced`.  Slacks and multipliers are recovered from the primal
-    direction, each cell's four blocks are damped by a shared
-    fraction-to-boundary step, and the barrier decays.  The elimination
-    divides by the slacks, so every slack must be strictly positive;
-    otherwise, or when a reduced system is singular or yields a non-finite
-    direction, OcdStepError is raised for the first failing cell.  There is
-    no regularization retry.
+    Wright, ch. 19).  Every inequality is treated alike, so the step packs
+    the state once into one block per cell, the slacks [slack_h | slack_g]
+    then the multipliers [lam | mu], each over the rate slots, the budget
+    and nonnegativity (the columns of the phase's `live` mask), and forms
+    the residuals, the elimination, the recovered directions, the
+    fraction-to-boundary step and the update once over it.  The reduced
+    matrix is diagonal plus rank K + 1 (the rate rows and the budget row)
+    with a zero aux diagonal, so all cells are solved at once through their
+    (K + 2)x(K + 2) Woodbury capacitance, the aux coordinate bordered with
+    eps = mean(D), with two refinement steps; see `_solve_reduced`.  The
+    barrier decays.  The elimination divides by the slacks, so every slack
+    must be strictly positive; otherwise, or when a reduced system is
+    singular or yields a non-finite direction, OcdStepError is raised for
+    the first failing cell.  There is no regularization retry.
     """
-    n_sub = scenario.num_subcarriers
-    power, aux, lam, mu = state.power, state.aux_rate, state.lam, state.mu
-    slack_h, slack_g, barrier = state.slack_h, state.slack_g, state.barrier
-    if not ((slack_h > 0.0).all() and (slack_g > 0.0).all()):
-        positive = (slack_h > 0.0).all(axis=1) & (slack_g > 0.0).all(axis=1)
-        raise OcdStepError(int(np.argmin(positive)),
+    n_sub, k = scenario.num_subcarriers, scenario.max_users
+    block = np.concatenate((state.slack_h, state.slack_g, state.lam, state.mu), axis=1)
+    width = block.shape[1] // 2
+    slack, mult = block[:, :width], block[:, width:]
+    if not (slack > 0.0).all():
+        raise OcdStepError(int(np.argmin((slack > 0.0).all(axis=1))),
                            "Newton system singular: a slack is not strictly positive")
     phase = _phase(scenario, assignment)
-    t = _subproblem_terms(scenario, phase, state)
+    t, values, r_stat = _kkt_blocks(scenario, phase, state)
 
     # Inertia safeguard: the coupling terms can turn single coordinates
     # convex, which makes pure Newton oscillate into the positivity
     # boundary; flooring the curvature keeps the step productive without
     # moving any fixed point (residuals are untouched).
-    hess = np.minimum(t.curv[:, :n_sub] - np.einsum("mk,mkn->mn", lam, t.curv_h),
+    hess = np.minimum(t.curv[:, :n_sub] - np.einsum("mk,mkn->mn", state.lam, t.curv_h),
                       -REGULARIZATION)
-    r_stat = t.grad - np.einsum("mkj,mk->mj", t.jac_h, lam) - _jac_g_transpose(mu)
-    r_ph = np.where(t.real, t.h + slack_h, 0.0)
-    r_pg = _local_constraints(power, scenario.p_max) + slack_g
-    r_ch = np.where(t.real, lam * slack_h - barrier, 0.0)
-    r_cg = mu * slack_g - barrier
-    rhs = (-r_stat + np.einsum("mkj,mk->mj", t.jac_h, (lam * r_ph - r_ch) / slack_h)
-           + _jac_g_transpose((mu * r_pg - r_cg) / slack_g))
-    d_x = _solve_reduced(
-        phase, hess - mu[:, 1:] / slack_g[:, 1:],
-        np.concatenate((t.jac_h, phase.budget), axis=1),
-        np.concatenate((lam, mu[:, :1]), axis=1),
-        np.concatenate((slack_h, slack_g[:, :1]), axis=1), rhs)
+    r_prim = np.where(phase.live, values + slack, 0.0)
+    r_comp = np.where(phase.live, mult * slack - state.barrier, 0.0)
+    elim = (mult * r_prim - r_comp) / slack
+    rhs = (-r_stat + np.einsum("mkj,mk->mj", t.jac_h, elim[:, :k])
+           + _jac_g_transpose(elim[:, k:]))
+    d_x = _solve_reduced(phase, hess - mult[:, k + 1:] / slack[:, k + 1:], t.jac_h,
+                         mult[:, :k + 1], slack[:, :k + 1], rhs)
 
-    # A padded user slot has a zero rate row and residuals, so its slack and
+    # d_slack = -r_prim - J d_x, with J_g d_x = (sum(d_power), -d_power).  A
+    # padded user slot has a zero rate row and residuals, so its slack and
     # multiplier directions are exact zeros: it keeps lam 0 and slack 1.
     d_power, d_aux = d_x[:, :n_sub], d_x[:, n_sub]
-    d_sh = -r_ph - np.einsum("mkj,mj->mk", t.jac_h, d_x)
-    d_sg = -r_pg - np.concatenate((d_power.sum(axis=1, keepdims=True), -d_power), axis=1)
-    d_lam = -(r_ch + lam * d_sh) / slack_h
-    d_mu = -(r_cg + mu * d_sg) / slack_g
-    alpha = _max_step(np.concatenate((slack_h, slack_g, lam, mu), axis=1),
-                      np.concatenate((d_sh, d_sg, d_lam, d_mu), axis=1))
+    d_block = np.empty(block.shape)
+    d_slack, d_mult = d_block[:, :width], d_block[:, width:]
+    np.negative(r_prim, out=d_slack)
+    d_slack[:, :k] -= np.einsum("mkj,mj->mk", t.jac_h, d_x)
+    d_slack[:, k] -= d_power.sum(axis=1)
+    d_slack[:, k + 1:] += d_power
+    np.divide(-(r_comp + mult * d_slack), slack, out=d_mult)
+    ratio = np.divide(block, -d_block, out=np.full(block.shape, np.inf), where=d_block < 0.0)
+    alpha = np.minimum(FRACTION_TO_BOUNDARY * ratio.min(axis=1), 1.0)
 
     step = alpha[:, None]
+    new = block + step * d_block
     return NewtonStep(
-        d_power=d_power, d_aux_rate=d_aux, d_lam=d_lam, d_mu=d_mu, alpha=alpha,
-        state=OcdState(power=power + step * d_power, aux_rate=aux + alpha * d_aux,
-                       lam=lam + step * d_lam, mu=mu + step * d_mu,
-                       slack_h=slack_h + step * d_sh, slack_g=slack_g + step * d_sg,
-                       barrier=max(BARRIER_DECAY * barrier, BARRIER_FLOOR)))
+        d_power=d_power, d_aux_rate=d_aux, d_lam=d_mult[:, :k], d_mu=d_mult[:, k:], alpha=alpha,
+        state=OcdState(power=state.power + step * d_power, aux_rate=state.aux_rate + alpha * d_aux,
+                       lam=new[:, width:width + k], mu=new[:, width + k:],
+                       slack_h=new[:, :k], slack_g=new[:, k:width],
+                       barrier=max(BARRIER_DECAY * state.barrier, BARRIER_FLOOR)))
 
 
 def _power_floor(scenario: Scenario) -> float:
@@ -556,14 +585,11 @@ def stacked_cell_residuals(scenario: Scenario, assignment: np.ndarray,
                            state: OcdState) -> KktResidual:
     """Concatenate every cell's subproblem residual blocks in cell order;
     padded user slots are masked out."""
-    t = _subproblem_terms(scenario, assignment, state)
-    g = _local_constraints(state.power, scenario.p_max)
-    stat = t.grad - np.einsum("mkj,mk->mj", t.jac_h, state.lam) - _jac_g_transpose(state.mu)
-    kept = np.concatenate((t.real, np.ones(g.shape, dtype=bool)), axis=1)
-    return KktResidual(
-        stationarity=stat.ravel(),
-        primal=np.concatenate((np.maximum(t.h, 0.0), np.maximum(g, 0.0)), axis=1)[kept],
-        complementarity=np.concatenate((state.lam * t.h, state.mu * g), axis=1)[kept])
+    phase = _phase(scenario, assignment)
+    _, values, stat = _kkt_blocks(scenario, phase, state)
+    live, mult = phase.live, np.concatenate((state.lam, state.mu), axis=1)
+    return KktResidual(stationarity=stat.ravel(), primal=np.maximum(values, 0.0)[live],
+                       complementarity=(mult * values)[live])
 
 
 def global_kkt_residual(scenario: Scenario, assignment: np.ndarray,

@@ -221,6 +221,20 @@ def test_run_single_round_when_tolerance_is_infinite():
     assert len(sub_rows) == 1
 
 
+def test_round_stop_reads_the_relative_change_at_any_scale():
+    # At a noise power of 1e30 W (300 dBW) every objective is below 1e-34
+    # nats.  OCD's first round more than doubles it, so the run goes on; LR's
+    # drops it to exactly 0, and the next round's 0 -> 0 is no change.
+    s = make_scenario(noise_power=1e30)
+    start = wsmr(s, *initial_point(s)).value
+    ocd = run(s, RunConfig(power_method="ocd"))
+    first = [row.wsmr for row in ocd.trace if row.phase == "subcarrier"][0]
+    assert 0.0 < start < first / 2 < 1e-34
+    assert (ocd.stop_reason, ocd.rounds) == ("rounds", 10)
+    lr = run(s, RunConfig(power_method="lr"))
+    assert (lr.stop_reason, lr.rounds, lr.final_wsmr) == ("tolerance", 2, 0.0)
+
+
 def test_run_trace_structure():
     s = desk_scenario()
     result = run(s, RunConfig(psi=0.05, max_rounds=3))

@@ -566,7 +566,8 @@ def test_cell_and_global_residual_routes_agree():
 
 def test_padded_user_slots_stay_exact():
     # Slots of users a cell does not have hold lam 0 and slack 1 from every
-    # constructor, and a sweep leaves them there bit for bit.
+    # constructor, and a sweep leaves them there bit for bit: the step's
+    # inequality-block mask makes their multiplier directions exact zeros.
     s, assignment, power = desk_instance(users=(1, 2, 3))
     padded = ~s.real_users
     lam = [np.full(k, 0.5) for k in s.users_per_cell]
@@ -577,7 +578,9 @@ def test_padded_user_slots_stay_exact():
             assert (state.lam[padded] == 0.0).all()
             assert (state.slack_h[padded] == 1.0).all()
             if sweep < 60:
-                state = newton_step(s, assignment, state).state
+                step = newton_step(s, assignment, state)
+                assert (step.d_lam[padded] == 0.0).all()
+                state = step.state
         assert state.barrier == ocd_module.BARRIER_FLOOR
 
 
