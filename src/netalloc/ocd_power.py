@@ -245,8 +245,7 @@ class SubproblemTerms:
     value, so it is not computed.  `h`, `jac_h` and `curv_h` run over the Kmax
     user slots: each rate constraint's value, its Jacobian over the N + 1
     variables, and its diagonal second derivatives -(d2 rate) >= 0 over the
-    powers.  `real` marks the user slots that exist; padded slots hold
-    zeros.
+    powers.  Padded user slots hold zeros.
     """
 
     grad: np.ndarray
@@ -254,7 +253,6 @@ class SubproblemTerms:
     h: np.ndarray
     jac_h: np.ndarray
     curv_h: np.ndarray
-    real: np.ndarray
 
 
 def _subproblem_terms(scenario: Scenario, assignment,
@@ -288,8 +286,7 @@ def _subproblem_terms(scenario: Scenario, assignment,
     jac_h[..., :n_sub] = -d_rate
     jac_h[..., n_sub] = real
     h = np.where(real, state.aux_rate[:, None] - rate_sums, 0.0)
-    return SubproblemTerms(grad=grad, curv=curv, h=h,
-                           jac_h=jac_h, curv_h=d_rate * d_rate, real=real)
+    return SubproblemTerms(grad=grad, curv=curv, h=h, jac_h=jac_h, curv_h=d_rate * d_rate)
 
 
 def _local_constraints(power: np.ndarray, p_max: float) -> np.ndarray:

@@ -47,18 +47,19 @@ same adds in the same order, so they visit the same nodes and return the
 same bytes.
 
 Given the assignment a cell already holds, the search also prunes below a
-floor: the best of three feasible assignments' values on the new table,
-shrunk by a relative `FLOOR_MARGIN`.  The three are the held assignment;
-the Lagrangian rounding at y, each subcarrier to the user with the largest
-y-weighted rate (Fisher's Lagrangian heuristic); and the better of those
-two, polished by a local search towards the worst user.  After a power
-phase the held assignment is usually within a few percent of the optimum,
-far closer than greedy, the rounding is often closer still, and the polish
-closes more of the gap, so the floor cuts most of the tree.  All three are
-feasible, so the floor is at most the optimum and never cuts an ancestor of
-the first optimal leaf in branching order.  The incumbent is still greedy's
-and still moves only on strict improvement, so the result depends neither
-on the held assignment, nor on the rounding or the local search, nor on y.
+floor: the best of four feasible assignments' values on the new table,
+shrunk by a relative `FLOOR_MARGIN`.  Two are starts: the held assignment,
+and the Lagrangian rounding at y, each subcarrier to the user with the
+largest y-weighted rate (Fisher's Lagrangian heuristic).  The other two are
+those starts polished by a local search that moves subcarriers to the
+worst user.  After a power phase the held assignment is usually within a
+few percent of the optimum, far closer than greedy, the rounding is often
+closer still, and the polish closes more of the gap, so the floor cuts most
+of the tree.  All four are feasible, so the floor is at most the optimum
+and never cuts an ancestor of the first optimal leaf in branching order.
+The incumbent is still greedy's and still moves only on strict
+improvement, so the result depends neither on the held assignment, nor on
+the rounding or the local search, nor on y.
 """
 
 from __future__ import annotations
@@ -213,50 +214,29 @@ def _polish(cols: list, picks: list, totals: list) -> list:
 
     cols[d][u] is user u's rate on subcarrier d, and picks[d] is the user
     holding it; `totals` is `_totals(cols, picks)`, updated in place too.
-    Each step gives the worst user (lowest index on ties) a subcarrier
-    another user holds: as a move, or, only when no move helps, as a swap
-    for one of the worst user's own subcarriers.  The step taken
-    is the one that leaves the lower of the two changed totals highest, and
-    only if both end strictly above the old worst total, so the sorted
-    totals rise with every step and the search ends.
+    Each step moves to the worst user (lowest index on ties) the subcarrier
+    another user holds that leaves the lower of the two changed totals
+    highest (the first such subcarrier on ties), and only if both end
+    strictly above the old worst total, so the sorted totals rise with every
+    step and the search ends.
     """
     while True:
         low = min(totals)
         w = totals.index(low)
-        # Each subcarrier d another user v holds: w's rate on it, and v's
-        # total without it.
-        theirs = [(d, v, cols[d][w], totals[v] - cols[d][v])
-                  for d, v in enumerate(picks) if v != w]
         best, step = low, None
-        for d, v, gain, left in theirs:
-            new_w = low + gain
+        for d, v in enumerate(picks):
+            if v == w:
+                continue
+            # v's total without subcarrier d, and w's with it.
+            left, new_w = totals[v] - cols[d][v], low + cols[d][w]
             worse = left if left < new_w else new_w
             if worse > best:
-                best, step = worse, (d, -1, left, new_w)
-        if step is None and theirs:
-            # A swap leaves w at most base + the largest gain: skip every
-            # held subcarrier e whose swaps cannot beat the best so far.
-            top = max([gain for _, _, gain, _ in theirs])
-            for e, owner in enumerate(picks):
-                if owner != w:
-                    continue
-                back = cols[e]
-                base = low - back[w]
-                if base + top <= best:
-                    continue
-                for d, v, gain, left in theirs:
-                    new_v, new_w = left + back[v], base + gain
-                    worse = new_v if new_v < new_w else new_w
-                    if worse > best:
-                        best, step = worse, (d, e, new_v, new_w)
+                best, step = worse, (d, left, new_w)
         if step is None:
             return picks
-        d, e, new_v, new_w = step
-        v = picks[d]
-        totals[v], totals[w] = new_v, new_w
+        d, left, new_w = step
+        totals[picks[d]], totals[w] = left, new_w
         picks[d] = w
-        if e >= 0:
-            picks[e] = v
 
 
 def _held_floor(table: np.ndarray, current, order: np.ndarray, cols: list,
@@ -264,16 +244,16 @@ def _held_floor(table: np.ndarray, current, order: np.ndarray, cols: list,
     """Prune floor from the assignment a cell already holds; minus infinity
     without one.
 
-    Three feasible assignments are valued on the search's own `cols`
-    (subcarriers in branching `order`), with totals summed in that order:
-    the held one; the Lagrangian rounding at the dual point y, which gives
+    Two feasible starts are valued on the search's own `cols` (subcarriers
+    in branching `order`), with totals summed in that order: the held
+    assignment, and the Lagrangian rounding at the dual point y, which gives
     each subcarrier to the user with the largest y-weighted rate in the
     (N, K) array `ycols` (ycols[d, u] = y_u * cols[d][u] with y from
-    `_dual_point(cols)`; lowest user index on ties); and the better
-    of those two, held on a tie, polished by `_polish`.  The floor is the
-    best of the three values shrunk by `FLOOR_MARGIN`.  Every candidate is
-    a feasible assignment, so no value exceeds the optimum, whatever y or
-    the local search does.
+    `_dual_point(cols)`; lowest user index on ties).  Each start is then
+    polished by `_polish` and valued again.  The floor is the best of the
+    four values shrunk by `FLOOR_MARGIN`.  Every candidate is a feasible
+    assignment, so no value exceeds the optimum, whatever y or the local
+    search does.
     """
     if current is None:
         return -np.inf
@@ -288,16 +268,14 @@ def _held_floor(table: np.ndarray, current, order: np.ndarray, cols: list,
     held = raw[order].tolist()
     if min(held) < 0 or max(held) >= k:
         raise RateTableError(f"current has a user index outside 0..{k - 1}")
+    value = -np.inf
     # argmax takes the first maximum: the lowest user index wins ties.
-    rounded = ycols.argmax(axis=1).tolist()
-    start, totals = held, _totals(cols, held)
-    rounded_totals = _totals(cols, rounded)
-    value, rounded_value = min(totals), min(rounded_totals)
-    if rounded_value > value:
-        start, totals, value = rounded, rounded_totals, rounded_value
-    picks = _polish(cols, start[:], totals)
-    if picks != start:
-        value = max(value, min(_totals(cols, picks)))
+    for start in (held, ycols.argmax(axis=1).tolist()):
+        totals = _totals(cols, start)
+        value = max(value, min(totals))
+        picks = _polish(cols, start[:], totals)
+        if picks != start:
+            value = max(value, min(_totals(cols, picks)))
     return value * (1.0 - FLOOR_MARGIN)
 
 
@@ -387,11 +365,11 @@ def solve_exact(table: np.ndarray, current=None) -> AssignmentResult:
 
     `current`, a (N,) user-index vector such as the assignment the cell
     already holds, only speeds the search up.  With it, the best value of
-    three assignments on `table` (the held one, the Lagrangian rounding at
-    y, and the better of those two polished by a local search; see
+    four assignments on `table` (the held one, the Lagrangian rounding at
+    y, and each of those two polished by a local search; see
     `_held_floor`), shrunk by a relative `FLOOR_MARGIN`, is a prune floor:
     a branch whose bound is below it holds no optimal leaf, so it is cut
-    too.  All three are feasible assignments, so their values are at most
+    too.  All four are feasible assignments, so their values are at most
     the optimum.  The first optimal leaf's ancestors all have bounds at
     or above the optimum, so the floor never cuts them, and the result is
     the same with or without `current`.  The margin keeps rounding in the

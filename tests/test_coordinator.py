@@ -490,7 +490,12 @@ def reference_best(s, max_rounds, wsmr_tol=1e-3):
         value = wsmr(s, power, assignment).value
         if value > best[0]:
             best = (value, power, assignment)
-        if abs(value - previous) / max(abs(previous), 1e-12) < wsmr_tol:
+        # The relative change; from exactly 0 it is 0 if the value stays 0.
+        if previous == 0.0:
+            relative = 0.0 if value == 0.0 else np.inf
+        else:
+            relative = abs(value - previous) / abs(previous)
+        if relative < wsmr_tol:
             break
         previous = value
     return best

@@ -405,43 +405,6 @@ def test_solve_all_cells_rejects_a_misshapen_current():
             solve_all_cells(s, power, mode="greedy", current=np.zeros(shape, dtype=np.int64))
 
 
-def unpruned_polish(cols, picks):
-    """`_polish` without its skip of dead swaps: every swap is scanned."""
-    totals = [0.0] * len(cols[0])
-    for col, u in zip(cols, picks):
-        totals[u] += col[u]
-    while True:
-        low = min(totals)
-        w = totals.index(low)
-        theirs = [(d, v, cols[d][w], totals[v] - cols[d][v])
-                  for d, v in enumerate(picks) if v != w]
-        best, step = low, None
-        for d, v, gain, left in theirs:
-            new_w = low + gain
-            worse = left if left < new_w else new_w
-            if worse > best:
-                best, step = worse, (d, -1, left, new_w)
-        if step is None:
-            for e, owner in enumerate(picks):
-                if owner != w:
-                    continue
-                back = cols[e]
-                base = low - back[w]
-                for d, v, gain, left in theirs:
-                    new_v, new_w = left + back[v], base + gain
-                    worse = new_v if new_v < new_w else new_w
-                    if worse > best:
-                        best, step = worse, (d, e, new_v, new_w)
-        if step is None:
-            return picks
-        d, e, new_v, new_w = step
-        v = picks[d]
-        totals[v], totals[w] = new_v, new_w
-        picks[d] = w
-        if e >= 0:
-            picks[e] = v
-
-
 def polish(table, start):
     """`_polish` from `start` on `table`, with the totals it is handed."""
     cols = table.T.tolist()
@@ -452,7 +415,7 @@ def test_local_search_polishes_without_losing_value():
     rng = np.random.default_rng(47)
     tables = [rng.exponential(size=(int(rng.integers(1, 5)), int(rng.integers(1, 33))))
               for _ in range(200)]
-    # Small integers: tied totals, tied steps and swaps that only tie.
+    # Small integers: tied totals and tied steps.
     tables += [rng.integers(0, 4, size=(int(rng.integers(1, 5)), int(rng.integers(1, 13))))
                .astype(float) for _ in range(200)]
     for table in tables:
@@ -462,23 +425,24 @@ def test_local_search_polishes_without_losing_value():
         assert polished.shape == (n,)
         assert ((polished >= 0) & (polished < k)).all()
         assert bincount_value(table, polished) >= bincount_value(table, start)
-        again = polish(table, start.tolist())
-        assert again == polished.tolist()
-        # Skipping swaps that cannot win changes no step.
-        assert unpruned_polish(table.T.tolist(), start.tolist()) == again
+        assert polish(table, start.tolist()) == polished.tolist()
 
 
-def test_local_search_moves_then_swaps():
+def test_local_search_moves_to_the_worst_user():
     # User 0 holds nothing: two moves hand it subcarriers 0 and 2, the best
     # move each time, and the optimum (min 3) is reached.
     table = np.array([[2.0, 0.5, 1.5], [1.0, 3.0, 3.0]])
     assert polish(table, [1, 1, 1]) == [0, 1, 0]
     assert polish(table, [0, 1, 0]) == [0, 1, 0]
-    # Both users on their worse subcarrier: no move helps, a swap does.
+    # Both users on their worse subcarrier: no move helps, and the search
+    # stops there; it makes no swaps.
     table = np.array([[1.0, 5.0], [5.0, 1.0]])
-    assert polish(table, [0, 1]) == [1, 0]
+    assert polish(table, [0, 1]) == [0, 1]
     # Users 0 and 2 tie at zero; the lower index is served first.
     table = np.array([[3.0, 3.0], [0.0, 1.0], [2.0, 0.0]])
+    assert polish(table, [1, 1]) == [0, 1]
+    # Two moves tie; the first subcarrier goes.
+    table = np.array([[2.0, 2.0], [5.0, 5.0]])
     assert polish(table, [1, 1]) == [0, 1]
 
 
@@ -541,27 +505,33 @@ def test_floor_polishes_the_lagrangian_rounding_at_the_dual_point(monkeypatch):
 
     monkeypatch.setattr(subcarrier_alloc, "_dual_point", lambda cols: [0.5, 0.25, 0.25])
     monkeypatch.setattr(subcarrier_alloc, "_polish", recorded)
-    # A held assignment worth less: the rounding is polished and sets the floor.
+    # A held assignment worth less: the rounding sets the floor.
     assert floor_of(table, np.zeros(5, dtype=np.int64)) == 3.0 * (1.0 - FLOOR_MARGIN)
-    # One worth as much (3): the held one is polished.  One worth more (4) too.
+    # One worth as much (3), one worth more (4): whatever the held one is
+    # worth, both starts are polished, the held one first.
     for held in ([1, 0, 0, 0, 2], [1, 1, 0, 2, 2]):
         floor_of(table, np.array(held))
-    assert starts == branching(table, ([1, 0, 0, 2, 2], [1, 0, 0, 0, 2], [1, 1, 0, 2, 2]))
-    # On random tables and simplex points, the rounding is numpy's argmax
-    # of y_u * r_un, which takes the lowest index on ties.
+    rounded = [1, 0, 0, 2, 2]
+    assert starts == branching(table, ([0] * 5, rounded, [1, 0, 0, 0, 2], rounded,
+                                       [1, 1, 0, 2, 2], rounded))
+    # Every warm solve on random tables and simplex points: the held
+    # assignment, then the rounding, which is numpy's argmax of y_u * r_un
+    # and takes the lowest index on ties.
     rng = np.random.default_rng(103)
     for _ in range(40):
         k, n = int(rng.integers(1, 5)), int(rng.integers(1, 9))
         table = rng.integers(0, 3, size=(k, n)).astype(float)
         y = rng.dirichlet(np.ones(k)) if rng.random() < 0.5 else np.full(k, 1.0 / k)
         monkeypatch.setattr(subcarrier_alloc, "_dual_point", lambda cols: y.tolist())
-        held = np.zeros(n, dtype=np.int64)
+        held = rng.integers(0, k, n)
         rounded = (y[:, None] * table).argmax(axis=0)
-        # Small integers: every sum is exact, so the values compare exactly.
-        better = bincount_value(table, rounded) > bincount_value(table, held)
         starts[:] = []
-        floor_of(table, held)
-        assert starts == branching(table, [rounded if better else held])
+        solve_exact(table, held)
+        assert starts == branching(table, [held, rounded])
+    # A cold solve has no floor and polishes nothing.
+    starts[:] = []
+    solve_exact(table)
+    assert starts == []
 
 
 def held_polish_floor(table, current, order, cols, ycols):
